@@ -52,11 +52,27 @@ impl AnnSpec {
     /// this trains the coarse quantizer (the expensive part); callers that
     /// need the build time on a clock measure around this call.
     pub fn build_source(&self, reps: &EntityEmbeddings, pool: &Pool) -> Box<dyn CandidateSource> {
+        self.source_with_index(reps, None, pool).0
+    }
+
+    /// The live candidate source for `reps` plus the IVF index behind it
+    /// (`None` for [`AnnSpec::Exhaustive`]), so a caller can persist the
+    /// index it serves from. An IVF spec probes `prebuilt` when given (an
+    /// index decoded from a snapshot) and builds one over `reps` otherwise.
+    pub fn source_with_index(
+        &self,
+        reps: &EntityEmbeddings,
+        prebuilt: Option<IvfIndex>,
+        pool: &Pool,
+    ) -> (Box<dyn CandidateSource>, Option<Arc<IvfIndex>>) {
         match self {
-            AnnSpec::Exhaustive => Box::new(Exhaustive),
+            AnnSpec::Exhaustive => (Box::new(Exhaustive), None),
             AnnSpec::Ivf(cfg) => {
-                let index = Arc::new(IvfIndex::build(reps, cfg, pool));
-                Box::new(IvfSource::new(index, cfg.nprobe))
+                let index = Arc::new(prebuilt.unwrap_or_else(|| IvfIndex::build(reps, cfg, pool)));
+                (
+                    Box::new(IvfSource::new(index.clone(), cfg.nprobe)),
+                    Some(index),
+                )
             }
         }
     }

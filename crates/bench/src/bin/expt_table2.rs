@@ -12,7 +12,7 @@ fn main() {
         "Method", "Type", "M@10", "M@20", "M@50", "M@100", "P@10", "P@20", "P@50", "P@100", "Avg",
     ]);
     let mut json: BTreeMap<String, MetricReport> = BTreeMap::new();
-    for method in Method::table2() {
+    for method in Method::ALL {
         let report = method.evaluate(&mut suite);
         push_block(&mut table, method.name(), &report);
         json.insert(method.name().to_string(), report);

@@ -2,11 +2,16 @@
 
 use crate::suite::Suite;
 use ultra_baselines::{CaSE, CgExpan, Gpt4Baseline, ProbExpan, SetExpan};
-use ultra_data::OracleConfig;
+use ultra_core::{Query, RankedList, UltraClass};
+use ultra_data::{OracleConfig, World};
 use ultra_embed::{Augmentation, EncoderConfig, PairConfig};
 use ultra_eval::{evaluate_method, MetricReport};
 use ultra_genexpan::{CotConfig, GenExpan, GenRaSource};
 use ultra_retexpan::{mine_lists, RetExpan};
+
+/// A trained method, ready to expand any query of the world it was built
+/// for.
+pub type Expand = Box<dyn Fn(&World, &UltraClass, &Query) -> RankedList + Send + Sync>;
 
 /// One Table 2 method row.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -37,93 +42,109 @@ pub enum Method {
 
 impl Method {
     /// Every Table 2 row, paper order.
-    pub fn table2() -> Vec<Method> {
-        use Method::*;
-        vec![
-            SetExpan,
-            CaSE,
-            CgExpan,
-            ProbExpan,
-            Gpt4,
-            RetExpan,
-            RetExpanContrast,
-            RetExpanRa,
-            GenExpan,
-            GenExpanCot,
-            GenExpanRa,
-        ]
-    }
+    pub const ALL: [Method; 11] = [
+        Method::SetExpan,
+        Method::CaSE,
+        Method::CgExpan,
+        Method::ProbExpan,
+        Method::Gpt4,
+        Method::RetExpan,
+        Method::RetExpanContrast,
+        Method::RetExpanRa,
+        Method::GenExpan,
+        Method::GenExpanCot,
+        Method::GenExpanRa,
+    ];
 
     /// Display name matching the paper's row label.
     pub fn name(&self) -> &'static str {
+        self.names().1
+    }
+
+    /// The lower-case name the CLI selects the row by.
+    pub fn wire_name(&self) -> &'static str {
+        self.names().0
+    }
+
+    /// `(wire name, paper label)`.
+    fn names(&self) -> (&'static str, &'static str) {
         match self {
-            Method::SetExpan => "SetExpan",
-            Method::CaSE => "CaSE",
-            Method::CgExpan => "CGExpan",
-            Method::ProbExpan => "ProbExpan",
-            Method::Gpt4 => "GPT4",
-            Method::RetExpan => "RetExpan",
-            Method::RetExpanContrast => "RetExpan +Contrast",
-            Method::RetExpanRa => "RetExpan +RA",
-            Method::GenExpan => "GenExpan",
-            Method::GenExpanCot => "GenExpan +CoT",
-            Method::GenExpanRa => "GenExpan +RA",
+            Method::SetExpan => ("setexpan", "SetExpan"),
+            Method::CaSE => ("case", "CaSE"),
+            Method::CgExpan => ("cgexpan", "CGExpan"),
+            Method::ProbExpan => ("probexpan", "ProbExpan"),
+            Method::Gpt4 => ("gpt4", "GPT4"),
+            Method::RetExpan => ("retexpan", "RetExpan"),
+            Method::RetExpanContrast => ("retexpan-contrast", "RetExpan +Contrast"),
+            Method::RetExpanRa => ("retexpan-ra", "RetExpan +RA"),
+            Method::GenExpan => ("genexpan", "GenExpan"),
+            Method::GenExpanCot => ("genexpan-cot", "GenExpan +CoT"),
+            Method::GenExpanRa => ("genexpan-ra", "GenExpan +RA"),
         }
     }
 
-    /// Trains (reusing the suite's shared components where possible) and
-    /// evaluates the method over the full query set.
-    pub fn evaluate(&self, suite: &mut Suite) -> MetricReport {
-        eprintln!("[methods] evaluating {}…", self.name());
+    /// The row whose [`wire_name`](Self::wire_name) is `name`.
+    pub fn from_name(name: &str) -> Option<Method> {
+        Self::ALL.into_iter().find(|m| m.wire_name() == name)
+    }
+
+    /// Trains the method, reusing the suite's shared components where
+    /// possible.
+    pub fn build(&self, suite: &mut Suite) -> Expand {
         match self {
             Method::SetExpan => {
                 let m = SetExpan::new(&suite.world);
-                evaluate_method(&suite.world, |_u, q| m.expand(&suite.world, q))
+                Box::new(move |w, _u, q| m.expand(w, q))
             }
             Method::CaSE => {
                 let m = CaSE::new(&suite.world);
-                evaluate_method(&suite.world, |_u, q| m.expand(&suite.world, q))
+                Box::new(move |w, _u, q| m.expand(w, q))
             }
             Method::CgExpan => {
                 let m = CgExpan::new(&suite.world);
-                evaluate_method(&suite.world, |_u, q| m.expand(&suite.world, q))
+                Box::new(move |w, _u, q| m.expand(w, q))
             }
             Method::ProbExpan => {
                 let ret = suite.retexpan();
                 let m = ProbExpan::from_encoder(&suite.world, &ret.encoder);
-                evaluate_method(&suite.world, |_u, q| m.expand(&suite.world, q))
+                Box::new(move |w, _u, q| m.expand(w, q))
             }
             Method::Gpt4 => {
                 let m = Gpt4Baseline::new(&suite.world, OracleConfig::default());
-                evaluate_method(&suite.world, |_u, q| m.expand(q))
+                Box::new(move |_w, _u, q| m.expand(q))
             }
             Method::RetExpan => {
-                let ret = suite.retexpan();
-                evaluate_method(&suite.world, |_u, q| ret.expand(&suite.world, q))
+                let m = suite.retexpan();
+                Box::new(move |w, _u, q| m.expand(w, q))
             }
             Method::RetExpanContrast => {
                 let m = retexpan_contrast(suite, &PairConfig::default());
-                evaluate_method(&suite.world, |_u, q| m.expand(&suite.world, q))
+                Box::new(move |w, _u, q| m.expand(w, q))
             }
             Method::RetExpanRa => {
                 let m = retexpan_ra(suite, Augmentation::Introduction);
-                evaluate_method(&suite.world, |_u, q| m.expand(&suite.world, q))
+                Box::new(move |w, _u, q| m.expand(w, q))
             }
             Method::GenExpan => {
-                let gen = suite.genexpan();
-                evaluate_method(&suite.world, |u, q| gen.expand(&suite.world, u, q))
+                let m = suite.genexpan();
+                Box::new(move |w, u, q| m.expand(w, u, q))
             }
             Method::GenExpanCot => {
-                let mut gen = (*suite.genexpan()).clone();
-                gen.config.cot = CotConfig::default_cot();
-                evaluate_method(&suite.world, |u, q| gen.expand(&suite.world, u, q))
+                let m = genexpan_with(suite, |g| g.config.cot = CotConfig::default_cot());
+                Box::new(move |w, u, q| m.expand(w, u, q))
             }
             Method::GenExpanRa => {
-                let mut gen = (*suite.genexpan()).clone();
-                gen.config.ra = GenRaSource::Introduction;
-                evaluate_method(&suite.world, |u, q| gen.expand(&suite.world, u, q))
+                let m = genexpan_with(suite, |g| g.config.ra = GenRaSource::Introduction);
+                Box::new(move |w, u, q| m.expand(w, u, q))
             }
         }
+    }
+
+    /// Trains the method and evaluates it over the full query set.
+    pub fn evaluate(&self, suite: &mut Suite) -> MetricReport {
+        eprintln!("[methods] evaluating {}…", self.name());
+        let expand = self.build(suite);
+        evaluate_method(&suite.world, |u, q| expand(&suite.world, u, q))
     }
 }
 
@@ -146,19 +167,16 @@ pub fn retexpan_contrast_sized(
     let mined = mine_lists(&suite.world, &base, &oracle, 3 * list_cap, list_cap);
     let mut encoder = base.encoder.clone();
     ultra_embed::contrastive::train_contrastive(&mut encoder, &suite.world, &mined, pair_cfg);
-    let mut ret = RetExpan::from_encoder(&suite.world, encoder, base.config.clone());
-    ret.refresh_reps(&suite.world);
-    ret
+    RetExpan::from_encoder(&suite.world, encoder, base.config.clone())
 }
 
 /// RetExpan + retrieval augmentation: retrains the encoder with knowledge
 /// prefixes on every context (training *and* inference, Section 5.1.3).
 pub fn retexpan_ra(suite: &mut Suite, source: Augmentation) -> RetExpan {
-    let base = suite.retexpan();
     RetExpan::train(
         &suite.world,
         EncoderConfig::default().with_augment(source),
-        base.config.clone(),
+        suite.retexpan_config.clone(),
     )
 }
 
@@ -167,4 +185,18 @@ pub fn genexpan_with(suite: &mut Suite, f: impl FnOnce(&mut GenExpan)) -> GenExp
     let mut gen = (*suite.genexpan()).clone();
     f(&mut gen);
     gen
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wire_names_round_trip_and_are_unique() {
+        for m in Method::ALL {
+            assert_eq!(Method::from_name(m.wire_name()), Some(m));
+        }
+        assert_eq!(Method::from_name("RetExpan"), None, "labels are not names");
+        assert_eq!(Method::from_name("retexpan"), Some(Method::RetExpan));
+    }
 }

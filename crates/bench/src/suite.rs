@@ -2,23 +2,28 @@
 //! caching, result dumping.
 
 use std::io::Write;
-use ultra_data::{World, WorldConfig};
+use std::sync::Arc;
+use ultra_data::{KnowledgeOracle, OracleConfig, World, WorldConfig};
+use ultra_embed::EncoderConfig;
+use ultra_genexpan::{GenExpan, GenExpanConfig};
+use ultra_retexpan::{RetExpan, RetExpanConfig};
 
-/// Builds the world selected by `ULTRA_PROFILE` / `ULTRA_SEED`.
+/// Builds the world selected by `ULTRA_PROFILE` / `ULTRA_SEED`. An unknown
+/// profile or a seed that does not parse exits 2 before anything runs.
 pub fn world_from_env() -> World {
     let profile = std::env::var("ULTRA_PROFILE").unwrap_or_else(|_| "small".into());
-    let seed: u64 = std::env::var("ULTRA_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42);
-    let cfg = match profile.as_str() {
-        "paper" => WorldConfig::paper(),
-        "huge" => WorldConfig::huge(),
-        "tiny" => WorldConfig::tiny(),
-        _ => WorldConfig::small(),
+    let seed = std::env::var("ULTRA_SEED").map_or(Ok(42), |s| s.parse::<u64>());
+    let cfg = match (WorldConfig::from_profile(&profile), seed) {
+        (Ok(cfg), Ok(seed)) => cfg.with_seed(seed),
+        (Err(e), _) => exit_with(&format!("ULTRA_PROFILE: {e}")),
+        (_, Err(e)) => exit_with(&format!("ULTRA_SEED: {e}")),
     };
-    eprintln!("[suite] generating world (profile={profile}, seed={seed})…");
-    let world = World::generate(cfg.with_seed(seed)).expect("world generation");
+    eprintln!(
+        "[suite] generating world (profile={profile}, seed={})…",
+        cfg.seed
+    );
+    let world =
+        World::generate(cfg).unwrap_or_else(|e| exit_with(&format!("world generation: {e}")));
     eprintln!(
         "[suite] world ready: {} entities, {} sentences, {} ultra classes, {} queries",
         world.num_entities(),
@@ -31,6 +36,11 @@ pub fn world_from_env() -> World {
             .sum::<usize>()
     );
     world
+}
+
+fn exit_with(msg: &str) -> ! {
+    eprintln!("[suite] {msg}");
+    std::process::exit(2)
 }
 
 /// Writes a JSON value to `target/experiments/<name>.json`.
@@ -54,9 +64,12 @@ pub fn dump_json(name: &str, value: &impl serde::Serialize) {
 pub struct Suite {
     /// The generated world.
     pub world: World,
-    retexpan: Option<std::rc::Rc<ultra_retexpan::RetExpan>>,
-    genexpan: Option<std::rc::Rc<ultra_genexpan::GenExpan>>,
-    oracle: Option<std::rc::Rc<ultra_data::KnowledgeOracle>>,
+    /// Pipeline configuration of every RetExpan the suite trains (the
+    /// CLI's `--ann` lands here).
+    pub retexpan_config: RetExpanConfig,
+    retexpan: Option<Arc<RetExpan>>,
+    genexpan: Option<Arc<GenExpan>>,
+    oracle: Option<Arc<KnowledgeOracle>>,
 }
 
 impl Suite {
@@ -64,6 +77,7 @@ impl Suite {
     pub fn new(world: World) -> Self {
         Self {
             world,
+            retexpan_config: RetExpanConfig::default(),
             retexpan: None,
             genexpan: None,
             oracle: None,
@@ -71,44 +85,33 @@ impl Suite {
     }
 
     /// The shared plain RetExpan (trained once on first use).
-    pub fn retexpan(&mut self) -> std::rc::Rc<ultra_retexpan::RetExpan> {
-        if let Some(ret) = &self.retexpan {
-            return ret.clone();
-        }
-        eprintln!("[suite] training shared RetExpan encoder…");
-        let ret = std::rc::Rc::new(ultra_retexpan::RetExpan::train(
-            &self.world,
-            ultra_embed::EncoderConfig::default(),
-            ultra_retexpan::RetExpanConfig::default(),
-        ));
-        self.retexpan = Some(ret.clone());
-        ret
+    pub fn retexpan(&mut self) -> Arc<RetExpan> {
+        let (world, config) = (&self.world, &self.retexpan_config);
+        let ret = self.retexpan.get_or_insert_with(|| {
+            eprintln!("[suite] training shared RetExpan encoder…");
+            let ret = RetExpan::train(world, EncoderConfig::default(), config.clone());
+            eprintln!("[suite] candidate source: {}", ret.source_name());
+            Arc::new(ret)
+        });
+        ret.clone()
     }
 
     /// The shared plain GenExpan (LM trained once on first use).
-    pub fn genexpan(&mut self) -> std::rc::Rc<ultra_genexpan::GenExpan> {
-        if let Some(gen) = &self.genexpan {
-            return gen.clone();
-        }
-        eprintln!("[suite] training shared GenExpan LM…");
-        let gen = std::rc::Rc::new(ultra_genexpan::GenExpan::train(
-            &self.world,
-            ultra_genexpan::GenExpanConfig::default(),
-        ));
-        self.genexpan = Some(gen.clone());
-        gen
+    pub fn genexpan(&mut self) -> Arc<GenExpan> {
+        let world = &self.world;
+        let gen = self.genexpan.get_or_insert_with(|| {
+            eprintln!("[suite] training shared GenExpan LM…");
+            Arc::new(GenExpan::train(world, GenExpanConfig::default()))
+        });
+        gen.clone()
     }
 
     /// The shared GPT-4 oracle.
-    pub fn oracle(&mut self) -> std::rc::Rc<ultra_data::KnowledgeOracle> {
-        if let Some(o) = &self.oracle {
-            return o.clone();
-        }
-        let o = std::rc::Rc::new(ultra_data::KnowledgeOracle::new(
-            &self.world,
-            ultra_data::OracleConfig::default(),
-        ));
-        self.oracle = Some(o.clone());
-        o
+    pub fn oracle(&mut self) -> Arc<KnowledgeOracle> {
+        let world = &self.world;
+        let oracle = self
+            .oracle
+            .get_or_insert_with(|| Arc::new(KnowledgeOracle::new(world, OracleConfig::default())));
+        oracle.clone()
     }
 }

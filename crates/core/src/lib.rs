@@ -35,6 +35,6 @@ pub use error::{Result, UltraError};
 pub use ids::{AttributeId, ClassId, EntityId, SentenceId, TokenId, UltraClassId};
 pub use query::Query;
 pub use ranking::RankedList;
-pub use rerank::segmented_rerank;
+pub use rerank::{rerank_by_negatives, segmented_rerank};
 pub use rng::{derive_rng, mix_seed};
 pub use stable::{stable_hash64, StableBuildHasher, StableHasher};

@@ -13,39 +13,44 @@ use crate::ids::EntityId;
 use crate::ranking::RankedList;
 
 /// Re-ranks `list` in segments of `segment_len`, ordering each segment by
-/// ascending `neg_score` (entities most similar to the negative seeds sink
-/// to the bottom of their segment).
+/// ascending negative score (entities most similar to the negative seeds
+/// sink to the bottom of their segment). `neg[i]` is `sco^neg` of the
+/// list's `i`-th entry, so callers batch-score the list in its own order.
 ///
 /// `segment_len == 0` or `segment_len >= list.len()` degrades to the naive
 /// global re-rank the paper warns about (used by the Figure 7 `l` sweep).
 /// Returned scores are fresh rank-encoding values (`len-rank`), since the
 /// re-ranked order no longer reflects the original similarity scores.
+pub fn rerank_by_negatives(list: &RankedList, segment_len: usize, neg: &[f32]) -> RankedList {
+    debug_assert_eq!(neg.len(), list.len(), "one negative score per entry");
+    let mut scored: Vec<(EntityId, f32)> = list.entities().zip(neg.iter().copied()).collect();
+    let n = scored.len();
+    let seg = if segment_len == 0 {
+        n.max(1)
+    } else {
+        segment_len
+    };
+    for chunk in scored.chunks_mut(seg) {
+        // Ascending by neg similarity; entity id breaks ties for
+        // determinism.
+        chunk.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
+    }
+    RankedList::from_sorted(
+        scored
+            .into_iter()
+            .enumerate()
+            .map(|(i, (e, _))| (e, (n - i) as f32))
+            .collect(),
+    )
+}
+
+/// [`rerank_by_negatives`] with `sco^neg` given per entity.
 pub fn segmented_rerank<F>(list: &RankedList, segment_len: usize, neg_score: F) -> RankedList
 where
     F: Fn(EntityId) -> f32,
 {
-    let entries = list.entries();
-    let n = entries.len();
-    if n == 0 {
-        return RankedList::default();
-    }
-    let seg = if segment_len == 0 { n } else { segment_len };
-    let mut out: Vec<EntityId> = Vec::with_capacity(n);
-    let mut scratch: Vec<(EntityId, f32)> = Vec::with_capacity(seg);
-    for chunk in entries.chunks(seg) {
-        scratch.clear();
-        scratch.extend(chunk.iter().map(|(e, _)| (*e, neg_score(*e))));
-        // Ascending by neg similarity; entity id breaks ties for
-        // determinism.
-        scratch.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-        out.extend(scratch.iter().map(|(e, _)| *e));
-    }
-    RankedList::from_sorted(
-        out.into_iter()
-            .enumerate()
-            .map(|(i, e)| (e, (n - i) as f32))
-            .collect(),
-    )
+    let neg: Vec<f32> = list.entities().map(neg_score).collect();
+    rerank_by_negatives(list, segment_len, &neg)
 }
 
 #[cfg(test)]
@@ -107,6 +112,14 @@ mod tests {
         for e in l.entities() {
             assert!(r.rank_of(e).is_some());
         }
+    }
+
+    #[test]
+    fn scores_are_read_in_list_order() {
+        let l = list(&[3, 1, 4, 2]);
+        let r = rerank_by_negatives(&l, 2, &[0.5, 0.9, 0.2, 0.1]);
+        let got: Vec<u32> = r.entities().map(|e| e.0).collect();
+        assert_eq!(got, vec![3, 1, 2, 4]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! World-generation configuration and the two standard profiles.
 
-use ultra_core::CoarseType;
+use ultra_core::{CoarseType, UltraError};
 
 /// Schema of one attribute to synthesize for a fine-grained class.
 #[derive(Clone, Debug)]
@@ -156,6 +156,19 @@ impl WorldConfig {
         }
     }
 
+    /// The profile called `name`: `tiny`, `small`, `paper` or `huge`.
+    pub fn from_profile(name: &str) -> Result<Self, UltraError> {
+        match name {
+            "tiny" => Ok(Self::tiny()),
+            "small" => Ok(Self::small()),
+            "paper" => Ok(Self::paper()),
+            "huge" => Ok(Self::huge()),
+            other => Err(UltraError::InvalidConfig(format!(
+                "unknown profile `{other}` (expected tiny|small|paper|huge)"
+            ))),
+        }
+    }
+
     /// Overrides the master seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -287,6 +300,15 @@ fn scaled_classes(e_scale: f64, u_scale: f64) -> Vec<ClassSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn profiles_are_found_by_name() {
+        for name in ["tiny", "small", "paper", "huge"] {
+            assert!(WorldConfig::from_profile(name).is_ok(), "{name}");
+        }
+        let err = WorldConfig::from_profile("tyni").unwrap_err();
+        assert!(err.to_string().contains("tiny|small|paper|huge"), "{err}");
+    }
 
     #[test]
     fn paper_profile_matches_table_11_totals() {

@@ -15,7 +15,7 @@
 //! ultra-fine-grained ranking without any extra supervision.
 
 use crate::pipeline::RetExpan;
-use ultra_core::{segmented_rerank, EntityId, Query, RankedList};
+use ultra_core::{rerank_by_negatives, EntityId, Query, RankedList};
 use ultra_data::World;
 use ultra_nn::cosine;
 use ultra_par::Pool;
@@ -75,36 +75,31 @@ impl DecoupledRetExpan {
         let head: Vec<EntityId> = l0.entities().take(self.centroid_head).collect();
         let centroid = self.base.reps.centroid(&head);
 
+        // `sco^pos` in the full space is L₀'s own score. Residual-space
+        // scores have no factorized form (each candidate's residual depends
+        // on the centroid), so fan the per-entity work out instead;
+        // map_ordered keeps output order = list order.
         let w = self.residual_weight;
         let pool = Pool::global();
         let cands: Vec<EntityId> = l0.entities().collect();
-        let full_scores = self.base.reps.seed_scores(&cands, &query.pos_seeds, &pool);
-        // Residual-space scores have no factorized form (each candidate's
-        // residual depends on the centroid), so fan the per-entity work out
-        // instead; map_ordered keeps output order = candidate order.
         let residual_scores = pool.map_ordered(&cands, |&e| {
             self.residual_seed_score(e, &query.pos_seeds, &centroid)
         });
-        let rescored: Vec<(EntityId, f32)> = cands
-            .iter()
-            .zip(full_scores.iter().zip(&residual_scores))
-            .map(|(&e, (&full, &residual))| (e, (1.0 - w) * full + w * residual))
-            .collect();
-        let rescored = RankedList::from_scores(rescored);
+        let rescored = RankedList::from_scores(
+            l0.entries()
+                .iter()
+                .zip(&residual_scores)
+                .map(|(&(e, full), &residual)| (e, (1.0 - w) * full + w * residual))
+                .collect(),
+        );
         if !self.base.config.rerank || query.neg_seeds.is_empty() {
             return rescored;
         }
-        let neg_scores = pool.map_ordered(&cands, |&e| {
+        let cands: Vec<EntityId> = rescored.entities().collect();
+        let neg = pool.map_ordered(&cands, |&e| {
             self.residual_seed_score(e, &query.neg_seeds, &centroid)
         });
-        let mut table: Vec<(EntityId, f32)> = cands.into_iter().zip(neg_scores).collect();
-        table.sort_by_key(|&(e, _)| e);
-        segmented_rerank(&rescored, self.base.config.segment_len, |e| {
-            match table.binary_search_by(|probe| probe.0.cmp(&e)) {
-                Ok(i) => table[i].1,
-                Err(_) => self.residual_seed_score(e, &query.neg_seeds, &centroid),
-            }
-        })
+        rerank_by_negatives(&rescored, self.base.config.segment_len, &neg)
     }
 }
 

@@ -15,7 +15,7 @@
 
 use crate::pipeline::RetExpan;
 use std::collections::HashMap;
-use ultra_core::{segmented_rerank, EntityId, Query, RankedList, TokenId};
+use ultra_core::{rerank_by_negatives, EntityId, Query, RankedList, TokenId};
 use ultra_data::World;
 use ultra_par::Pool;
 
@@ -116,31 +116,28 @@ impl DynamicRaRetExpan {
         let q_pos = self.infer_query_tokens(world, &query.pos_seeds, &background);
         let q_neg = self.infer_query_tokens(world, &query.neg_seeds, &background);
 
+        // `sco^pos` is L₀'s own score: the preliminary stage ranks by it.
         let w = self.knowledge_weight;
-        let pool = Pool::global();
-        let cands: Vec<EntityId> = l0.entities().collect();
-        let base_scores = self.base.reps.seed_scores(&cands, &query.pos_seeds, &pool);
-        let rescored: Vec<(EntityId, f32)> = cands
-            .iter()
-            .zip(&base_scores)
-            .map(|(&e, &base)| (e, base + w * self.knowledge_match(world, e, &q_pos)))
-            .collect();
-        let rescored = RankedList::from_scores(rescored);
+        let rescored = RankedList::from_scores(
+            l0.entries()
+                .iter()
+                .map(|&(e, pos)| (e, pos + w * self.knowledge_match(world, e, &q_pos)))
+                .collect(),
+        );
         if !self.base.config.rerank || query.neg_seeds.is_empty() {
             return rescored;
         }
-        // Rescoring permutes L₀ without changing membership, so the batch
-        // neg scores over `cands` cover every entity the re-ranker asks for.
-        let neg_scores = self.base.reps.seed_scores(&cands, &query.neg_seeds, &pool);
-        let mut table: Vec<(EntityId, f32)> = cands.into_iter().zip(neg_scores).collect();
-        table.sort_by_key(|&(e, _)| e);
-        segmented_rerank(&rescored, self.base.config.segment_len, |e| {
-            let neg = match table.binary_search_by(|probe| probe.0.cmp(&e)) {
-                Ok(i) => table[i].1,
-                Err(_) => self.base.reps.seed_score(e, &query.neg_seeds),
-            };
-            neg + w * self.knowledge_match(world, e, &q_neg)
-        })
+        let cands: Vec<EntityId> = rescored.entities().collect();
+        let neg = self
+            .base
+            .reps
+            .seed_scores(&cands, &query.neg_seeds, &Pool::global());
+        let neg: Vec<f32> = cands
+            .iter()
+            .zip(neg)
+            .map(|(&e, s)| s + w * self.knowledge_match(world, e, &q_neg))
+            .collect();
+        rerank_by_negatives(&rescored, self.base.config.segment_len, &neg)
     }
 }
 

@@ -10,7 +10,7 @@
 //!    the mean cosine to the *positive* seeds only, keeping recall of the
 //!    whole fine-grained class; the top-K form the preliminary list `L₀`.
 //! 3. **Entity re-ranking** — negative seeds re-rank `L₀` segment-by-
-//!    segment via [`ultra_core::segmented_rerank`].
+//!    segment via [`ultra_core::rerank_by_negatives`].
 //!
 //! Enhancement strategies:
 //!

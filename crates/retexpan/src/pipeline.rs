@@ -1,7 +1,7 @@
 //! The RetExpan pipeline: representation → expansion → re-ranking.
 
 use ultra_ann::{AnnSpec, CandidateSource};
-use ultra_core::{segmented_rerank, EntityId, Query, RankedList};
+use ultra_core::{rerank_by_negatives, EntityId, Query, RankedList};
 use ultra_data::World;
 use ultra_embed::{EncoderConfig, EntityEmbeddings, EntityEncoder};
 use ultra_par::Pool;
@@ -55,14 +55,7 @@ impl RetExpan {
     pub fn train(world: &World, enc_cfg: EncoderConfig, config: RetExpanConfig) -> Self {
         let mut encoder = EntityEncoder::new(world, enc_cfg);
         encoder.train_entity_prediction(world);
-        let reps = encoder.entity_embeddings(world);
-        let source = config.ann.build_source(&reps, &Pool::global());
-        Self {
-            encoder,
-            reps,
-            config,
-            source,
-        }
+        Self::from_encoder(world, encoder, config)
     }
 
     /// Reassembles a pipeline from previously persisted parts (snapshot
@@ -122,16 +115,6 @@ impl RetExpan {
         self.source.name()
     }
 
-    /// Consuming form of [`refresh_reps`](Self::refresh_reps) for builder
-    /// pipelines that finish all mutation *before* sharing the trained
-    /// instance (e.g. `ultra-serve` freezes the pipeline behind an `Arc`
-    /// and answers queries through `&self` only).
-    #[must_use]
-    pub fn into_refreshed(mut self, world: &World) -> Self {
-        self.refresh_reps(world);
-        self
-    }
-
     /// Step 2: the preliminary list `L₀` — top-K candidates by `sco^pos`
     /// (Eq. 4), excluding the query's seeds. Negative seeds are *not* used
     /// here, "to ensure the recall of all entities satisfying fine-grained
@@ -189,21 +172,11 @@ impl RetExpan {
             l0.debug_validate("retexpan::expand (preliminary)");
             return l0;
         }
-        // Batch-score every L₀ entity against the negative seeds once, then
-        // serve `segmented_rerank`'s lookups from a sorted table (L₀ is
-        // top_k-sized, so binary search beats hashing and stays ordered).
         let cands: Vec<EntityId> = l0.entities().collect();
         let neg = self
             .reps
             .seed_scores(&cands, &query.neg_seeds, &Pool::global());
-        let mut table: Vec<(EntityId, f32)> = cands.into_iter().zip(neg).collect();
-        table.sort_by_key(|&(e, _)| e);
-        let reranked = segmented_rerank(&l0, self.config.segment_len, |e| {
-            match table.binary_search_by(|probe| probe.0.cmp(&e)) {
-                Ok(i) => table[i].1,
-                Err(_) => self.reps.seed_score(e, &query.neg_seeds),
-            }
-        });
+        let reranked = rerank_by_negatives(&l0, self.config.segment_len, &neg);
         reranked.debug_validate("retexpan::expand (reranked)");
         reranked
     }

@@ -12,10 +12,10 @@ use crate::api::{ExpandRequest, Method};
 use crate::cache::{CacheKey, CacheStats, ShardedLruCache};
 use crate::ServeError;
 use std::sync::Arc;
-use ultra_ann::{AnnSpec, CandidateSource, Exhaustive, IvfIndex, IvfSource};
+use ultra_ann::{AnnSpec, IvfIndex};
 use ultra_core::{Query, RankedList, UltraClass, UltraError};
 use ultra_data::{World, WorldConfig};
-use ultra_embed::{EncoderConfig, EntityEmbeddings, EntityEncoder};
+use ultra_embed::{EncoderConfig, EntityEncoder};
 use ultra_genexpan::{GenExpan, GenExpanConfig};
 use ultra_retexpan::{RetExpan, RetExpanConfig};
 use ultra_snap::{SnapError, Snapshot, SnapshotMeta};
@@ -62,18 +62,9 @@ impl Default for EngineConfig {
 impl EngineConfig {
     /// The [`WorldConfig`] for this profile + seed.
     pub fn world_config(&self) -> Result<WorldConfig, ServeError> {
-        let cfg = match self.profile.as_str() {
-            "paper" => WorldConfig::paper(),
-            "tiny" => WorldConfig::tiny(),
-            "small" => WorldConfig::small(),
-            "huge" => WorldConfig::huge(),
-            other => {
-                return Err(ServeError::BadRequest(format!(
-                    "unknown profile `{other}` (expected tiny|small|paper|huge)"
-                )))
-            }
-        };
-        Ok(cfg.with_seed(self.seed))
+        WorldConfig::from_profile(&self.profile)
+            .map(|cfg| cfg.with_seed(self.seed))
+            .map_err(|e| ServeError::BadRequest(e.to_string()))
     }
 }
 
@@ -163,25 +154,6 @@ pub struct ExpansionEngine {
     ivf: Option<Arc<IvfIndex>>,
 }
 
-/// Builds the live candidate source for `spec` over `reps`, returning the
-/// built index alongside so the engine can persist it later. Must stay
-/// behaviourally identical to [`AnnSpec::build_source`].
-fn build_ann_source(
-    spec: &AnnSpec,
-    reps: &EntityEmbeddings,
-) -> (Box<dyn CandidateSource>, Option<Arc<IvfIndex>>) {
-    match spec {
-        AnnSpec::Exhaustive => (Box::new(Exhaustive), None),
-        AnnSpec::Ivf(cfg) => {
-            let index = Arc::new(IvfIndex::build(reps, cfg, &ultra_par::Pool::global()));
-            (
-                Box::new(IvfSource::new(index.clone(), cfg.nprobe)),
-                Some(index),
-            )
-        }
-    }
-}
-
 impl ExpansionEngine {
     /// Runs the offline phase: world generation + pipeline training.
     pub fn build(config: EngineConfig) -> Result<Self, ServeError> {
@@ -203,7 +175,7 @@ impl ExpansionEngine {
         let ann = std::mem::take(&mut retexpan_cfg.ann);
         let mut retexpan = RetExpan::train(&world, config.encoder.clone(), retexpan_cfg);
         let sw = crate::metrics::Stopwatch::start();
-        let (source, ivf) = build_ann_source(&ann, &retexpan.reps);
+        let (source, ivf) = ann.source_with_index(&retexpan.reps, None, &ultra_par::Pool::global());
         retexpan.config.ann = ann;
         retexpan.set_source(source);
         let index = IndexInfo {
@@ -371,17 +343,15 @@ impl ExpansionEngine {
         }
         let encoder = EntityEncoder::new(&world, meta.encoder.clone());
         let mut retexpan = RetExpan::from_parts(encoder, reps, meta.retexpan.clone());
-        let ivf = match (&retexpan.config.ann, ivf) {
-            (AnnSpec::Exhaustive, None) => None,
-            (AnnSpec::Ivf(cfg), Some(index)) => {
-                let index = Arc::new(index);
-                retexpan.set_source(Box::new(IvfSource::new(index.clone(), cfg.nprobe)));
-                Some(index)
-            }
-            // Unreachable after `Snapshot::cross_check`, but spelled out so
-            // this constructor is safe on hand-built snapshots too.
-            _ => return Err(mismatch("ann spec and UANN section disagree".into())),
-        };
+        // `Snapshot::cross_check` already rejects a spec/section mismatch;
+        // checked again so this constructor is safe on hand-built
+        // snapshots too.
+        let ann = &meta.retexpan.ann;
+        if matches!(ann, AnnSpec::Exhaustive) != ivf.is_none() {
+            return Err(mismatch("ann spec and UANN section disagree".into()));
+        }
+        let (source, ivf) = ann.source_with_index(&retexpan.reps, ivf, &ultra_par::Pool::global());
+        retexpan.set_source(source);
         let genexpan = match (genexpan_cfg, lm, trie) {
             (Some(cfg), Some(lm), Some(trie)) => {
                 if lm.order() != cfg.model.order {

@@ -1,25 +1,34 @@
 //! `ultrawiki` — command-line interface to the reproduction.
 //!
 //! ```text
-//! ultrawiki stats   [--profile small|paper|tiny] [--seed N]
+//! ultrawiki stats   [--profile tiny|small|paper|huge] [--seed N]
 //! ultrawiki classes [--profile …]
-//! ultrawiki expand  [--profile …] [--method retexpan|genexpan|gpt4|setexpan]
-//!                   [--query N] [--top K]
-//! ultrawiki eval    [--profile …] [--method …]
+//! ultrawiki expand  [--profile …] [--method NAME] [--query N] [--top K]
+//! ultrawiki eval    [--profile …] [--method NAME]
 //! ultrawiki serve   [--profile …] [--port N] [--workers N] [--methods …]
 //! ```
 //!
-//! Argument parsing is hand-rolled (no CLI dependency) and deterministic:
-//! the same profile + seed always yields the same world, model, and output.
+//! `--method` names any Table 2 row of the `ultra-bench` registry. Argument
+//! parsing is hand-rolled (no CLI dependency) and deterministic: the same
+//! profile + seed always yields the same world, model, and output. Bad
+//! input (an unknown flag, method or profile, or a number that does not
+//! parse) exits 2 with the accepted values before any world is generated.
 
 use std::collections::HashMap;
+use std::io::Write;
+use std::net::SocketAddr;
+use std::str::FromStr;
 use std::sync::Arc;
+use ultra_bench::{Method, Suite};
 use ultrawiki::prelude::*;
+use ultrawiki::serve::{Method as ServedMethod, ServerHandle};
+
+type Flags = HashMap<String, String>;
 
 /// Parses `--flag [value]` pairs, validating against the command's known
 /// flag names. A flag followed by another `--`-prefixed token (or by nothing)
 /// carries an empty value instead of swallowing the next flag.
-fn parse_flags(args: &[String], known: &[&str]) -> Result<HashMap<String, String>, String> {
+fn parse_flags(args: &[String], known: &[&str]) -> Result<Flags, String> {
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
@@ -51,35 +60,68 @@ fn parse_flags(args: &[String], known: &[&str]) -> Result<HashMap<String, String
     Ok(flags)
 }
 
-fn build_world(flags: &HashMap<String, String>) -> World {
-    let profile = flags.get("profile").map(String::as_str).unwrap_or("small");
-    let seed: u64 = flags.get("seed").and_then(|s| s.parse().ok()).unwrap_or(42);
-    let cfg = match profile {
-        "paper" => WorldConfig::paper(),
-        "tiny" => WorldConfig::tiny(),
-        "huge" => WorldConfig::huge(),
-        _ => WorldConfig::small(),
-    };
-    eprintln!("generating world (profile={profile}, seed={seed})…");
-    World::generate(cfg.with_seed(seed)).expect("world generation")
+/// Prints `error: {msg}` and exits 2.
+fn fail(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2)
+}
+
+/// `--name` parsed as `T`, or `None` when the flag is absent. A value that
+/// does not parse exits 2.
+fn flag<T: FromStr>(flags: &Flags, name: &str) -> Option<T> {
+    flags.get(name).map(|v| {
+        v.parse().unwrap_or_else(|_| {
+            fail(&format!(
+                "invalid --{name} `{v}` (expected {})",
+                std::any::type_name::<T>()
+            ))
+        })
+    })
+}
+
+/// `--profile` (default `small`) and the world it selects with `--seed`.
+fn world_config(flags: &Flags) -> (&str, WorldConfig) {
+    let profile = flags.get("profile").map_or("small", String::as_str);
+    let cfg = WorldConfig::from_profile(profile).unwrap_or_else(|e| fail(&e.to_string()));
+    (profile, cfg.with_seed(flag(flags, "seed").unwrap_or(42)))
+}
+
+fn generate((profile, cfg): (&str, WorldConfig)) -> World {
+    eprintln!("generating world (profile={profile}, seed={})…", cfg.seed);
+    World::generate(cfg).expect("world generation")
 }
 
 /// Parses `--ann` / `--nlist` / `--nprobe` into a candidate-source spec.
-fn ann_spec(flags: &HashMap<String, String>) -> AnnSpec {
-    let kind = flags.get("ann").map(String::as_str).unwrap_or("exhaustive");
-    let nlist = flags.get("nlist").and_then(|s| s.parse().ok());
-    let nprobe = flags.get("nprobe").and_then(|s| s.parse().ok());
-    match AnnSpec::from_flags(kind, nlist, nprobe) {
-        Some(spec) => spec,
-        None => {
-            eprintln!("unknown --ann `{kind}` (expected exhaustive|ivf)");
-            std::process::exit(2);
-        }
-    }
+fn ann_spec(flags: &Flags) -> AnnSpec {
+    let kind = flags.get("ann").map_or("exhaustive", String::as_str);
+    AnnSpec::from_flags(kind, flag(flags, "nlist"), flag(flags, "nprobe"))
+        .unwrap_or_else(|| fail(&format!("unknown --ann `{kind}` (expected exhaustive|ivf)")))
 }
 
-fn cmd_stats(flags: &HashMap<String, String>) {
-    let world = build_world(flags);
+/// The `--method` row (default `retexpan`).
+fn method_flag(flags: &Flags) -> Method {
+    let name = flags.get("method").map_or("retexpan", String::as_str);
+    Method::from_name(name).unwrap_or_else(|| {
+        fail(&format!(
+            "unknown --method `{name}` (expected {})",
+            method_names().join("|")
+        ))
+    })
+}
+
+fn method_names() -> Vec<&'static str> {
+    Method::ALL.iter().map(Method::wire_name).collect()
+}
+
+/// A suite over the selected world whose RetExpan uses `--ann`.
+fn suite_for(world: (&str, WorldConfig), ann: AnnSpec) -> Suite {
+    let mut suite = Suite::new(generate(world));
+    suite.retexpan_config.ann = ann;
+    suite
+}
+
+fn cmd_stats(flags: &Flags) {
+    let world = generate(world_config(flags));
     let stats = WorldStats::compute(&world);
     println!("entities              {}", stats.num_entities);
     println!("  in fine classes     {}", stats.num_class_entities);
@@ -98,8 +140,8 @@ fn cmd_stats(flags: &HashMap<String, String>) {
     );
 }
 
-fn cmd_classes(flags: &HashMap<String, String>) {
-    let world = build_world(flags);
+fn cmd_classes(flags: &Flags) {
+    let world = generate(world_config(flags));
     for class in &world.classes {
         let attrs: Vec<String> = class
             .attributes
@@ -124,60 +166,15 @@ fn cmd_classes(flags: &HashMap<String, String>) {
     }
 }
 
-enum AnyMethod {
-    Ret(Box<RetExpan>),
-    Gen(Box<GenExpan>),
-    Gpt(Gpt4Baseline),
-    Set(SetExpan),
-}
-
-impl AnyMethod {
-    fn build(name: &str, world: &World, ann: AnnSpec) -> AnyMethod {
-        match name {
-            "genexpan" => {
-                eprintln!("training GenExpan LM…");
-                AnyMethod::Gen(Box::new(GenExpan::train(world, GenExpanConfig::default())))
-            }
-            "gpt4" => AnyMethod::Gpt(Gpt4Baseline::new(world, OracleConfig::default())),
-            "setexpan" => AnyMethod::Set(SetExpan::new(world)),
-            _ => {
-                eprintln!("training RetExpan encoder…");
-                let ret = RetExpan::train(
-                    world,
-                    EncoderConfig::default(),
-                    RetExpanConfig {
-                        ann,
-                        ..RetExpanConfig::default()
-                    },
-                );
-                eprintln!("candidate source: {}", ret.source_name());
-                AnyMethod::Ret(Box::new(ret))
-            }
-        }
-    }
-
-    fn expand(&self, world: &World, ultra: &UltraClass, query: &Query) -> RankedList {
-        match self {
-            AnyMethod::Ret(m) => m.expand(world, query),
-            AnyMethod::Gen(m) => m.expand(world, ultra, query),
-            AnyMethod::Gpt(m) => m.expand(query),
-            AnyMethod::Set(m) => m.expand(world, query),
-        }
-    }
-}
-
-fn cmd_expand(flags: &HashMap<String, String>) {
-    let world = build_world(flags);
-    let method_name = flags
-        .get("method")
-        .map(String::as_str)
-        .unwrap_or("retexpan");
-    let query_idx: usize = flags.get("query").and_then(|s| s.parse().ok()).unwrap_or(0);
-    let top: usize = flags.get("top").and_then(|s| s.parse().ok()).unwrap_or(15);
-    let method = AnyMethod::build(method_name, &world, ann_spec(flags));
+fn cmd_expand(flags: &Flags) {
+    let (world, method, ann) = (world_config(flags), method_flag(flags), ann_spec(flags));
+    let query_idx: usize = flag(flags, "query").unwrap_or(0);
+    let top: usize = flag(flags, "top").unwrap_or(15);
+    let mut suite = suite_for(world, ann);
+    let expand = method.build(&mut suite);
+    let world = &suite.world;
     let Some((ultra, query)) = world.queries().nth(query_idx) else {
-        eprintln!("query index {query_idx} out of range");
-        std::process::exit(2);
+        fail(&format!("query index {query_idx} out of range"));
     };
     println!("query #{query_idx}: {}", world.describe_ultra(ultra));
     let names = |ids: &[EntityId]| {
@@ -188,8 +185,8 @@ fn cmd_expand(flags: &HashMap<String, String>) {
     };
     println!("  + seeds: {}", names(&query.pos_seeds));
     println!("  - seeds: {}", names(&query.neg_seeds));
-    let out = method.expand(&world, ultra, query);
-    println!("\n{method_name} expansion:");
+    let out = expand(world, ultra, query);
+    println!("\n{} expansion:", method.wire_name());
     for (i, e) in out.entities().take(top).enumerate() {
         let tag = if ultra.pos_targets.contains(&e) {
             "+++"
@@ -209,8 +206,8 @@ fn cmd_expand(flags: &HashMap<String, String>) {
     }
 }
 
-fn cmd_export(flags: &HashMap<String, String>) {
-    let world = build_world(flags);
+fn cmd_export(flags: &Flags) {
+    let world = generate(world_config(flags));
     let out = flags
         .get("out")
         .cloned()
@@ -230,17 +227,19 @@ fn cmd_export(flags: &HashMap<String, String>) {
     );
 }
 
-fn cmd_eval(flags: &HashMap<String, String>) {
-    let world = build_world(flags);
-    let method_name = flags
-        .get("method")
-        .map(String::as_str)
-        .unwrap_or("retexpan");
-    let method = AnyMethod::build(method_name, &world, ann_spec(flags));
+fn cmd_eval(flags: &Flags) {
+    let (world, method, ann) = (world_config(flags), method_flag(flags), ann_spec(flags));
+    let mut suite = suite_for(world, ann);
+    let expand = method.build(&mut suite);
+    let world = &suite.world;
     let pool = Pool::global();
     eprintln!("evaluating over every query ({} threads)…", pool.threads());
-    let report = evaluate_method_par(&world, &pool, |u, q| method.expand(&world, u, q));
-    println!("method: {method_name} ({} queries)", report.num_queries);
+    let report = evaluate_method_par(world, &pool, |u, q| expand(world, u, q));
+    println!(
+        "method: {} ({} queries)",
+        method.wire_name(),
+        report.num_queries
+    );
     println!("          @10     @20     @50     @100");
     println!(
         "PosMAP  {:6.2}  {:6.2}  {:6.2}  {:6.2}",
@@ -264,44 +263,25 @@ fn cmd_eval(flags: &HashMap<String, String>) {
 
 /// Builds an [`EngineConfig`] from `serve`/`build-index` flags (shared so a
 /// snapshot built offline trains exactly what `serve` would train online).
-fn engine_config(flags: &HashMap<String, String>) -> EngineConfig {
-    let profile = flags
-        .get("profile")
-        .map(String::as_str)
-        .unwrap_or("small")
-        .to_string();
-    let seed: u64 = flags.get("seed").and_then(|s| s.parse().ok()).unwrap_or(42);
-    let cache_cap: usize = flags
-        .get("cache-cap")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4096);
-    let methods = flags
-        .get("methods")
-        .map(String::as_str)
-        .unwrap_or("retexpan");
-    for m in methods.split(',') {
-        if !matches!(m.trim(), "retexpan" | "genexpan") {
-            eprintln!(
-                "unknown method `{}` in --methods (expected retexpan,genexpan)",
-                m.trim()
-            );
-            std::process::exit(2);
+fn engine_config(flags: &Flags) -> EngineConfig {
+    let (profile, world) = world_config(flags);
+    let mut genexpan = None;
+    let methods = flags.get("methods").map_or("retexpan", String::as_str);
+    for name in methods.split(',').map(str::trim) {
+        match ServedMethod::from_name(name) {
+            Some(ServedMethod::GenExpan) => genexpan = Some(GenExpanConfig::default()),
+            Some(ServedMethod::RetExpan) => {}
+            None => fail(&format!(
+                "unknown method `{name}` in --methods (expected retexpan,genexpan)"
+            )),
         }
     }
-    let genexpan = methods
-        .split(',')
-        .any(|m| m.trim() == "genexpan")
-        .then(GenExpanConfig::default);
-    let threads: usize = flags
-        .get("threads")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
     EngineConfig {
-        profile,
-        seed,
+        profile: profile.to_string(),
+        seed: world.seed,
         genexpan,
-        cache_capacity: cache_cap,
-        threads,
+        cache_capacity: flag(flags, "cache-cap").unwrap_or(4096),
+        threads: flag(flags, "threads").unwrap_or(0),
         retexpan: RetExpanConfig {
             ann: ann_spec(flags),
             ..RetExpanConfig::default()
@@ -310,12 +290,8 @@ fn engine_config(flags: &HashMap<String, String>) -> EngineConfig {
     }
 }
 
-fn cmd_build_index(flags: &HashMap<String, String>) {
-    let Some(out) = flags.get("out").filter(|s| !s.is_empty()) else {
-        eprintln!("build-index needs --out PATH for the snapshot file");
-        std::process::exit(2);
-    };
-    let config = engine_config(flags);
+/// Runs the offline phase for `serve`/`build-index`.
+fn build_engine(config: EngineConfig) -> ExpansionEngine {
     let methods = if config.genexpan.is_some() {
         "retexpan,genexpan"
     } else {
@@ -325,27 +301,24 @@ fn cmd_build_index(flags: &HashMap<String, String>) {
         "building engine (profile={}, seed={}, methods={methods})…",
         config.profile, config.seed
     );
+    ExpansionEngine::build(config).unwrap_or_else(|e| fail(&format!("engine build failed: {e}")))
+}
+
+fn cmd_build_index(flags: &Flags) {
+    let Some(out) = flags.get("out").filter(|s| !s.is_empty()) else {
+        fail("build-index needs --out PATH for the snapshot file");
+    };
+    let config = engine_config(flags);
     let started = std::time::Instant::now();
-    let engine = match ExpansionEngine::build(config) {
-        Ok(engine) => engine,
-        Err(e) => {
-            eprintln!("engine build failed: {e}");
-            std::process::exit(2);
-        }
-    };
+    let engine = build_engine(config);
     let train_ms = started.elapsed().as_millis();
-    let snapshot = match engine.to_snapshot() {
-        Ok(snapshot) => snapshot,
-        Err(e) => {
-            eprintln!("snapshot encoding failed: {e}");
-            std::process::exit(2);
-        }
-    };
+    let snapshot = engine
+        .to_snapshot()
+        .unwrap_or_else(|e| fail(&format!("snapshot encoding failed: {e}")));
     let bytes = snapshot.to_bytes();
     let fingerprint = ultrawiki::snap::file_fingerprint(&bytes);
     if let Err(e) = ultrawiki::snap::write_bytes(std::path::Path::new(out), &bytes) {
-        eprintln!("snapshot write failed: {e}");
-        std::process::exit(2);
+        fail(&format!("snapshot write failed: {e}"));
     }
     println!(
         "wrote {out}: {} bytes, fingerprint {fingerprint:016x} (trained in {train_ms}ms)",
@@ -353,134 +326,81 @@ fn cmd_build_index(flags: &HashMap<String, String>) {
     );
 }
 
-fn cmd_serve_snapshot(flags: &HashMap<String, String>, path: &str) {
-    for conflicting in ["profile", "seed", "ann", "nlist", "nprobe", "methods"] {
-        if flags.contains_key(conflicting) {
-            eprintln!(
-                "--snapshot carries its own {conflicting}; drop --{conflicting} \
-                 (snapshots pin profile, seed, methods, and the ANN spec)"
-            );
-            std::process::exit(2);
-        }
-    }
-    let port: u16 = flags
-        .get("port")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(7878);
-    let workers: usize = flags
-        .get("workers")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4);
-    let queue: usize = flags
-        .get("queue")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(128);
-    let runtime = SnapshotRuntime {
-        cache_capacity: flags
-            .get("cache-cap")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(4096),
-        threads: flags
-            .get("threads")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0),
-        ..SnapshotRuntime::default()
-    };
-    let server_cfg = ServerConfig {
-        addr: format!("127.0.0.1:{port}"),
-        workers,
-        queue_capacity: queue,
+/// `--port`/`--workers`/`--queue`, shared by both ways of serving.
+fn server_config(flags: &Flags) -> ServerConfig {
+    ServerConfig {
+        addr: format!("127.0.0.1:{}", flag::<u16>(flags, "port").unwrap_or(7878)),
+        workers: flag(flags, "workers").unwrap_or(4),
+        queue_capacity: flag(flags, "queue").unwrap_or(128),
         ..ServerConfig::default()
-    };
-    // Bind first: the port answers 503 while the snapshot is checksummed
-    // and validated, and flips to serving only once the engine is sound.
-    let (handle, installer) = match Server::start_warming(server_cfg) {
-        Ok(pair) => pair,
-        Err(e) => {
-            eprintln!("server start failed: {e}");
-            std::process::exit(2);
-        }
-    };
-    eprintln!("loading snapshot {path}…");
-    let engine = match ExpansionEngine::load_snapshot(std::path::Path::new(path), runtime) {
-        Ok(engine) => Arc::new(engine),
-        Err(e) => {
-            eprintln!("snapshot load failed: {e}");
-            std::process::exit(2);
-        }
-    };
-    installer.install(engine);
-    println!("serving on http://{}", handle.addr());
-    println!("  POST /expand   {{\"method\":\"retexpan\",\"query_index\":0,\"top_k\":10}}");
-    println!("  GET  /healthz");
-    println!("  GET  /metrics");
+    }
+}
+
+/// Writes the startup banner (its first line carries the bound address).
+/// Write errors are ignored: a closed stdout must not take the server down.
+fn write_banner(mut out: impl Write, addr: SocketAddr) {
+    let _ = write!(
+        out,
+        "serving on http://{addr}\n  \
+         POST /expand   {{\"method\":\"retexpan\",\"query_index\":0,\"top_k\":10}}\n  \
+         GET  /healthz\n  \
+         GET  /metrics\n"
+    )
+    .and_then(|()| out.flush());
+}
+
+/// Announces a started server and serves until it shuts down.
+fn serve_until_shutdown(handle: ServerHandle) {
+    write_banner(std::io::stdout(), handle.addr());
     handle.join();
 }
 
-fn cmd_serve(flags: &HashMap<String, String>) {
+fn cmd_serve_snapshot(flags: &Flags, path: &str) {
+    for conflicting in ["profile", "seed", "ann", "nlist", "nprobe", "methods"] {
+        if flags.contains_key(conflicting) {
+            fail(&format!(
+                "--snapshot carries its own {conflicting}; drop --{conflicting} \
+                 (snapshots pin profile, seed, methods, and the ANN spec)"
+            ));
+        }
+    }
+    let server_cfg = server_config(flags);
+    let runtime = SnapshotRuntime {
+        cache_capacity: flag(flags, "cache-cap").unwrap_or(4096),
+        threads: flag(flags, "threads").unwrap_or(0),
+        ..SnapshotRuntime::default()
+    };
+    // Bind first: the port answers 503 while the snapshot is checksummed
+    // and validated, and flips to serving only once the engine is sound.
+    let (handle, installer) = Server::start_warming(server_cfg)
+        .unwrap_or_else(|e| fail(&format!("server start failed: {e}")));
+    eprintln!("loading snapshot {path}…");
+    let engine = ExpansionEngine::load_snapshot(std::path::Path::new(path), runtime)
+        .unwrap_or_else(|e| fail(&format!("snapshot load failed: {e}")));
+    installer.install(Arc::new(engine));
+    serve_until_shutdown(handle);
+}
+
+fn cmd_serve(flags: &Flags) {
     if let Some(path) = flags.get("snapshot").filter(|s| !s.is_empty()) {
         return cmd_serve_snapshot(flags, path);
     }
-    let port: u16 = flags
-        .get("port")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(7878);
-    let workers: usize = flags
-        .get("workers")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4);
-    let queue: usize = flags
-        .get("queue")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(128);
-    let config = engine_config(flags);
-    let methods = if config.genexpan.is_some() {
-        "retexpan,genexpan"
-    } else {
-        "retexpan"
-    };
-    eprintln!(
-        "building engine (profile={}, seed={}, methods={methods})…",
-        config.profile, config.seed
-    );
-    let engine = match ExpansionEngine::build(config) {
-        Ok(engine) => Arc::new(engine),
-        Err(e) => {
-            eprintln!("engine build failed: {e}");
-            std::process::exit(2);
-        }
-    };
-    let server_cfg = ServerConfig {
-        addr: format!("127.0.0.1:{port}"),
-        workers,
-        queue_capacity: queue,
-        ..ServerConfig::default()
-    };
-    match Server::start(engine, server_cfg) {
-        Ok(handle) => {
-            println!("serving on http://{}", handle.addr());
-            println!("  POST /expand   {{\"method\":\"retexpan\",\"query_index\":0,\"top_k\":10}}");
-            println!("  GET  /healthz");
-            println!("  GET  /metrics");
-            handle.join();
-        }
-        Err(e) => {
-            eprintln!("server start failed: {e}");
-            std::process::exit(2);
-        }
-    }
+    let server_cfg = server_config(flags);
+    let engine = Arc::new(build_engine(engine_config(flags)));
+    let handle = Server::start(engine, server_cfg)
+        .unwrap_or_else(|e| fail(&format!("server start failed: {e}")));
+    serve_until_shutdown(handle);
 }
 
 const USAGE: &str = "\
 ultrawiki — Ultra-ESE reproduction CLI
 
 USAGE:
-  ultrawiki stats   [--profile small|paper|tiny|huge] [--seed N]
+  ultrawiki stats   [--profile tiny|small|paper|huge] [--seed N]
   ultrawiki classes [--profile ...] [--seed N]
-  ultrawiki expand  [--profile ...] [--method retexpan|genexpan|gpt4|setexpan]
-                    [--query N] [--top K] [--ann exhaustive|ivf]
-                    [--nlist N] [--nprobe N]
-  ultrawiki eval    [--profile ...] [--method ...] [--ann ...] [--nlist N]
+  ultrawiki expand  [--profile ...] [--method NAME] [--query N] [--top K]
+                    [--ann exhaustive|ivf] [--nlist N] [--nprobe N]
+  ultrawiki eval    [--profile ...] [--method NAME] [--ann ...] [--nlist N]
                     [--nprobe N]
   ultrawiki export  [--profile ...] [--out DIR]
   ultrawiki serve   [--profile ...] [--seed N] [--port N] [--workers N]
@@ -492,6 +412,8 @@ USAGE:
                     [--methods retexpan[,genexpan]] [--ann exhaustive|ivf]
                     [--nlist N] [--nprobe N]
 
+--method NAME picks a Table 2 row (default retexpan): {methods}.
+
 Every command also accepts --threads N (data-parallel worker count for
 scoring/training/eval; overrides ULTRA_THREADS; output is byte-identical
 at any value). --ann ivf puts a deterministic IVF index in front of
@@ -502,7 +424,14 @@ build-index runs the expensive offline phase once and writes a versioned,
 checksummed snapshot; `serve --snapshot` loads it in milliseconds and
 serves byte-identical answers. A snapshot pins profile, seed, methods,
 and the ANN spec, so those flags conflict with --snapshot.
+
+An unknown flag, method or profile, or a number that does not parse,
+exits 2 before any work starts.
 ";
+
+fn usage() -> String {
+    USAGE.replace("{methods}", &method_names().join("|"))
+}
 
 /// Flags each command accepts (unknown flags are reported, not ignored).
 fn known_flags(cmd: &str) -> &'static [&'static str] {
@@ -537,8 +466,8 @@ fn known_flags(cmd: &str) -> &'static [&'static str] {
 
 /// Applies `--threads N` (overriding the `ULTRA_THREADS` environment
 /// variable) before any work runs. `0` or absence keeps the default.
-fn apply_threads(flags: &HashMap<String, String>) {
-    if let Some(n) = flags.get("threads").and_then(|s| s.parse().ok()) {
+fn apply_threads(flags: &Flags) {
+    if let Some(n) = flag(flags, "threads") {
         ultrawiki::par::set_threads(n);
     }
 }
@@ -546,18 +475,18 @@ fn apply_threads(flags: &HashMap<String, String>) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
-        eprint!("{USAGE}");
+        eprint!("{}", usage());
         std::process::exit(2);
     };
     if matches!(cmd.as_str(), "help" | "--help" | "-h") {
-        print!("{USAGE}");
+        print!("{}", usage());
         return;
     }
     let flags = match parse_flags(&args[1..], known_flags(cmd)) {
         Ok(flags) => flags,
         Err(msg) => {
             eprintln!("error: {msg}\n");
-            eprint!("{USAGE}");
+            eprint!("{}", usage());
             std::process::exit(2);
         }
     };
@@ -571,7 +500,7 @@ fn main() {
         "serve" => cmd_serve(&flags),
         "build-index" => cmd_build_index(&flags),
         _ => {
-            eprint!("{USAGE}");
+            eprint!("{}", usage());
             std::process::exit(2);
         }
     }
@@ -579,7 +508,7 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use super::parse_flags;
+    use super::{parse_flags, write_banner};
 
     fn argv(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
@@ -624,5 +553,36 @@ mod tests {
         .expect("parses");
         assert_eq!(flags.get("profile").map(String::as_str), Some("tiny"));
         assert_eq!(flags.get("seed").map(String::as_str), Some("123"));
+    }
+
+    /// A stdout whose reader has gone away.
+    struct ClosedPipe;
+
+    impl std::io::Write for ClosedPipe {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::ErrorKind::BrokenPipe.into())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Err(std::io::ErrorKind::BrokenPipe.into())
+        }
+    }
+
+    #[test]
+    fn banner_survives_a_closed_stdout() {
+        write_banner(ClosedPipe, "127.0.0.1:7878".parse().expect("addr"));
+    }
+
+    #[test]
+    fn banner_starts_with_the_bound_address() {
+        let mut out = Vec::new();
+        write_banner(&mut out, "127.0.0.1:9".parse().expect("addr"));
+        assert_eq!(
+            String::from_utf8(out).expect("utf-8"),
+            "serving on http://127.0.0.1:9\n  \
+             POST /expand   {\"method\":\"retexpan\",\"query_index\":0,\"top_k\":10}\n  \
+             GET  /healthz\n  \
+             GET  /metrics\n"
+        );
     }
 }

@@ -1,0 +1,136 @@
+//! Pinned ranked output of every negative-seed re-ranking path.
+//!
+//! On the tiny profile, with the default configurations the Table 5
+//! ablation (`expt_table5`) uses, this pins two things:
+//!
+//! * an FNV-1a fingerprint ([`ultra_core::stable`]) of every query's full
+//!   ranked list — entity ids and raw score bits — for RetExpan (re-rank on
+//!   and off), its two extensions, ProbExpan (plain and with the Table 5
+//!   bolt-on) and GenExpan (re-rank on and off);
+//! * the Table 5 direction: negative-seed re-ranking lowers average NegMAP
+//!   for RetExpan, GenExpan and ProbExpan.
+//!
+//! The fingerprints were computed once and are never edited to follow a
+//! refactor: a change that moves one of them changes what the pipelines
+//! rank, and has to say so.
+
+use std::sync::OnceLock;
+use ultrawiki::core::stable::stable_hash64;
+use ultrawiki::prelude::*;
+use ultrawiki::retexpan::{DecoupledRetExpan, DynamicRaRetExpan};
+
+/// One pipeline's run over every query of the tiny world.
+struct Run {
+    name: &'static str,
+    fingerprint: u64,
+    report: MetricReport,
+}
+
+/// Evaluates `expand` over the world's query set (in `evaluate_method`'s
+/// order) and fingerprints the ranked lists it returned.
+fn run(
+    name: &'static str,
+    world: &World,
+    mut expand: impl FnMut(&UltraClass, &Query) -> RankedList,
+) -> Run {
+    let mut lists: Vec<RankedList> = Vec::new();
+    let report = evaluate_method(world, |u, q| {
+        let list = expand(u, q);
+        lists.push(list.clone());
+        list
+    });
+    Run {
+        name,
+        fingerprint: stable_hash64(&lists),
+        report,
+    }
+}
+
+/// Trains every pipeline once and runs all of them (shared by the tests
+/// below; training dominates the cost).
+fn runs() -> &'static [Run] {
+    static RUNS: OnceLock<Vec<Run>> = OnceLock::new();
+    RUNS.get_or_init(|| {
+        let world = World::generate(WorldConfig::tiny()).expect("tiny world");
+        let mut ret = RetExpan::train(&world, EncoderConfig::default(), RetExpanConfig::default());
+        let rebuilt = || RetExpan::from_encoder(&world, ret.encoder.clone(), ret.config.clone());
+        let dynamic = DynamicRaRetExpan::new(rebuilt());
+        let decoupled = DecoupledRetExpan::new(rebuilt());
+        let mut prob = ProbExpan::from_encoder(&world, &ret.encoder);
+        let mut gen = GenExpan::train(&world, GenExpanConfig::default());
+
+        let mut out = vec![run("retexpan", &world, |_u, q| ret.expand(&world, q))];
+        ret.config.rerank = false;
+        out.push(run("retexpan-no-rerank", &world, |_u, q| {
+            ret.expand(&world, q)
+        }));
+        out.push(run("dynamic-ra", &world, |_u, q| dynamic.expand(&world, q)));
+        out.push(run("decoupled", &world, |_u, q| {
+            decoupled.expand(&world, q)
+        }));
+        out.push(run("probexpan", &world, |_u, q| prob.expand(&world, q)));
+        prob.neg_rerank = true;
+        out.push(run("probexpan-neg-rerank", &world, |_u, q| {
+            prob.expand(&world, q)
+        }));
+        out.push(run("genexpan", &world, |u, q| gen.expand(&world, u, q)));
+        gen.config.rerank = false;
+        out.push(run("genexpan-no-rerank", &world, |u, q| {
+            gen.expand(&world, u, q)
+        }));
+        out
+    })
+}
+
+fn by_name(name: &str) -> &'static Run {
+    runs()
+        .iter()
+        .find(|r| r.name == name)
+        .unwrap_or_else(|| panic!("no run named {name}"))
+}
+
+/// The pinned fingerprint of every run above.
+const GOLDEN: [(&str, u64); 8] = [
+    ("retexpan", 0x88f3_c81f_47bd_3c09),
+    ("retexpan-no-rerank", 0xa852_e6a2_c398_e4d0),
+    ("dynamic-ra", 0xa2a0_59d9_753b_83a5),
+    ("decoupled", 0xd492_ef9f_c924_d3ad),
+    ("probexpan", 0xadf0_d2ce_b2f0_bd5c),
+    ("probexpan-neg-rerank", 0x0430_9fbe_2bd5_0709),
+    ("genexpan", 0xf8a1_333f_47f3_bc05),
+    ("genexpan-no-rerank", 0xa1f7_1fe4_3e97_c225),
+];
+
+#[test]
+fn ranked_lists_match_the_pinned_fingerprints() {
+    let mut diffs = Vec::new();
+    for (name, want) in GOLDEN {
+        let got = by_name(name).fingerprint;
+        if got != want {
+            diffs.push(format!("{name}: got {got:#018x}, pinned {want:#018x}"));
+        }
+    }
+    assert!(
+        diffs.is_empty(),
+        "ranked output moved:\n  {}",
+        diffs.join("\n  ")
+    );
+}
+
+#[test]
+fn negative_rerank_lowers_negmap_for_every_method() {
+    for (with, without) in [
+        ("retexpan", "retexpan-no-rerank"),
+        ("genexpan", "genexpan-no-rerank"),
+        ("probexpan-neg-rerank", "probexpan"),
+    ] {
+        let (with, without) = (by_name(with), by_name(without));
+        let (a, b) = (with.report.avg_neg_map(), without.report.avg_neg_map());
+        assert!(
+            a < b,
+            "{}: re-ranked NegMAP {a:.2} should be below {}'s {b:.2}",
+            with.name,
+            without.name
+        );
+    }
+}
