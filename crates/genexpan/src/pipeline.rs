@@ -206,11 +206,9 @@ impl GenExpan {
     /// Eq. 7: `sco(e → e') = P(e'|f(e))^(1/|e'|)` where `f(e)` is the
     /// list-continuation template `"{e} ,"` (the substitute for
     /// "`{e}` is similar to" — see crate docs).
-    fn eq7_score(&self, world: &World, e_tokens: &[TokenId], other: EntityId) -> f64 {
-        let mut ctx = e_tokens.to_vec();
-        ctx.push(self.sep);
-        self.lm
-            .entity_score(&ctx, &world.name_tokens[other.index()])
+    fn eq7_score(&self, e_tokens: &[TokenId], other_tokens: &[TokenId]) -> f64 {
+        let sep = std::slice::from_ref(&self.sep);
+        self.lm.entity_score_after(&[e_tokens, sep], other_tokens)
     }
 
     /// Mean Eq. 7 score against a seed set, in log space.
@@ -226,12 +224,9 @@ impl GenExpan {
         let mean: f64 = seeds
             .iter()
             .map(|&s| {
-                let fwd = self.eq7_score(world, e_tokens, s);
-                let bwd = {
-                    let mut ctx = world.name_tokens[s.index()].clone();
-                    ctx.push(self.sep);
-                    self.lm.entity_score(&ctx, e_tokens)
-                };
+                let seed_tokens = &world.name_tokens[s.index()];
+                let fwd = self.eq7_score(e_tokens, seed_tokens);
+                let bwd = self.eq7_score(seed_tokens, e_tokens);
                 (fwd * bwd).sqrt()
             })
             .sum::<f64>()

@@ -3,7 +3,7 @@
 
 use crate::ngram::NgramLm;
 use ultra_core::{EntityId, TokenId};
-use ultra_text::PrefixTrie;
+use ultra_text::{PrefixTrie, TrieNode};
 
 /// Beam-search parameters.
 #[derive(Clone, Copy, Debug)]
@@ -23,9 +23,15 @@ impl Default for BeamParams {
     }
 }
 
-#[derive(Clone, Debug)]
-struct Hyp {
-    prefix: Vec<TokenId>,
+/// One constrained hypothesis: the trie node its prefix reaches and a link
+/// to the hypothesis it extends; the prefix is rebuilt from the links.
+#[derive(Clone, Copy, Debug)]
+struct NodeHyp {
+    node: TrieNode,
+    /// The prefix's last token.
+    tok: TokenId,
+    /// Index of the extended hypothesis in the previous step's beam.
+    parent: u32,
     logp: f64,
 }
 
@@ -37,47 +43,82 @@ struct Hyp {
 /// Every completed root-to-terminal path yields a candidate entity scored by
 /// the geometric mean of its token probabilities. Returns the best
 /// `beam_size` distinct entities, best first.
+///
+/// Each hypothesis resolves its LM context once and scores all children of
+/// its trie node in one sorted pass.
 pub fn constrained_entity_beam(
     lm: &NgramLm,
     prompt: &[TokenId],
     trie: &PrefixTrie,
     params: BeamParams,
 ) -> Vec<(EntityId, f64)> {
-    let mut beams = vec![Hyp {
-        prefix: Vec::new(),
+    // `beams[s]` is the beam after `s` steps: its prefixes have `s` tokens.
+    let mut beams: Vec<Vec<NodeHyp>> = vec![vec![NodeHyp {
+        node: PrefixTrie::ROOT,
+        tok: TokenId::new(0),
+        parent: 0,
         logp: 0.0,
-    }];
+    }]];
     let mut completed: Vec<(EntityId, f64)> = Vec::new();
     let mut ctx_buf: Vec<TokenId> = Vec::with_capacity(prompt.len() + params.max_len);
 
-    for _step in 0..params.max_len {
-        let mut next: Vec<Hyp> = Vec::new();
-        for hyp in &beams {
-            ctx_buf.clear();
-            ctx_buf.extend_from_slice(prompt);
-            ctx_buf.extend_from_slice(&hyp.prefix);
-            for tok in trie.allowed_continuations(&hyp.prefix) {
-                let lp = hyp.logp + lm.prob(&ctx_buf, tok).max(1e-300).ln();
-                let mut prefix = hyp.prefix.clone();
-                prefix.push(tok);
-                if let Some(entity) = trie.complete(&prefix) {
-                    let gm = (lp / prefix.len() as f64).exp();
-                    completed.push((entity, gm));
+    for step in 0..params.max_len {
+        let len = (step + 1) as f64;
+        let mut next: Vec<NodeHyp> = Vec::new();
+        for (h, hyp) in beams[step].iter().enumerate() {
+            let children = trie.children(hyp.node);
+            if children.is_empty() {
+                continue;
+            }
+            prefix_context(prompt, &beams, step, h, &mut ctx_buf);
+            let ctx = lm.context(&ctx_buf);
+            let probs = ctx.sorted_probs(children.iter().map(|&(tok, _)| tok));
+            for (&(tok, node), p) in children.iter().zip(probs) {
+                let logp = hyp.logp + p.max(1e-300).ln();
+                if let Some(entity) = trie.terminal(node) {
+                    completed.push((entity, (logp / len).exp()));
                 }
-                next.push(Hyp { prefix, logp: lp });
+                next.push(NodeHyp {
+                    node,
+                    tok,
+                    parent: h as u32,
+                    logp,
+                });
             }
         }
         if next.is_empty() {
             break;
         }
         // All hypotheses at this step share the same length: raw log-prob
-        // pruning is fair.
+        // pruning is fair. Among equal log-probs the unstable sort's result
+        // depends on the input order — beam order, then ascending token —
+        // so that order is part of the output.
         next.sort_unstable_by(|a, b| b.logp.total_cmp(&a.logp));
         next.truncate(params.beam_size);
-        beams = next;
+        beams.push(next);
     }
 
     dedup_best(completed, params.beam_size)
+}
+
+/// Writes `prompt` followed by the prefix of hypothesis `h` of
+/// `beams[step]` into `out`, following parent links back to the root.
+fn prefix_context(
+    prompt: &[TokenId],
+    beams: &[Vec<NodeHyp>],
+    step: usize,
+    h: usize,
+    out: &mut Vec<TokenId>,
+) {
+    out.clear();
+    out.extend_from_slice(prompt);
+    let mut h = h;
+    for beam in beams[1..=step].iter().rev() {
+        let hyp = beam[h];
+        out.push(hyp.tok);
+        h = hyp.parent as usize;
+    }
+    out[prompt.len()..].reverse();
 }
 
 /// One unconstrained generation: a token sequence that may or may not name
@@ -90,6 +131,13 @@ pub struct GeneratedSeq {
     pub score: f64,
     /// The entity the sequence names, if it happens to be valid.
     pub entity: Option<EntityId>,
+}
+
+/// One unconstrained hypothesis: the tokens generated so far.
+#[derive(Clone, Debug)]
+struct Hyp {
+    prefix: Vec<TokenId>,
+    logp: f64,
 }
 
 /// Unconstrained beam search over observed LM continuations.
@@ -118,10 +166,11 @@ pub fn unconstrained_beam(
             ctx_buf.clear();
             ctx_buf.extend_from_slice(prompt);
             ctx_buf.extend_from_slice(&hyp.prefix);
+            let ctx = lm.context(&ctx_buf);
             // Expand along tokens the LM has actually seen in context;
             // cap the branching factor at the beam size.
-            for (tok, _) in lm.observed_continuations(&ctx_buf, params.beam_size) {
-                let lp = hyp.logp + lm.prob(&ctx_buf, tok).max(1e-300).ln();
+            for (tok, _) in ctx.observed_continuations(params.beam_size) {
+                let lp = hyp.logp + ctx.prob(tok).max(1e-300).ln();
                 if tok == stop {
                     if !hyp.prefix.is_empty() {
                         let gm = (lp / (hyp.prefix.len() + 1) as f64).exp();
@@ -163,19 +212,227 @@ pub fn unconstrained_beam(
     done
 }
 
-/// Keeps the best score per entity, sorted descending, truncated to `k`.
+/// Keeps the best score per entity, sorted descending (ties by entity),
+/// truncated to `k`: the first `k` distinct entities of `scored` in
+/// `(score desc, entity asc)` order. That order is total, so selecting the
+/// best remaining block, sorting only it, and repeating while duplicates
+/// leave the list short gives exactly the list a full sort would.
 fn dedup_best(mut scored: Vec<(EntityId, f64)>, k: usize) -> Vec<(EntityId, f64)> {
-    scored.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    let mut seen = std::collections::HashSet::new();
-    scored.retain(|(e, _)| seen.insert(*e));
-    scored.truncate(k);
-    scored
+    let order =
+        |a: &(EntityId, f64), b: &(EntityId, f64)| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0));
+    let mut out: Vec<(EntityId, f64)> = Vec::with_capacity(k.min(scored.len()));
+    let mut rest = scored.as_mut_slice();
+    while out.len() < k && !rest.is_empty() {
+        let need = k - out.len();
+        if rest.len() > need {
+            rest.select_nth_unstable_by(need - 1, order);
+        }
+        let n = need.min(rest.len());
+        let (best, tail) = std::mem::take(&mut rest).split_at_mut(n);
+        best.sort_unstable_by(order);
+        for &(e, s) in best.iter() {
+            if out.iter().all(|&(o, _)| o != e) {
+                out.push((e, s));
+            }
+        }
+        rest = tail;
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ngram::Smoothing;
+    use proptest::prelude::*;
+
+    /// Reference constrained beam: one trie walk, one prefix clone and one
+    /// back-off recursion per candidate token.
+    fn reference_constrained_entity_beam(
+        lm: &NgramLm,
+        prompt: &[TokenId],
+        trie: &PrefixTrie,
+        params: BeamParams,
+    ) -> Vec<(EntityId, f64)> {
+        let mut beams = vec![Hyp {
+            prefix: Vec::new(),
+            logp: 0.0,
+        }];
+        let mut completed: Vec<(EntityId, f64)> = Vec::new();
+        let mut ctx_buf: Vec<TokenId> = Vec::new();
+        for _step in 0..params.max_len {
+            let mut next: Vec<Hyp> = Vec::new();
+            for hyp in &beams {
+                ctx_buf.clear();
+                ctx_buf.extend_from_slice(prompt);
+                ctx_buf.extend_from_slice(&hyp.prefix);
+                for tok in trie.allowed_continuations(&hyp.prefix) {
+                    let lp = hyp.logp + lm.prob_reference(&ctx_buf, tok).max(1e-300).ln();
+                    let mut prefix = hyp.prefix.clone();
+                    prefix.push(tok);
+                    if let Some(entity) = trie.complete(&prefix) {
+                        let gm = (lp / prefix.len() as f64).exp();
+                        completed.push((entity, gm));
+                    }
+                    next.push(Hyp { prefix, logp: lp });
+                }
+            }
+            if next.is_empty() {
+                break;
+            }
+            next.sort_unstable_by(|a, b| b.logp.total_cmp(&a.logp));
+            next.truncate(params.beam_size);
+            beams = next;
+        }
+        completed.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        let mut seen = std::collections::HashSet::new();
+        completed.retain(|(e, _)| seen.insert(*e));
+        completed.truncate(params.beam_size);
+        completed
+    }
+
+    /// Reference unconstrained beam: the back-off recursion per token and
+    /// the reference continuation ranking per hypothesis.
+    fn reference_unconstrained_beam(
+        lm: &NgramLm,
+        prompt: &[TokenId],
+        trie: &PrefixTrie,
+        stop: TokenId,
+        params: BeamParams,
+    ) -> Vec<GeneratedSeq> {
+        let mut beams = vec![Hyp {
+            prefix: Vec::new(),
+            logp: 0.0,
+        }];
+        let mut done: Vec<GeneratedSeq> = Vec::new();
+        let mut ctx_buf: Vec<TokenId> = Vec::new();
+        for _step in 0..params.max_len {
+            let mut next: Vec<Hyp> = Vec::new();
+            for hyp in &beams {
+                ctx_buf.clear();
+                ctx_buf.extend_from_slice(prompt);
+                ctx_buf.extend_from_slice(&hyp.prefix);
+                for (tok, _) in lm.observed_continuations_reference(&ctx_buf, params.beam_size) {
+                    let lp = hyp.logp + lm.prob_reference(&ctx_buf, tok).max(1e-300).ln();
+                    if tok == stop {
+                        if !hyp.prefix.is_empty() {
+                            let gm = (lp / (hyp.prefix.len() + 1) as f64).exp();
+                            done.push(GeneratedSeq {
+                                tokens: hyp.prefix.clone(),
+                                score: gm,
+                                entity: trie.complete(&hyp.prefix),
+                            });
+                        }
+                        continue;
+                    }
+                    let mut prefix = hyp.prefix.clone();
+                    prefix.push(tok);
+                    next.push(Hyp { prefix, logp: lp });
+                }
+            }
+            if next.is_empty() {
+                break;
+            }
+            next.sort_unstable_by(|a, b| b.logp.total_cmp(&a.logp));
+            next.truncate(params.beam_size);
+            beams = next;
+        }
+        for hyp in beams {
+            if !hyp.prefix.is_empty() {
+                done.push(GeneratedSeq {
+                    score: (hyp.logp / hyp.prefix.len() as f64).exp(),
+                    entity: trie.complete(&hyp.prefix),
+                    tokens: hyp.prefix,
+                });
+            }
+        }
+        done.sort_unstable_by(|a, b| b.score.total_cmp(&a.score));
+        let mut seen = std::collections::HashSet::new();
+        done.retain(|g| seen.insert(g.tokens.clone()));
+        done.truncate(params.beam_size);
+        done
+    }
+
+    /// A random decoding world over tokens `0..48`. `ties` picks the
+    /// corpus: 0 random documents, 1 none (an untrained LM: every token
+    /// equally likely), 2 the whole vocabulary once per document (equal
+    /// counts everywhere). Entity ids repeat every 25 names, so some
+    /// entities are reachable along two paths.
+    fn random_world(
+        names: &[Vec<u32>],
+        docs: &[Vec<u32>],
+        ties: u8,
+        order: usize,
+        family: u8,
+    ) -> (NgramLm, PrefixTrie) {
+        let smoothing = if family == 0 {
+            Smoothing::WittenBell
+        } else {
+            Smoothing::AbsoluteDiscount(0.75)
+        };
+        let docs: Vec<Vec<TokenId>> = match ties {
+            0 => docs
+                .iter()
+                .map(|d| d.iter().map(|&x| t(x)).collect())
+                .collect(),
+            1 => Vec::new(),
+            _ => vec![(0..48).map(t).collect(), (0..48).rev().map(t).collect()],
+        };
+        let mut lm = NgramLm::new(order, smoothing, 48);
+        lm.train(docs.iter().map(Vec::as_slice));
+        let mut trie = PrefixTrie::new();
+        for (i, name) in names.iter().enumerate() {
+            let toks: Vec<TokenId> = name.iter().map(|&x| t(x)).collect();
+            trie.insert(&toks, e(i as u32 % 25));
+        }
+        (lm, trie)
+    }
+
+    proptest! {
+        #[test]
+        fn constrained_beam_matches_the_per_token_reference(
+            names in prop::collection::vec(prop::collection::vec(0u32..48, 1..4), 0..80),
+            docs in prop::collection::vec(prop::collection::vec(0u32..48, 0..12), 0..12),
+            ties in 0u8..3,
+            order in 1usize..6,
+            family in 0u8..2,
+            prompt in prop::collection::vec(0u32..48, 0..5),
+            beam_size in 1usize..12,
+            max_len in 1usize..5,
+        ) {
+            let (lm, trie) = random_world(&names, &docs, ties, order, family);
+            let prompt: Vec<TokenId> = prompt.iter().map(|&x| t(x)).collect();
+            let params = BeamParams { beam_size, max_len };
+            let got = constrained_entity_beam(&lm, &prompt, &trie, params);
+            let want = reference_constrained_entity_beam(&lm, &prompt, &trie, params);
+            let bits = |v: &[(EntityId, f64)]| -> Vec<(EntityId, u64)> {
+                v.iter().map(|&(e, s)| (e, s.to_bits())).collect()
+            };
+            prop_assert_eq!(bits(&got), bits(&want));
+        }
+
+        #[test]
+        fn unconstrained_beam_matches_the_per_token_reference(
+            names in prop::collection::vec(prop::collection::vec(0u32..48, 1..4), 0..40),
+            docs in prop::collection::vec(prop::collection::vec(0u32..48, 0..12), 0..12),
+            ties in 0u8..3,
+            order in 1usize..6,
+            family in 0u8..2,
+            prompt in prop::collection::vec(0u32..48, 0..5),
+            beam_size in 1usize..12,
+            max_len in 1usize..5,
+        ) {
+            let (lm, trie) = random_world(&names, &docs, ties, order, family);
+            let prompt: Vec<TokenId> = prompt.iter().map(|&x| t(x)).collect();
+            let params = BeamParams { beam_size, max_len };
+            let got = unconstrained_beam(&lm, &prompt, &trie, t(0), params);
+            let want = reference_unconstrained_beam(&lm, &prompt, &trie, t(0), params);
+            let key = |v: &[GeneratedSeq]| -> Vec<(Vec<TokenId>, u64, Option<EntityId>)> {
+                v.iter().map(|g| (g.tokens.clone(), g.score.to_bits(), g.entity)).collect()
+            };
+            prop_assert_eq!(key(&got), key(&want));
+        }
+    }
 
     fn t(x: u32) -> TokenId {
         TokenId::new(x)

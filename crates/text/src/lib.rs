@@ -20,5 +20,5 @@ pub mod vocab;
 
 pub use bm25::{Bm25Index, Bm25Params};
 pub use tokenizer::Tokenizer;
-pub use trie::PrefixTrie;
+pub use trie::{PrefixTrie, TrieNode};
 pub use vocab::Vocab;

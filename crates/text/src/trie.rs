@@ -4,14 +4,20 @@
 //! leaf node represents a complete candidate entity. During decoding, the
 //! process must follow a specific path from root to leaf" — GenExpan's
 //! prefix-constrained beam search queries this structure at every step for
-//! the set of tokens allowed next.
+//! the set of tokens allowed next. Each node keeps its children in ascending
+//! token order, so a decoder holding a [`TrieNode`] reads the allowed tokens
+//! directly, already in the order it scores them.
 
-use std::collections::HashMap;
 use ultra_core::{ByteReader, ByteWriter, EntityId, TokenId, UltraError};
+
+/// Handle of one trie node (the path from the root that reaches it).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TrieNode(usize);
 
 #[derive(Debug, Clone, Default)]
 struct Node {
-    children: HashMap<TokenId, usize>,
+    /// Children in ascending token order.
+    children: Vec<(TokenId, TrieNode)>,
     /// Entity completed exactly at this node, if any.
     terminal: Option<EntityId>,
 }
@@ -30,6 +36,9 @@ impl Default for PrefixTrie {
 }
 
 impl PrefixTrie {
+    /// The root: the empty prefix.
+    pub const ROOT: TrieNode = TrieNode(0);
+
     /// Creates an empty trie with just the root.
     pub fn new() -> Self {
         Self {
@@ -44,20 +53,20 @@ impl PrefixTrie {
     /// Re-inserting a sequence overwrites the terminal entity.
     pub fn insert(&mut self, tokens: &[TokenId], entity: EntityId) {
         assert!(!tokens.is_empty(), "entity names must be non-empty");
-        let mut cur = 0usize;
+        let mut cur = Self::ROOT;
         for &tok in tokens {
-            let next = match self.nodes[cur].children.get(&tok) {
-                Some(&n) => n,
-                None => {
-                    let n = self.nodes.len();
+            let fresh = TrieNode(self.nodes.len());
+            let children = &mut self.nodes[cur.0].children;
+            cur = match children.binary_search_by_key(&tok, |c| c.0) {
+                Ok(i) => children[i].1,
+                Err(i) => {
+                    children.insert(i, (tok, fresh));
                     self.nodes.push(Node::default());
-                    self.nodes[cur].children.insert(tok, n);
-                    n
+                    fresh
                 }
             };
-            cur = next;
         }
-        if self.nodes[cur].terminal.replace(entity).is_none() {
+        if self.nodes[cur.0].terminal.replace(entity).is_none() {
             self.len += 1;
         }
     }
@@ -74,28 +83,37 @@ impl PrefixTrie {
         self.len == 0
     }
 
-    /// Walks a prefix; returns the internal node handle if the prefix is a
-    /// valid path.
-    fn walk(&self, prefix: &[TokenId]) -> Option<usize> {
-        let mut cur = 0usize;
+    /// The children of `node` — the tokens allowed after its path, each
+    /// with the node it leads to — in ascending token order.
+    #[inline]
+    pub fn children(&self, node: TrieNode) -> &[(TokenId, TrieNode)] {
+        &self.nodes[node.0].children
+    }
+
+    /// The entity whose name is exactly `node`'s path, if any.
+    #[inline]
+    pub fn terminal(&self, node: TrieNode) -> Option<EntityId> {
+        self.nodes[node.0].terminal
+    }
+
+    /// Walks a prefix; returns its node if the prefix is a valid path.
+    fn walk(&self, prefix: &[TokenId]) -> Option<TrieNode> {
+        let mut cur = Self::ROOT;
         for tok in prefix {
-            cur = *self.nodes[cur].children.get(tok)?;
+            let children = self.children(cur);
+            let i = children.binary_search_by_key(tok, |c| c.0).ok()?;
+            cur = children[i].1;
         }
         Some(cur)
     }
 
     /// Tokens allowed immediately after `prefix` (empty prefix = first
-    /// tokens of all names). Returns an empty vec for invalid prefixes.
-    /// The result is sorted for determinism.
+    /// tokens of all names), in ascending order. Returns an empty vec for
+    /// invalid prefixes.
     pub fn allowed_continuations(&self, prefix: &[TokenId]) -> Vec<TokenId> {
-        match self.walk(prefix) {
-            Some(node) => {
-                let mut toks: Vec<TokenId> = self.nodes[node].children.keys().copied().collect();
-                toks.sort_unstable();
-                toks
-            }
-            None => Vec::new(),
-        }
+        self.walk(prefix).map_or_else(Vec::new, |node| {
+            self.children(node).iter().map(|&(tok, _)| tok).collect()
+        })
     }
 
     /// The entity completed exactly by `prefix`, if any.
@@ -103,7 +121,7 @@ impl PrefixTrie {
     /// Note a completed entity may still have longer extensions
     /// (e.g. "Xin" vs "Xinyang" as two entities).
     pub fn complete(&self, prefix: &[TokenId]) -> Option<EntityId> {
-        self.walk(prefix).and_then(|n| self.nodes[n].terminal)
+        self.walk(prefix).and_then(|n| self.terminal(n))
     }
 
     /// Whether `prefix` is a valid path (prefix of at least one name).
@@ -120,17 +138,11 @@ impl PrefixTrie {
         let mut out = Vec::new();
         let mut stack = vec![(start, prefix.to_vec())];
         while let Some((node, path)) = stack.pop() {
-            if let Some(e) = self.nodes[node].terminal {
+            if let Some(e) = self.terminal(node) {
                 out.push((path.clone(), e));
             }
-            let mut kids: Vec<(TokenId, usize)> = self.nodes[node]
-                .children
-                .iter()
-                .map(|(&t, &n)| (t, n))
-                .collect();
-            // Reverse-sorted so the stack pops in ascending token order.
-            kids.sort_unstable_by_key(|&(t, _)| std::cmp::Reverse(t));
-            for (tok, next) in kids {
+            // Reversed so the stack pops in ascending token order.
+            for &(tok, next) in self.children(node).iter().rev() {
                 let mut p = path.clone();
                 p.push(tok);
                 stack.push((next, p));

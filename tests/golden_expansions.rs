@@ -8,7 +8,10 @@
 //!   and off), its two extensions, ProbExpan (plain and with the Table 5
 //!   bolt-on) and GenExpan (re-rank on and off);
 //! * the Table 5 direction: negative-seed re-ranking lowers average NegMAP
-//!   for RetExpan, GenExpan and ProbExpan.
+//!   for RetExpan, GenExpan and ProbExpan;
+//! * the GenExpan decode paths the tiny default run does not reach: the
+//!   default pipeline over every small-world query, a Witten-Bell backbone
+//!   and unconstrained decoding.
 //!
 //! The fingerprints were computed once and are never edited to follow a
 //! refactor: a change that moves one of them changes what the pipelines
@@ -16,6 +19,7 @@
 
 use std::sync::OnceLock;
 use ultrawiki::core::stable::stable_hash64;
+use ultrawiki::lm::ModelSpec;
 use ultrawiki::prelude::*;
 use ultrawiki::retexpan::{DecoupledRetExpan, DynamicRaRetExpan};
 
@@ -133,4 +137,69 @@ fn negative_rerank_lowers_negmap_for_every_method() {
             without.name
         );
     }
+}
+
+/// The pinned fingerprint of every GenExpan decode path below.
+const GENEXPAN_DECODE_GOLDEN: [(&str, u64); 3] = [
+    ("genexpan-small", 0x246e_3b08_ff30_d75b),
+    ("genexpan-bloom-1b7", 0xce20_2a0a_f82e_a709),
+    ("genexpan-unconstrained", 0x0cd8_66a9_4eb0_3ed3),
+];
+
+#[test]
+fn genexpan_decode_paths_match_the_pinned_fingerprints() {
+    let tiny = World::generate(WorldConfig::tiny()).expect("tiny world");
+    let bloom = ModelSpec::figure8_ladder()
+        .into_iter()
+        .find(|m| m.name == "bloom-1b7")
+        .expect("bloom-1b7 on the Figure 8 ladder");
+    let witten_bell = GenExpan::train(
+        &tiny,
+        GenExpanConfig {
+            model: bloom,
+            ..GenExpanConfig::default()
+        },
+    );
+    let unconstrained = GenExpan::train(
+        &tiny,
+        GenExpanConfig {
+            constrained: false,
+            ..GenExpanConfig::default()
+        },
+    );
+    // Every small-world query, in `World::queries` order.
+    let small = World::generate(WorldConfig::small()).expect("small world");
+    let gen = GenExpan::train(&small, GenExpanConfig::default());
+    let small_lists: Vec<RankedList> = small
+        .queries()
+        .map(|(u, q)| gen.expand(&small, u, q))
+        .collect();
+    let got = [
+        ("genexpan-small", stable_hash64(&small_lists)),
+        (
+            "genexpan-bloom-1b7",
+            run("genexpan-bloom-1b7", &tiny, |u, q| {
+                witten_bell.expand(&tiny, u, q)
+            })
+            .fingerprint,
+        ),
+        (
+            "genexpan-unconstrained",
+            run("genexpan-unconstrained", &tiny, |u, q| {
+                unconstrained.expand(&tiny, u, q)
+            })
+            .fingerprint,
+        ),
+    ];
+    let diffs: Vec<String> = GENEXPAN_DECODE_GOLDEN
+        .iter()
+        .zip(got)
+        .filter(|((_, want), (_, got))| want != got)
+        .map(|((name, want), (_, got))| format!("{name}: got {got:#018x}, pinned {want:#018x}"))
+        .collect();
+    assert!(
+        diffs.is_empty(),
+        "ranked output moved:\n  {}",
+        diffs.join("\n  ")
+    );
 }
