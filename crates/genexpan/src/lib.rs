@@ -30,8 +30,10 @@
 
 pub mod cooc;
 pub mod cot;
+mod memo;
 pub mod pipeline;
 
 pub use cooc::CoocIndex;
 pub use cot::{AttrInfoSource, ClassNameSource, CotConfig};
+pub use memo::MemoStats;
 pub use pipeline::{GenExpan, GenExpanConfig, GenRaSource};

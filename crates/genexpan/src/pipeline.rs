@@ -2,13 +2,17 @@
 
 use crate::cooc::CoocIndex;
 use crate::cot::{self, CotConfig};
+use crate::memo::{MemoStats, WindowKey, WindowMemo};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
 use ultra_core::rng::{derive_rng, UltraRng};
-use ultra_core::{mix_seed, segmented_rerank, EntityId, Query, RankedList, TokenId, UltraClass};
+use ultra_core::{mix_seed, rerank_by_negatives, EntityId, Query, RankedList, TokenId, UltraClass};
 use ultra_data::World;
-use ultra_lm::{constrained_entity_beam, unconstrained_beam, BeamParams, ModelSpec, NgramLm};
+use ultra_lm::{
+    constrained_entity_beam, unconstrained_beam, BeamParams, LmPrefix, ModelSpec, NgramLm,
+};
 use ultra_text::PrefixTrie;
 
 /// Knowledge source for generation-side retrieval augmentation
@@ -106,12 +110,25 @@ enum ExpKind {
 #[derive(Clone, Debug)]
 struct ExpItem {
     kind: ExpKind,
+    /// Eq. 7 log-score against the positive seeds, before the conditioning
+    /// term (the re-rank's `sco^pos`; unused for hallucinations).
+    pos: f64,
     /// Eq. 7 selection score (+ conditioning), decayed by round so the
     /// iterative-expansion ordering survives the final re-score.
     score: f64,
 }
 
+/// One seed's side of Eq. 7: its name and its template `f(seed)`, resolved
+/// once per query.
+struct SeedTemplate<'a> {
+    name: &'a [TokenId],
+    template: LmPrefix<'a>,
+}
+
 /// A trained GenExpan instance.
+///
+/// Clones share the window memo (DESIGN.md §6, "GenExpan round reuse"); its
+/// key covers every configuration field a round's candidates depend on.
 #[derive(Clone)]
 pub struct GenExpan {
     /// Configuration.
@@ -121,6 +138,7 @@ pub struct GenExpan {
     cooc: CoocIndex,
     sep: TokenId,
     pool: Option<Vec<EntityId>>,
+    memo: Arc<WindowMemo>,
 }
 
 impl GenExpan {
@@ -169,6 +187,7 @@ impl GenExpan {
             cooc: CoocIndex::build(world),
             sep: world.list_sep,
             pool,
+            memo: Arc::new(WindowMemo::new()),
         }
     }
 
@@ -190,6 +209,7 @@ impl GenExpan {
             cooc: CoocIndex::build(world),
             sep: world.list_sep,
             pool: None,
+            memo: Arc::new(WindowMemo::new()),
         }
     }
 
@@ -203,12 +223,33 @@ impl GenExpan {
         &self.trie
     }
 
-    /// Eq. 7: `sco(e → e') = P(e'|f(e))^(1/|e'|)` where `f(e)` is the
-    /// list-continuation template `"{e} ,"` (the substitute for
-    /// "`{e}` is similar to" — see crate docs).
-    fn eq7_score(&self, e_tokens: &[TokenId], other_tokens: &[TokenId]) -> f64 {
-        let sep = std::slice::from_ref(&self.sep);
-        self.lm.entity_score_after(&[e_tokens, sep], other_tokens)
+    /// Window-memo counters (DESIGN.md §6, "GenExpan round reuse"); shared
+    /// with every clone of this instance.
+    pub fn memo_stats(&self) -> MemoStats {
+        self.memo.stats()
+    }
+
+    /// Eq. 7's list-continuation template `f(e) = "{e} ,"` (the substitute
+    /// for "`{e}` is similar to" — see crate docs), resolved once:
+    /// `sco(e → e') = P(e'|f(e))^(1/|e'|)` is
+    /// `lm.entity_score_from(&template(e), e')`.
+    fn template(&self, name: &[TokenId]) -> LmPrefix<'_> {
+        self.lm.prefix(&[name, std::slice::from_ref(&self.sep)])
+    }
+
+    /// The seeds' names and templates, for scoring many entities against
+    /// them.
+    fn seed_templates<'a>(&'a self, world: &'a World, seeds: &[EntityId]) -> Vec<SeedTemplate<'a>> {
+        seeds
+            .iter()
+            .map(|s| {
+                let name = world.name_tokens[s.index()].as_slice();
+                SeedTemplate {
+                    name,
+                    template: self.template(name),
+                }
+            })
+            .collect()
     }
 
     /// Mean Eq. 7 score against a seed set, in log space.
@@ -217,16 +258,16 @@ impl GenExpan {
     /// denoises the asymmetry of sparse list statistics (the paper's
     /// LLaMA scores only `P(e'|f(e))`; with dense LM statistics the two
     /// directions agree).
-    fn seed_logscore(&self, world: &World, e_tokens: &[TokenId], seeds: &[EntityId]) -> f64 {
+    fn seed_logscore(&self, e_tokens: &[TokenId], seeds: &[SeedTemplate<'_>]) -> f64 {
         if seeds.is_empty() {
             return f64::NEG_INFINITY;
         }
+        let f_e = self.template(e_tokens);
         let mean: f64 = seeds
             .iter()
-            .map(|&s| {
-                let seed_tokens = &world.name_tokens[s.index()];
-                let fwd = self.eq7_score(e_tokens, seed_tokens);
-                let bwd = self.eq7_score(seed_tokens, e_tokens);
+            .map(|s| {
+                let fwd = self.lm.entity_score_from(&f_e, s.name);
+                let bwd = self.lm.entity_score_from(&s.template, e_tokens);
                 (fwd * bwd).sqrt()
             })
             .sum::<f64>()
@@ -283,25 +324,50 @@ impl GenExpan {
             return list;
         }
         let lambda = self.config.cond_weight;
-        let reranked = segmented_rerank(&list, self.config.segment_len, |e| {
-            if e.index() >= world.num_entities() {
+        let neg_seeds = self.seed_templates(world, &query.neg_seeds);
+        // `sco^neg` of each list entry, in list order.
+        let neg: Vec<f32> = expansion
+            .iter()
+            .map(|item| match item.kind {
                 // Hallucinations: no evidence either way.
-                return 0.0;
-            }
-            let name = &world.name_tokens[e.index()];
-            // Margin form: how much more the entity aligns with the
-            // negative seeds than with the positive seeds. The relative
-            // score cancels the entity's overall LM affinity, which would
-            // otherwise dominate the sparse Eq. 7 statistics.
-            let mut s = self.seed_logscore(world, name, &query.neg_seeds)
-                - self.seed_logscore(world, name, &query.pos_seeds);
-            if !neg_cond.is_empty() {
-                s += lambda * self.cooc.condition_logscore(e, &neg_cond);
-            }
-            s as f32
-        });
+                ExpKind::Hallucinated => 0.0,
+                ExpKind::Real(e) => {
+                    // Margin form: how much more the entity aligns with the
+                    // negative seeds than with the positive seeds. The
+                    // relative score cancels the entity's overall LM
+                    // affinity, which would otherwise dominate the sparse
+                    // Eq. 7 statistics.
+                    let name = &world.name_tokens[e.index()];
+                    let mut s = self.seed_logscore(name, &neg_seeds) - item.pos;
+                    if !neg_cond.is_empty() {
+                        s += lambda * self.cooc.condition_logscore(e, &neg_cond);
+                    }
+                    s as f32
+                }
+            })
+            .collect();
+        let reranked = rerank_by_negatives(&list, self.config.segment_len, &neg);
         reranked.debug_validate("genexpan::expand (reranked)");
         reranked
+    }
+
+    /// The candidates of the round prompted with `prompt` that clear the
+    /// generation floor, in beam order: the constrained beam's output,
+    /// computed once per LM window and beam configuration.
+    fn round_candidates(&self, world: &World, prompt: &[TokenId]) -> Arc<[EntityId]> {
+        let window = &prompt[prompt.len().saturating_sub(self.lm.order() - 1)..];
+        let key = WindowKey::new(self.config.beam, self.config.min_gen_score, window);
+        self.memo.get_or_compute(key, || {
+            let mut ids = Vec::new();
+            for (e, gm) in constrained_entity_beam(&self.lm, prompt, &self.trie, self.config.beam) {
+                let len = world.name_tokens[e.index()].len() as i32;
+                if gm.powi(len) < self.config.min_gen_score {
+                    continue;
+                }
+                ids.push(e);
+            }
+            ids
+        })
     }
 
     /// The iterative generation + selection loop.
@@ -315,6 +381,27 @@ impl GenExpan {
         let mut expansion: Vec<ExpItem> = Vec::new();
         let mut real_set: HashSet<EntityId> = query.all_seeds().collect();
         let mut fake_set: HashSet<Vec<TokenId>> = HashSet::new();
+        let pos_seeds = self.seed_templates(world, &query.pos_seeds);
+        // Eq. 7 against the positive seeds, once per entity: a candidate
+        // left out by the top-p cut comes back in later rounds.
+        let mut pos_scores: BTreeMap<EntityId, f64> = BTreeMap::new();
+        // Score = Eq.7 against positive seeds + λ · long-range
+        // conditioning (CoT / RA tokens).
+        let lambda = self.config.cond_weight;
+        let mut candidate = |e: EntityId, name: &[TokenId]| {
+            let pos = *pos_scores
+                .entry(e)
+                .or_insert_with(|| self.seed_logscore(name, &pos_seeds));
+            let mut score = pos;
+            if !pos_cond.is_empty() {
+                score += lambda * self.cooc.condition_logscore(e, pos_cond);
+            }
+            ExpItem {
+                kind: ExpKind::Real(e),
+                pos,
+                score,
+            }
+        };
         let mut stale_rounds = 0usize;
         let real_count = |exp: &Vec<ExpItem>| {
             exp.iter()
@@ -329,25 +416,13 @@ impl GenExpan {
                 break;
             }
             let prompt = self.build_prompt(world, query, &expansion, round, rng);
-            // Score = Eq.7 against positive seeds + λ · long-range
-            // conditioning (CoT / RA tokens).
-            let lambda = self.config.cond_weight;
             let round_decay = -0.1 * round as f64;
-            let mut new_items: Vec<(ExpKind, f64)> = Vec::new();
+            let mut new_items: Vec<ExpItem> = Vec::new();
             if self.config.constrained {
-                for (e, gm) in
-                    constrained_entity_beam(&self.lm, &prompt, &self.trie, self.config.beam)
-                {
-                    let len = world.name_tokens[e.index()].len() as i32;
-                    if real_set.contains(&e) || gm.powi(len) < self.config.min_gen_score {
-                        continue;
+                for &e in self.round_candidates(world, &prompt).iter() {
+                    if !real_set.contains(&e) {
+                        new_items.push(candidate(e, &world.name_tokens[e.index()]));
                     }
-                    let name = &world.name_tokens[e.index()];
-                    let mut score = self.seed_logscore(world, name, &query.pos_seeds);
-                    if !pos_cond.is_empty() {
-                        score += lambda * self.cooc.condition_logscore(e, pos_cond);
-                    }
-                    new_items.push((ExpKind::Real(e), score));
                 }
             } else {
                 for g in
@@ -360,14 +435,9 @@ impl GenExpan {
                     // the paper's argument for the prefix constraint
                     // (Table 3's largest ablation drop).
                     match g.entity {
+                        // A valid sequence is exactly the entity's name.
                         Some(e) if !real_set.contains(&e) => {
-                            let mut score = self.seed_logscore(world, &g.tokens, &query.pos_seeds);
-                            if let Some(e) = g.entity {
-                                if !pos_cond.is_empty() {
-                                    score += lambda * self.cooc.condition_logscore(e, pos_cond);
-                                }
-                            }
-                            new_items.push((ExpKind::Real(e), score));
+                            new_items.push(candidate(e, &g.tokens));
                         }
                         Some(_) => {}
                         None => {
@@ -376,7 +446,11 @@ impl GenExpan {
                                 // from a real generation *to the model* — it
                                 // receives the round's upper-quartile real
                                 // confidence (scored after the loop).
-                                new_items.push((ExpKind::Hallucinated, f64::NAN));
+                                new_items.push(ExpItem {
+                                    kind: ExpKind::Hallucinated,
+                                    pos: f64::NAN,
+                                    score: f64::NAN,
+                                });
                             }
                         }
                     }
@@ -384,8 +458,8 @@ impl GenExpan {
             }
             let mut real_scores: Vec<f64> = new_items
                 .iter()
-                .filter(|(k, s)| matches!(k, ExpKind::Real(_)) && s.is_finite())
-                .map(|(_, s)| *s)
+                .filter(|i| matches!(i.kind, ExpKind::Real(_)) && i.score.is_finite())
+                .map(|i| i.score)
                 .collect();
             real_scores.sort_by(f64::total_cmp);
             // Upper-quartile confidence: the beam surfaces recombinations
@@ -396,23 +470,21 @@ impl GenExpan {
                 .get(real_scores.len() * 3 / 4)
                 .copied()
                 .unwrap_or(-10.0);
-            for (kind, score) in new_items.iter_mut() {
-                if matches!(kind, ExpKind::Hallucinated) {
-                    *score = upper_quartile;
+            for item in new_items.iter_mut() {
+                if matches!(item.kind, ExpKind::Hallucinated) {
+                    item.score = upper_quartile;
                 }
             }
             // Entity selection: keep the top-p fraction.
-            new_items.sort_by(|a, b| b.1.total_cmp(&a.1));
+            new_items.sort_by(|a, b| b.score.total_cmp(&a.score));
             let admit = ((new_items.len() as f64) * self.config.top_p_frac).ceil() as usize;
             let mut admitted_any = false;
-            for (kind, score) in new_items.into_iter().take(admit) {
-                if let ExpKind::Real(e) = &kind {
+            for mut item in new_items.into_iter().take(admit) {
+                if let ExpKind::Real(e) = &item.kind {
                     real_set.insert(*e);
                 }
-                expansion.push(ExpItem {
-                    kind,
-                    score: score + round_decay,
-                });
+                item.score += round_decay;
+                expansion.push(item);
                 admitted_any = true;
             }
             if admitted_any {
@@ -614,6 +686,88 @@ mod tests {
             assert!(pool.contains(&e), "{e:?} outside the restricted pool");
         }
         assert!(gen.pool.is_some());
+    }
+
+    /// The ranked lists of the world's first `n` queries.
+    fn lists(gen: &GenExpan, w: &World, n: usize) -> Vec<RankedList> {
+        w.queries()
+            .take(n)
+            .map(|(u, q)| gen.expand(w, u, q))
+            .collect()
+    }
+
+    #[test]
+    fn a_warm_memo_gives_the_cold_lists_without_running_a_beam() {
+        let w = world();
+        let gen = GenExpan::train(&w, quick_cfg());
+        let cold = lists(&gen, &w, 8);
+        let after_cold = gen.memo_stats();
+        assert!(after_cold.misses > 0 && after_cold.windows > 0);
+        assert_eq!(lists(&gen, &w, 8), cold);
+        let after_warm = gen.memo_stats();
+        assert_eq!(after_warm.misses, after_cold.misses, "every round hit");
+        assert!(after_warm.hits > after_cold.hits);
+        assert_eq!(after_warm.capacity, crate::memo::MEMO_CAPACITY);
+    }
+
+    #[test]
+    fn reconfigured_beams_and_floors_match_a_fresh_instance() {
+        let w = world();
+        let mut warmed = GenExpan::train(&w, quick_cfg());
+        let default_lists = lists(&warmed, &w, 8);
+        let base = quick_cfg();
+        let changed = [
+            GenExpanConfig {
+                beam: BeamParams {
+                    beam_size: 3,
+                    ..base.beam
+                },
+                ..quick_cfg()
+            },
+            GenExpanConfig {
+                beam: BeamParams {
+                    max_len: 1,
+                    ..base.beam
+                },
+                ..quick_cfg()
+            },
+            GenExpanConfig {
+                min_gen_score: 0.2,
+                ..quick_cfg()
+            },
+        ];
+        for cfg in changed {
+            let name = format!("{:?} floor {}", cfg.beam, cfg.min_gen_score);
+            let want = lists(&GenExpan::train(&w, cfg.clone()), &w, 8);
+            assert_ne!(want, default_lists, "{name}: the change must matter");
+            // A clone shares the warm memo.
+            let mut clone = warmed.clone();
+            clone.config = cfg.clone();
+            assert_eq!(lists(&clone, &w, 8), want, "{name} on a clone");
+            // So does the warmed instance itself, reconfigured and restored.
+            warmed.config = cfg;
+            assert_eq!(lists(&warmed, &w, 8), want, "{name} in place");
+            warmed.config = quick_cfg();
+            assert_eq!(lists(&warmed, &w, 8), default_lists, "{name} restored");
+        }
+    }
+
+    #[test]
+    fn the_memo_stops_storing_at_capacity_and_output_does_not_change() {
+        let w = world();
+        let unbounded = GenExpan::train(&w, quick_cfg());
+        let mut bounded = GenExpan::train(&w, quick_cfg());
+        bounded.memo = Arc::new(WindowMemo::with_capacity(5));
+        for _ in 0..2 {
+            assert_eq!(lists(&bounded, &w, 8), lists(&unbounded, &w, 8));
+        }
+        let stats = bounded.memo_stats();
+        assert_eq!((stats.windows, stats.capacity), (5, 5));
+        assert!(
+            unbounded.memo_stats().windows > 5,
+            "the run needs more windows than the bounded memo holds"
+        );
+        assert!(stats.misses > unbounded.memo_stats().misses);
     }
 
     #[test]

@@ -25,5 +25,5 @@ pub mod ngram;
 pub mod spec;
 
 pub use decode::{constrained_entity_beam, unconstrained_beam, BeamParams, GeneratedSeq};
-pub use ngram::{LmContext, NgramLm, Smoothing};
+pub use ngram::{LmContext, LmPrefix, NgramLm, Smoothing};
 pub use spec::ModelSpec;

@@ -298,20 +298,38 @@ impl NgramLm {
         self.context(context).prob(next)
     }
 
-    /// Log-probability of a token sequence continuing `context`.
-    pub fn logprob_seq(&self, context: &[TokenId], seq: &[TokenId]) -> f64 {
-        self.logprob_after(&[context], seq)
-    }
-
-    /// [`logprob_seq`](Self::logprob_seq) after the concatenation of
-    /// `pieces`, which is never materialized.
-    fn logprob_after(&self, pieces: &[&[TokenId]], seq: &[TokenId]) -> f64 {
+    /// Resolves a context given as consecutive pieces — GenExpan's template
+    /// `f(e)` is a name followed by the list separator — without
+    /// concatenating them. Every sequence scored after the returned prefix
+    /// reads its first token's back-off chain from it instead of searching
+    /// the tables again.
+    pub fn prefix(&self, pieces: &[&[TokenId]]) -> LmPrefix<'_> {
         let mut window = Window::new(self.order);
         for piece in pieces {
             window.extend(piece);
         }
+        LmPrefix {
+            first: self.resolve(&window),
+            window,
+        }
+    }
+
+    /// Log-probability of a token sequence continuing `context`.
+    pub fn logprob_seq(&self, context: &[TokenId], seq: &[TokenId]) -> f64 {
+        self.logprob_from(&self.prefix(&[context]), seq)
+    }
+
+    /// [`logprob_seq`](Self::logprob_seq) after a resolved prefix of this
+    /// model: the one scoring loop behind every sequence score.
+    fn logprob_from(&self, prefix: &LmPrefix<'_>, seq: &[TokenId]) -> f64 {
+        let Some((&first, rest)) = seq.split_first() else {
+            return 0.0;
+        };
         let mut lp = 0.0f64;
-        for &t in seq {
+        lp += prefix.first.prob(first).max(1e-300).ln();
+        let mut window = prefix.window;
+        window.push(first);
+        for &t in rest {
             lp += self.resolve(&window).prob(t).max(1e-300).ln();
             window.push(t);
         }
@@ -327,13 +345,18 @@ impl NgramLm {
     }
 
     /// [`entity_score`](Self::entity_score) after a context given as
-    /// consecutive pieces — GenExpan's template `f(e)` is a name followed by
-    /// the list separator — without concatenating them.
+    /// consecutive pieces (see [`prefix`](Self::prefix)).
     pub fn entity_score_after(&self, context: &[&[TokenId]], entity_tokens: &[TokenId]) -> f64 {
+        self.entity_score_from(&self.prefix(context), entity_tokens)
+    }
+
+    /// [`entity_score`](Self::entity_score) after a prefix this model
+    /// resolved: a template scored against many sequences is resolved once.
+    pub fn entity_score_from(&self, prefix: &LmPrefix<'_>, entity_tokens: &[TokenId]) -> f64 {
         if entity_tokens.is_empty() {
             return 0.0;
         }
-        (self.logprob_after(context, entity_tokens) / entity_tokens.len() as f64).exp()
+        (self.logprob_from(prefix, entity_tokens) / entity_tokens.len() as f64).exp()
     }
 
     /// Serializes the count tables in canonical form: for every table the
@@ -465,7 +488,7 @@ impl NgramLm {
 
 /// The last `order - 1` tokens of a context — all the model conditions
 /// on — kept on the stack.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug)]
 struct Window {
     toks: [u32; MAX_ORDER - 1],
     len: usize,
@@ -628,6 +651,15 @@ impl<'a> LmContext<'a> {
     }
 }
 
+/// A context resolved once for scoring many sequences after it (from
+/// [`NgramLm::prefix`]): the model window it leaves and the back-off chain
+/// of the first token after it.
+#[derive(Clone, Debug)]
+pub struct LmPrefix<'a> {
+    window: Window,
+    first: LmContext<'a>,
+}
+
 /// Iterator returned by [`LmContext::sorted_probs`].
 pub struct SortedProbs<'c, 'a, I> {
     ctx: &'c LmContext<'a>,
@@ -720,6 +752,21 @@ impl NgramLm {
                 }
             }
         }
+    }
+
+    /// Reference [`NgramLm::entity_score_from`]: the recursion per token
+    /// after the materialized context.
+    pub(crate) fn entity_score_reference(&self, context: &[TokenId], seq: &[TokenId]) -> f64 {
+        if seq.is_empty() {
+            return 0.0;
+        }
+        let mut ctx = context.to_vec();
+        let mut lp = 0.0f64;
+        for &t in seq {
+            lp += self.prob_reference(&ctx, t).max(1e-300).ln();
+            ctx.push(t);
+        }
+        (lp / seq.len() as f64).exp()
     }
 
     /// Reference [`LmContext::observed_continuations`]: one context search
@@ -1067,6 +1114,38 @@ mod tests {
                     resolved.observed_continuations(limit),
                     lm.observed_continuations_reference(&ctx, limit)
                 );
+            }
+        }
+
+        #[test]
+        fn prefix_scoring_matches_the_recursion_bit_for_bit(
+            docs in prop::collection::vec(prop::collection::vec(0u32..24, 0..14), 0..10),
+            order in 1usize..7,
+            family in 0u8..2,
+            discount in 0.05f64..0.95,
+            pieces in prop::collection::vec(prop::collection::vec(0u32..32, 0..5), 0..4),
+            seqs in prop::collection::vec(prop::collection::vec(0u32..32, 0..6), 1..6),
+            seq_doc in 0usize..16,
+        ) {
+            // As above: tokens 24..32 are unseen, and no documents leave the
+            // LM untrained. Sequences may be empty or unseen; one of them is
+            // a training document's prefix half the time, so its suffixes
+            // are observed.
+            let mut lm = NgramLm::new(order, smoothing_of(family, discount), 32);
+            let docs: Vec<Vec<TokenId>> = docs.iter().map(|d| toks(d)).collect();
+            lm.train(docs.iter().map(Vec::as_slice));
+            let pieces: Vec<Vec<TokenId>> = pieces.iter().map(|p| toks(p)).collect();
+            let slices: Vec<&[TokenId]> = pieces.iter().map(Vec::as_slice).collect();
+            let whole: Vec<TokenId> = pieces.concat();
+            let mut seqs: Vec<Vec<TokenId>> = seqs.iter().map(|s| toks(s)).collect();
+            if let Some(doc) = docs.get(seq_doc) {
+                seqs.push(doc[..doc.len().min(6)].to_vec());
+            }
+            let prefix = lm.prefix(&slices);
+            for seq in &seqs {
+                let want = lm.entity_score_reference(&whole, seq).to_bits();
+                prop_assert_eq!(lm.entity_score_from(&prefix, seq).to_bits(), want);
+                prop_assert_eq!(lm.entity_score_after(&slices, seq).to_bits(), want);
             }
         }
     }

@@ -10,6 +10,7 @@
 
 use crate::api::{ExpandRequest, Method};
 use crate::cache::{CacheKey, CacheStats, ShardedLruCache};
+use crate::metrics::GenExpanMemoStats;
 use crate::ServeError;
 use std::sync::Arc;
 use ultra_ann::{AnnSpec, IvfIndex};
@@ -430,6 +431,13 @@ impl ExpansionEngine {
     /// Live cache counters.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
+    }
+
+    /// GenExpan's window-memo counters; all zero when GenExpan is off.
+    pub fn memo_stats(&self) -> GenExpanMemoStats {
+        self.genexpan
+            .as_ref()
+            .map_or_else(GenExpanMemoStats::default, |g| g.memo_stats().into())
     }
 
     fn ultra_of(&self, query: &Query) -> Result<&UltraClass, ServeError> {

@@ -12,6 +12,7 @@ use crate::engine::IndexInfo;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
+use ultra_genexpan::MemoStats;
 
 /// Histogram bucket upper bounds, in microseconds. The last bucket is
 /// open-ended (`u64::MAX`).
@@ -165,13 +166,14 @@ impl ServeMetrics {
         .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Point-in-time snapshot (cache stats, queue depth, and the pool's
-    /// own panic count are sampled by the caller, which owns those
+    /// Point-in-time snapshot (cache and memo stats, queue depth, and the
+    /// pool's own panic count are sampled by the caller, which owns those
     /// components). `pool_panics` is added to the route-level count so
     /// `panics_total` covers both containment layers.
     pub fn snapshot(
         &self,
         cache: CacheStats,
+        genexpan_memo: GenExpanMemoStats,
         queue_depth: usize,
         workers: usize,
         pool_panics: u64,
@@ -190,10 +192,36 @@ impl ServeMetrics {
             queue_depth,
             workers,
             cache,
+            genexpan_memo,
             index,
             expand_latency: self.expand_latency.snapshot(),
             healthz_latency: self.healthz_latency.snapshot(),
             metrics_latency: self.metrics_latency.snapshot(),
+        }
+    }
+}
+
+/// GenExpan's window-memo counters ([`MemoStats`]) as `GET /metrics` serves
+/// them (`ultra-genexpan` has no serde dependency).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct GenExpanMemoStats {
+    /// Rounds whose window was stored.
+    pub hits: u64,
+    /// Rounds that ran the beam.
+    pub misses: u64,
+    /// Windows stored.
+    pub windows: usize,
+    /// Most windows the memo stores.
+    pub capacity: usize,
+}
+
+impl From<MemoStats> for GenExpanMemoStats {
+    fn from(m: MemoStats) -> Self {
+        Self {
+            hits: m.hits,
+            misses: m.misses,
+            windows: m.windows,
+            capacity: m.capacity,
         }
     }
 }
@@ -220,6 +248,8 @@ pub struct MetricsSnapshot {
     pub workers: usize,
     /// Result-cache counters.
     pub cache: CacheStats,
+    /// GenExpan window-memo counters (all zero when GenExpan is off).
+    pub genexpan_memo: GenExpanMemoStats,
     /// Active candidate source and its startup index-build cost.
     pub index: IndexInfo,
     /// `POST /expand` latency.
@@ -266,7 +296,14 @@ mod tests {
         m.record_status(204);
         m.record_status(400);
         m.record_status(503);
-        let snap = m.snapshot(CacheStats::default(), 0, 4, 0, IndexInfo::default());
+        let snap = m.snapshot(
+            CacheStats::default(),
+            GenExpanMemoStats::default(),
+            0,
+            4,
+            0,
+            IndexInfo::default(),
+        );
         assert_eq!(snap.responses_2xx, 2);
         assert_eq!(snap.responses_4xx, 1);
         assert_eq!(snap.responses_5xx, 1);
@@ -277,7 +314,14 @@ mod tests {
     fn panics_total_sums_route_and_pool_counts() {
         let m = ServeMetrics::default();
         m.panics_caught.fetch_add(2, Ordering::Relaxed);
-        let snap = m.snapshot(CacheStats::default(), 0, 1, 3, IndexInfo::default());
+        let snap = m.snapshot(
+            CacheStats::default(),
+            GenExpanMemoStats::default(),
+            0,
+            1,
+            3,
+            IndexInfo::default(),
+        );
         assert_eq!(snap.panics_total, 5);
     }
 
@@ -286,7 +330,14 @@ mod tests {
         let m = ServeMetrics::default();
         m.expand_latency.record(123);
         m.record_status(200);
-        let snap = m.snapshot(CacheStats::default(), 2, 8, 1, IndexInfo::default());
+        let snap = m.snapshot(
+            CacheStats::default(),
+            GenExpanMemoStats::default(),
+            2,
+            8,
+            1,
+            IndexInfo::default(),
+        );
         let json = serde_json::to_string(&snap).expect("serialize");
         let back: MetricsSnapshot = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(back, snap);

@@ -75,6 +75,7 @@ impl ServerShared {
             .unwrap_or((0, 0, 0));
         Some(self.metrics.snapshot(
             engine.cache_stats(),
+            engine.memo_stats(),
             queue_depth,
             workers,
             pool_panics,

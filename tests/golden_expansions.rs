@@ -10,8 +10,9 @@
 //! * the Table 5 direction: negative-seed re-ranking lowers average NegMAP
 //!   for RetExpan, GenExpan and ProbExpan;
 //! * the GenExpan decode paths the tiny default run does not reach: the
-//!   default pipeline over every small-world query, a Witten-Bell backbone
-//!   and unconstrained decoding.
+//!   default pipeline over every small-world query (with its window memo
+//!   cold, warm, and shared by four workers), a Witten-Bell backbone and
+//!   unconstrained decoding.
 //!
 //! The fingerprints were computed once and are never edited to follow a
 //! refactor: a change that moves one of them changes what the pipelines
@@ -167,16 +168,39 @@ fn genexpan_decode_paths_match_the_pinned_fingerprints() {
             ..GenExpanConfig::default()
         },
     );
-    // Every small-world query, in `World::queries` order.
+    // Every small-world query, in `World::queries` order: on a fresh
+    // instance (memo cold), on the same instance again (memo warm), and on
+    // another fresh instance shared by four workers.
     let small = World::generate(WorldConfig::small()).expect("small world");
     let gen = GenExpan::train(&small, GenExpanConfig::default());
-    let small_lists: Vec<RankedList> = small
-        .queries()
-        .map(|(u, q)| gen.expand(&small, u, q))
-        .collect();
+    let queries: Vec<(&UltraClass, &Query)> = small.queries().collect();
+    let expand_all = |g: &GenExpan| -> Vec<RankedList> {
+        queries
+            .iter()
+            .map(|&(u, q)| g.expand(&small, u, q))
+            .collect()
+    };
+    let cold = stable_hash64(&expand_all(&gen));
+    let warm = stable_hash64(&expand_all(&gen));
+    let shared = GenExpan::from_parts(
+        &small,
+        GenExpanConfig::default(),
+        gen.lm().clone(),
+        gen.trie().clone(),
+    );
+    let pooled: Vec<RankedList> =
+        Pool::new(4).map_ordered_each(&queries, |&(u, q)| shared.expand(&small, u, q));
+    // (run, pinned constant it must match, fingerprint)
     let got = [
-        ("genexpan-small", stable_hash64(&small_lists)),
+        ("genexpan-small", "genexpan-small", cold),
+        ("genexpan-small (memo warm)", "genexpan-small", warm),
         (
+            "genexpan-small (4 workers, one memo)",
+            "genexpan-small",
+            stable_hash64(&pooled),
+        ),
+        (
+            "genexpan-bloom-1b7",
             "genexpan-bloom-1b7",
             run("genexpan-bloom-1b7", &tiny, |u, q| {
                 witten_bell.expand(&tiny, u, q)
@@ -185,17 +209,22 @@ fn genexpan_decode_paths_match_the_pinned_fingerprints() {
         ),
         (
             "genexpan-unconstrained",
+            "genexpan-unconstrained",
             run("genexpan-unconstrained", &tiny, |u, q| {
                 unconstrained.expand(&tiny, u, q)
             })
             .fingerprint,
         ),
     ];
-    let diffs: Vec<String> = GENEXPAN_DECODE_GOLDEN
+    let diffs: Vec<String> = got
         .iter()
-        .zip(got)
-        .filter(|((_, want), (_, got))| want != got)
-        .map(|((name, want), (_, got))| format!("{name}: got {got:#018x}, pinned {want:#018x}"))
+        .filter_map(|&(name, pinned, got)| {
+            let (_, want) = GENEXPAN_DECODE_GOLDEN
+                .iter()
+                .find(|(n, _)| *n == pinned)
+                .expect("a pinned run");
+            (*want != got).then(|| format!("{name}: got {got:#018x}, pinned {want:#018x}"))
+        })
         .collect();
     assert!(
         diffs.is_empty(),

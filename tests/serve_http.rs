@@ -9,34 +9,40 @@ use std::net::TcpStream;
 use std::sync::{Arc, OnceLock};
 use ultra_serve::http::{read_response, write_json_request, Response};
 use ultra_serve::{
-    EngineConfig, ExpandRequest, ExpandResponse, ExpansionEngine, Method, Server, ServerConfig,
-    ServerHandle, SnapshotRuntime,
+    EngineConfig, ExpandRequest, ExpandResponse, ExpansionEngine, Method, MetricsSnapshot, Server,
+    ServerConfig, ServerHandle, SnapshotRuntime,
 };
-use ultrawiki::prelude::EncoderConfig;
+use ultrawiki::prelude::{EncoderConfig, GenExpanConfig};
+
+/// The tiny engine config every test serves (1-epoch encoder).
+fn tiny_config() -> EngineConfig {
+    EngineConfig {
+        profile: "tiny".into(),
+        encoder: EncoderConfig {
+            epochs: 1,
+            dim: 16,
+            neg_samples: 8,
+            max_sentences_per_entity: 4,
+            ..EncoderConfig::default()
+        },
+        ..EngineConfig::default()
+    }
+}
 
 fn engine() -> Arc<ExpansionEngine> {
     static ENGINE: OnceLock<Arc<ExpansionEngine>> = OnceLock::new();
     ENGINE
-        .get_or_init(|| {
-            let config = EngineConfig {
-                profile: "tiny".into(),
-                encoder: EncoderConfig {
-                    epochs: 1,
-                    dim: 16,
-                    neg_samples: 8,
-                    max_sentences_per_entity: 4,
-                    ..EncoderConfig::default()
-                },
-                ..EngineConfig::default()
-            };
-            Arc::new(ExpansionEngine::build(config).expect("engine builds"))
-        })
+        .get_or_init(|| Arc::new(ExpansionEngine::build(tiny_config()).expect("engine builds")))
         .clone()
 }
 
 fn start_server() -> ServerHandle {
+    start_server_on(engine())
+}
+
+fn start_server_on(engine: Arc<ExpansionEngine>) -> ServerHandle {
     Server::start(
-        engine(),
+        engine,
         ServerConfig {
             addr: "127.0.0.1:0".into(),
             workers: 4,
@@ -185,6 +191,47 @@ fn metrics_count_traffic_and_cache_outcomes() {
     assert!(cache.get("hits").and_then(serde_json::Value::as_u64) >= Some(1));
     let expand = snap.get("expand_latency").expect("expand histogram");
     assert!(expand.get("count").and_then(serde_json::Value::as_u64) >= Some(2));
+    handle.shutdown();
+}
+
+#[test]
+fn a_deeper_genexpan_request_takes_every_round_from_the_window_memo() {
+    // Its own engine, so the memo counters are this test's alone.
+    let engine = ExpansionEngine::build(EngineConfig {
+        genexpan: Some(GenExpanConfig::default()),
+        ..tiny_config()
+    })
+    .expect("engine builds");
+    let handle = start_server_on(Arc::new(engine));
+    let memo = || {
+        let resp = roundtrip(&handle, "GET", "/metrics", b"");
+        assert_eq!(resp.status, 200);
+        let snap: MetricsSnapshot = serde_json::from_slice(&resp.body).expect("metrics json");
+        snap.genexpan_memo
+    };
+    let expand = |top_k: usize| {
+        let body = serde_json::to_vec(&ExpandRequest::replay(Method::GenExpan, 0, top_k))
+            .expect("serialize");
+        let resp = roundtrip(&handle, "POST", "/expand", &body);
+        assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+        // A new top_k is a new result-cache key: both requests run GenExpan.
+        assert_eq!(resp.header("x-ultra-cache"), Some("miss"));
+        let parsed: ExpandResponse = serde_json::from_slice(&resp.body).expect("json");
+        parsed.list.entities().collect::<Vec<_>>()
+    };
+
+    let first = expand(10);
+    let after_first = memo();
+    assert!(after_first.misses > 0, "a cold memo runs beams");
+    let second = expand(20);
+    let after_second = memo();
+    assert_eq!(
+        after_second.misses, after_first.misses,
+        "the same query's rounds are all stored"
+    );
+    assert!(after_second.hits > after_first.hits);
+    assert_eq!(second.len(), 20);
+    assert_eq!(second[..10], first[..]);
     handle.shutdown();
 }
 
