@@ -1,4 +1,4 @@
-//! Workspace call graph and the interprocedural rules L7–L9.
+//! Workspace call graph and the interprocedural rules L7 and L9.
 //!
 //! Name resolution is heuristic and layered. Method calls whose receiver
 //! can be *typed* — `self` (the enclosing `impl` target), a typed param or
@@ -28,15 +28,14 @@
 //!   are L4/L9 territory — flagging every `m[i]` reachable through the
 //!   engine would drown the signal). Calls and panic sites inside a
 //!   `catch_unwind(..)` argument are skipped: the panic cannot escape.
-//! - **L8** computes, per crate, each function's directly-acquired lock
-//!   fields plus (to a fixpoint) the locks acquired by its same-crate
-//!   callees, then flags any pair of lock fields acquired in both orders.
-//!   Lock scopes are not tracked — a guard dropped before the second
-//!   acquisition still counts, which again errs toward reporting.
 //! - **L9** flags allocation calls inside loop bodies of functions carrying
 //!   a `// ultra-lint: hot` marker.
+//!
+//! Lock order is checked by L13 in [`crate::guards`], over the same graph:
+//! it reports each held-while-acquiring pair at its acquisition site, so an
+//! inversion shows up at both of its sites.
 
-use crate::parser::{CallSite, FileModel, LockKind, PanicKind};
+use crate::parser::{CallSite, FileModel, PanicKind};
 use crate::rules::{ChainFrame, Diagnostic, Rule};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -58,7 +57,7 @@ pub(crate) enum Resolution {
 
 /// Result of the cross-file analysis.
 pub struct CrossAnalysis {
-    /// L7/L8/L9 findings.
+    /// L7, L9, L13 and L14 findings.
     pub diagnostics: Vec<Diagnostic>,
     /// Call sites (in non-test library functions) that resolved to no
     /// workspace function — std, vendored deps, methods on foreign types.
@@ -161,22 +160,11 @@ impl<'a> Graph<'a> {
     /// module docs for the same-file → same-crate → imports layering).
     /// Empty means unresolved.
     pub(crate) fn resolve(&self, file: usize, callee: &str) -> Vec<FnId> {
+        let local = self.resolve_in_crate(file, callee);
+        if !local.is_empty() {
+            return local;
+        }
         let m = &self.models[file];
-        let same_file: Vec<FnId> = m
-            .fns
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| !f.in_test && f.name == callee)
-            .map(|(fj, _)| (file, fj))
-            .collect();
-        if !same_file.is_empty() {
-            return same_file;
-        }
-        if let Some(hits) = self.by_crate.get(&(m.krate.as_str(), callee)) {
-            if !hits.is_empty() {
-                return hits.clone();
-            }
-        }
         let mut out = Vec::new();
         for key in &m.imports {
             if *key == m.krate {
@@ -189,7 +177,9 @@ impl<'a> Graph<'a> {
         out
     }
 
-    /// Same-crate-only resolution (L8's scope: lock fields are per crate).
+    /// Same-file, else same-crate resolution: the first two layers of
+    /// [`Graph::resolve`]. Lock fields are per crate, so a helper exposing
+    /// a lock is looked up here.
     pub(crate) fn resolve_in_crate(&self, file: usize, callee: &str) -> Vec<FnId> {
         let m = &self.models[file];
         let same_file: Vec<FnId> = m
@@ -207,15 +197,43 @@ impl<'a> Graph<'a> {
             .cloned()
             .unwrap_or_default()
     }
+
+    /// One chain frame: a function's name and definition site.
+    pub(crate) fn frame(&self, id: FnId) -> ChainFrame {
+        let m = &self.models[id.0];
+        let f = &m.fns[id.1];
+        ChainFrame {
+            function: f.name.clone(),
+            path: m.path.clone(),
+            line: f.line,
+        }
+    }
+
+    /// The root→…→sink chain recorded by BFS parent pointers (L7 and L13).
+    pub(crate) fn chain(
+        &self,
+        parent: &BTreeMap<FnId, FnId>,
+        root: FnId,
+        sink: FnId,
+    ) -> Vec<ChainFrame> {
+        let mut frames = vec![self.frame(sink)];
+        let mut cur = sink;
+        while cur != root {
+            let Some(&p) = parent.get(&cur) else { break };
+            frames.push(self.frame(p));
+            cur = p;
+        }
+        frames.reverse();
+        frames
+    }
 }
 
-/// Runs L7, L8, L9, L13, and L14 over the per-file models of every library
+/// Runs L7, L9, L13, and L14 over the per-file models of every library
 /// file.
 pub fn check_cross(models: &[FileModel]) -> CrossAnalysis {
     let graph = Graph::build(models);
     let mut diagnostics = Vec::new();
     check_panic_reachability(&graph, &mut diagnostics);
-    check_lock_order(&graph, &mut diagnostics);
     check_hot_loops(models, &mut diagnostics);
     crate::guards::check_guards(&graph, &mut diagnostics);
 
@@ -300,7 +318,7 @@ fn check_panic_reachability(graph: &Graph<'_>, out: &mut Vec<Diagnostic>) {
                     ),
                     suggestion: "return an error (or pre-validate) on serve paths — a panic \
                                  here kills a worker; waive only with a bounds/invariant proof",
-                    chain: chain_to(graph, &parent, entry, id),
+                    chain: graph.chain(&parent, entry, id),
                     origin: None,
                     region: None,
                 });
@@ -319,199 +337,6 @@ fn check_panic_reachability(graph: &Graph<'_>, out: &mut Vec<Diagnostic>) {
                     }
                 }
             }
-        }
-    }
-}
-
-/// The entry→…→sink chain recorded by the BFS parent pointers.
-fn chain_to(
-    graph: &Graph<'_>,
-    parent: &BTreeMap<FnId, FnId>,
-    entry: FnId,
-    sink: FnId,
-) -> Vec<ChainFrame> {
-    let mut frames = Vec::new();
-    let mut cur = sink;
-    loop {
-        let m = &graph.models[cur.0];
-        let f = &m.fns[cur.1];
-        frames.push(ChainFrame {
-            function: f.name.clone(),
-            path: m.path.clone(),
-            line: f.line,
-        });
-        if cur == entry {
-            break;
-        }
-        match parent.get(&cur) {
-            Some(&p) => cur = p,
-            None => break,
-        }
-    }
-    frames.reverse();
-    frames
-}
-
-/// L8 — per crate: direct + transitive lock sets, then both-order pairs.
-fn check_lock_order(graph: &Graph<'_>, out: &mut Vec<Diagnostic>) {
-    // Crate key → lock field name → kind.
-    let mut fields: BTreeMap<&str, BTreeMap<&str, LockKind>> = BTreeMap::new();
-    for m in graph.models {
-        for lf in &m.lock_fields {
-            fields
-                .entry(m.krate.as_str())
-                .or_default()
-                .entry(lf.name.as_str())
-                .or_insert(lf.kind);
-        }
-    }
-
-    for (krate, known) in &fields {
-        // Direct acquisitions per fn, in token order: (tok, field, line).
-        let mut direct: BTreeMap<FnId, Vec<(usize, String, u32)>> = BTreeMap::new();
-        for (fi, m) in graph.models.iter().enumerate() {
-            if m.krate != *krate {
-                continue;
-            }
-            for (fj, f) in m.fns.iter().enumerate() {
-                if f.in_test {
-                    continue;
-                }
-                let mut acqs = Vec::new();
-                for site in &f.locks {
-                    let field = if site.via_method {
-                        // A helper that exposes a lock: attribute the
-                        // acquisition to the single known field its body
-                        // references (ambiguous helpers are skipped).
-                        let mut touched: BTreeSet<&str> = BTreeSet::new();
-                        for target in graph.resolve_in_crate(fi, &site.target) {
-                            let tf = &graph.models[target.0].fns[target.1];
-                            for r in &tf.field_refs {
-                                if known.contains_key(r.as_str()) {
-                                    touched.insert(r);
-                                }
-                            }
-                        }
-                        if touched.len() == 1 {
-                            touched.into_iter().next().map(String::from)
-                        } else {
-                            None
-                        }
-                    } else if known.contains_key(site.target.as_str()) {
-                        Some(site.target.clone())
-                    } else {
-                        None
-                    };
-                    let Some(field) = field else { continue };
-                    let compatible = match known[field.as_str()] {
-                        LockKind::Mutex => site.method == "lock",
-                        LockKind::RwLock => site.method == "read" || site.method == "write",
-                    };
-                    if compatible {
-                        acqs.push((site.tok, field, site.line));
-                    }
-                }
-                if !acqs.is_empty() || !f.calls.is_empty() {
-                    direct.insert((fi, fj), acqs);
-                }
-            }
-        }
-
-        // Transitive lock set per fn (fixpoint over same-crate calls).
-        let mut transitive: BTreeMap<FnId, BTreeSet<String>> = direct
-            .iter()
-            .map(|(id, acqs)| (*id, acqs.iter().map(|(_, f, _)| f.clone()).collect()))
-            .collect();
-        loop {
-            let mut changed = false;
-            let ids: Vec<FnId> = transitive.keys().copied().collect();
-            for id in ids {
-                let mut add: BTreeSet<String> = BTreeSet::new();
-                for call in &graph.models[id.0].fns[id.1].calls {
-                    for target in graph.resolve_in_crate(id.0, &call.callee) {
-                        if target == id {
-                            continue;
-                        }
-                        if let Some(set) = transitive.get(&target) {
-                            add.extend(set.iter().cloned());
-                        }
-                    }
-                }
-                let set = transitive.entry(id).or_default();
-                let before = set.len();
-                set.extend(add);
-                if set.len() != before {
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-
-        // Ordered-pair edges: field A held (over-approximately) when B is
-        // acquired — directly later in the same fn, or inside a later call.
-        let mut edges: BTreeMap<(String, String), (String, u32)> = BTreeMap::new();
-        for (id, acqs) in &direct {
-            let m = &graph.models[id.0];
-            let f = &m.fns[id.1];
-            for (tok_a, a, _) in acqs {
-                for (tok_b, b, line_b) in acqs {
-                    if tok_b > tok_a && a != b {
-                        edges
-                            .entry((a.clone(), b.clone()))
-                            .or_insert_with(|| (m.path.clone(), *line_b));
-                    }
-                }
-                for call in &f.calls {
-                    if call.tok <= *tok_a {
-                        continue;
-                    }
-                    for target in graph.resolve_in_crate(id.0, &call.callee) {
-                        if target == *id {
-                            continue;
-                        }
-                        let Some(set) = transitive.get(&target) else {
-                            continue;
-                        };
-                        for b in set {
-                            if b != a {
-                                edges
-                                    .entry((a.clone(), b.clone()))
-                                    .or_insert_with(|| (m.path.clone(), call.line));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        let mut flagged: BTreeSet<(String, String)> = BTreeSet::new();
-        for ((a, b), (path, line)) in &edges {
-            if a >= b || flagged.contains(&(a.clone(), b.clone())) {
-                continue;
-            }
-            let Some((rev_path, rev_line)) = edges.get(&(b.clone(), a.clone())) else {
-                continue;
-            };
-            flagged.insert((a.clone(), b.clone()));
-            out.push(Diagnostic {
-                rule: Rule::LockOrder,
-                severity: Rule::LockOrder.severity(),
-                path: path.clone(),
-                line: *line,
-                message: format!(
-                    "locks `{a}` and `{b}` are acquired in both orders: \
-                     `{a}` then `{b}` here, `{b}` then `{a}` at {rev_path}:{rev_line} \
-                     — two threads taking opposite orders deadlock"
-                ),
-                suggestion: "pick one global acquisition order, document it on the struct \
-                             owning the locks, and release the first guard before crossing \
-                             into code that takes the other",
-                chain: Vec::new(),
-                origin: None,
-                region: None,
-            });
         }
     }
 }
@@ -643,43 +468,6 @@ mod tests {
             .collect();
         assert_eq!(l7.len(), 1, "one finding despite two entries");
         assert_eq!(l7[0].chain[0].function, "handle_a", "lowest entry wins");
-    }
-
-    #[test]
-    fn l8_flags_locks_taken_in_both_orders_including_via_calls() {
-        let src = "struct S { a: Mutex<u32>, b: Mutex<u32> }\n\
-                   impl S {\n\
-                   fn fwd(&self) { let ga = self.a.lock(); self.b.lock(); }\n\
-                   fn take_a(&self) { self.a.lock(); }\n\
-                   fn rev(&self) { let gb = self.b.lock(); self.take_a(); }\n\
-                   }";
-        let analysis = run(&[("crates/serve/src/cache.rs", src)]);
-        let l8: Vec<&Diagnostic> = analysis
-            .diagnostics
-            .iter()
-            .filter(|d| d.rule == Rule::LockOrder)
-            .collect();
-        assert_eq!(l8.len(), 1, "{:?}", analysis.diagnostics);
-        assert!(l8[0].message.contains("`a` and `b`"));
-    }
-
-    #[test]
-    fn l8_is_quiet_for_consistent_order_and_self_loops() {
-        let src = "struct S { a: Mutex<u32>, b: Mutex<u32>, shards: Vec<Mutex<u32>> }\n\
-                   impl S {\n\
-                   fn one(&self) { let ga = self.a.lock(); self.b.lock(); }\n\
-                   fn two(&self) { let ga = self.a.lock(); self.b.lock(); }\n\
-                   fn stats(&self) { for s in &self.shards { s.lock(); } }\n\
-                   }";
-        let analysis = run(&[("crates/serve/src/cache.rs", src)]);
-        assert!(
-            analysis
-                .diagnostics
-                .iter()
-                .all(|d| d.rule != Rule::LockOrder),
-            "{:?}",
-            analysis.diagnostics
-        );
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! The `lint.toml` allowlist, sanitizer registry, and symmetry-pair
-//! registry.
+//! The `lint.toml` allowlist.
 //!
 //! Format (a TOML subset parsed without external crates — the build
 //! environment has no crates.io access):
@@ -10,26 +9,10 @@
 //! path = "crates/data/src/export.rs"
 //! line = 42            # optional: omit to waive the rule file-wide
 //! reason = "why this is sound"
-//!
-//! [[sanitizer]]
-//! function = "canonical_order"
-//! reason = "sorts by (score, id) before returning"
-//!
-//! [[symmetry_pair]]
-//! writer = "dump_postings"
-//! reader = "load_postings"
-//! reason = "the postings section of the USNP format"
 //! ```
 //!
-//! `[[allow]]` waives one finding; `[[sanitizer]]` teaches the L10 taint
-//! pass that a workspace function kills order-taint (its result no longer
-//! depends on iteration order), so every flow through it is clean — a
-//! stronger, reviewable claim than waiving each downstream sink.
-//! `[[symmetry_pair]]` declares a writer/reader pair for the L15
-//! serialization-symmetry check when the names don't follow the
-//! `to_bytes`/`from_bytes` or `write_X`/`read_X` conventions.
-//!
-//! Every entry must carry a non-empty `reason`: a waiver without a
+//! `[[allow]]` is the only table: any other is a [`ConfigError`]. Every
+//! entry must carry a non-empty `reason`: a waiver without a
 //! justification is a violation of the policy, not an exception to it.
 //! Entries that match nothing are reported as stale so the allowlist cannot
 //! quietly outlive the code it excuses.
@@ -56,37 +39,11 @@ impl AllowEntry {
     }
 }
 
-/// One `[[sanitizer]]` entry: a workspace function L10 treats as killing
-/// order-taint.
-#[derive(Clone, Debug)]
-pub struct SanitizerEntry {
-    /// Function name (last path segment, as called).
-    pub function: String,
-    /// Why its output is order-insensitive (required, non-empty).
-    pub reason: String,
-}
-
-/// One `[[symmetry_pair]]` entry: a writer/reader pair L15 diffs even
-/// though the names don't follow the pairing conventions.
-#[derive(Clone, Debug)]
-pub struct SymmetryPairEntry {
-    /// Writer function name (bare identifier).
-    pub writer: String,
-    /// Reader function name (bare identifier).
-    pub reader: String,
-    /// What format the pair serializes (required, non-empty).
-    pub reason: String,
-}
-
 /// Parsed `lint.toml`.
 #[derive(Clone, Debug, Default)]
 pub struct Allowlist {
     /// All `[[allow]]` entries, in file order.
     pub entries: Vec<AllowEntry>,
-    /// All `[[sanitizer]]` entries, in file order.
-    pub sanitizers: Vec<SanitizerEntry>,
-    /// All `[[symmetry_pair]]` entries, in file order.
-    pub symmetry_pairs: Vec<SymmetryPairEntry>,
 }
 
 /// A `lint.toml` parse failure, with its 1-based line.
@@ -114,25 +71,11 @@ type PartialAllow = (
     u32,
 );
 
-/// A `[[sanitizer]]` entry mid-parse: (function, reason, header line).
-type PartialSanitizer = (Option<String>, Option<String>, u32);
-
-/// A `[[symmetry_pair]]` entry mid-parse: (writer, reader, reason,
-/// header line).
-type PartialPair = (Option<String>, Option<String>, Option<String>, u32);
-
-/// Which table the parser is inside.
-enum Current {
-    Allow(PartialAllow),
-    Sanitizer(PartialSanitizer),
-    SymmetryPair(PartialPair),
-}
-
 impl Allowlist {
     /// Parses the `lint.toml` text.
     pub fn parse(text: &str) -> Result<Allowlist, ConfigError> {
         let mut out = Allowlist::default();
-        let mut current: Option<Current> = None;
+        let mut current: Option<PartialAllow> = None;
         for (idx, raw) in text.lines().enumerate() {
             let lineno = idx as u32 + 1;
             let line = strip_comment(raw).trim();
@@ -141,26 +84,13 @@ impl Allowlist {
             }
             if line == "[[allow]]" {
                 finish(current.take(), &mut out)?;
-                current = Some(Current::Allow((None, None, None, None, lineno)));
-                continue;
-            }
-            if line == "[[sanitizer]]" {
-                finish(current.take(), &mut out)?;
-                current = Some(Current::Sanitizer((None, None, lineno)));
-                continue;
-            }
-            if line == "[[symmetry_pair]]" {
-                finish(current.take(), &mut out)?;
-                current = Some(Current::SymmetryPair((None, None, None, lineno)));
+                current = Some((None, None, None, None, lineno));
                 continue;
             }
             if line.starts_with('[') {
                 return Err(ConfigError {
                     line: lineno,
-                    message: format!(
-                        "unknown table `{line}` (only [[allow]], [[sanitizer]], and \
-                         [[symmetry_pair]] are supported)"
-                    ),
+                    message: format!("unknown table `{line}` (only [[allow]] is supported)"),
                 });
             }
             let Some((key, value)) = line.split_once('=') else {
@@ -171,61 +101,36 @@ impl Allowlist {
             };
             let key = key.trim();
             let value = value.trim();
-            match current.as_mut() {
-                None => {
+            let Some(cur) = current.as_mut() else {
+                return Err(ConfigError {
+                    line: lineno,
+                    message: "key outside any [[allow]] entry".into(),
+                });
+            };
+            match key {
+                "rule" => {
+                    let name = parse_string(value, lineno)?;
+                    let rule = Rule::from_name(&name).ok_or_else(|| ConfigError {
+                        line: lineno,
+                        message: format!("unknown rule `{name}`"),
+                    })?;
+                    cur.0 = Some(rule);
+                }
+                "path" => cur.1 = Some(parse_string(value, lineno)?),
+                "line" => {
+                    let n: u32 = value.parse().map_err(|_| ConfigError {
+                        line: lineno,
+                        message: format!("`line` must be an integer, got `{value}`"),
+                    })?;
+                    cur.2 = Some(n);
+                }
+                "reason" => cur.3 = Some(parse_string(value, lineno)?),
+                other => {
                     return Err(ConfigError {
                         line: lineno,
-                        message: "key outside any [[allow]], [[sanitizer]], or [[symmetry_pair]] \
-                                  entry"
-                            .into(),
+                        message: format!("unknown key `{other}` in [[allow]]"),
                     });
                 }
-                Some(Current::Allow(cur)) => match key {
-                    "rule" => {
-                        let name = parse_string(value, lineno)?;
-                        let rule = Rule::from_name(&name).ok_or_else(|| ConfigError {
-                            line: lineno,
-                            message: format!("unknown rule `{name}`"),
-                        })?;
-                        cur.0 = Some(rule);
-                    }
-                    "path" => cur.1 = Some(parse_string(value, lineno)?),
-                    "line" => {
-                        let n: u32 = value.parse().map_err(|_| ConfigError {
-                            line: lineno,
-                            message: format!("`line` must be an integer, got `{value}`"),
-                        })?;
-                        cur.2 = Some(n);
-                    }
-                    "reason" => cur.3 = Some(parse_string(value, lineno)?),
-                    other => {
-                        return Err(ConfigError {
-                            line: lineno,
-                            message: format!("unknown key `{other}` in [[allow]]"),
-                        });
-                    }
-                },
-                Some(Current::Sanitizer(cur)) => match key {
-                    "function" => cur.0 = Some(parse_ident(value, lineno, "function")?),
-                    "reason" => cur.1 = Some(parse_string(value, lineno)?),
-                    other => {
-                        return Err(ConfigError {
-                            line: lineno,
-                            message: format!("unknown key `{other}` in [[sanitizer]]"),
-                        });
-                    }
-                },
-                Some(Current::SymmetryPair(cur)) => match key {
-                    "writer" => cur.0 = Some(parse_ident(value, lineno, "writer")?),
-                    "reader" => cur.1 = Some(parse_ident(value, lineno, "reader")?),
-                    "reason" => cur.2 = Some(parse_string(value, lineno)?),
-                    other => {
-                        return Err(ConfigError {
-                            line: lineno,
-                            message: format!("unknown key `{other}` in [[symmetry_pair]]"),
-                        });
-                    }
-                },
             }
         }
         finish(current.take(), &mut out)?;
@@ -234,101 +139,40 @@ impl Allowlist {
 }
 
 /// Validates and commits the entry currently being assembled.
-fn finish(cur: Option<Current>, out: &mut Allowlist) -> Result<(), ConfigError> {
-    match cur {
-        None => Ok(()),
-        Some(Current::Allow((rule, path, line, reason, at))) => {
-            let err = |message: String| ConfigError { line: at, message };
-            let rule = rule.ok_or_else(|| err("entry is missing `rule`".into()))?;
-            let path = path.ok_or_else(|| err("entry is missing `path`".into()))?;
-            let reason = reason.ok_or_else(|| err("entry is missing `reason`".into()))?;
-            if reason.trim().is_empty() {
-                return Err(err("`reason` must not be empty".into()));
-            }
-            // A duplicated (rule, path, line) entry is rot: the second copy
-            // can never match anything the first did not already waive, yet
-            // both read as live policy.
-            if out
-                .entries
-                .iter()
-                .any(|e| e.rule == rule && e.path == path && e.line == line)
-            {
-                let at_line = line.map(|l| format!(":{l}")).unwrap_or_default();
-                return Err(err(format!(
-                    "duplicate [[allow]] entry for `{} @ {}{}`",
-                    rule.name(),
-                    path,
-                    at_line
-                )));
-            }
-            out.entries.push(AllowEntry {
-                rule,
-                path,
-                line,
-                reason,
-            });
-            Ok(())
-        }
-        Some(Current::Sanitizer((function, reason, at))) => {
-            let err = |message: String| ConfigError { line: at, message };
-            let function = function.ok_or_else(|| err("entry is missing `function`".into()))?;
-            let reason = reason.ok_or_else(|| err("entry is missing `reason`".into()))?;
-            if reason.trim().is_empty() {
-                return Err(err("`reason` must not be empty".into()));
-            }
-            if out.sanitizers.iter().any(|s| s.function == function) {
-                return Err(err(format!(
-                    "duplicate [[sanitizer]] entry for `{function}`"
-                )));
-            }
-            out.sanitizers.push(SanitizerEntry { function, reason });
-            Ok(())
-        }
-        Some(Current::SymmetryPair((writer, reader, reason, at))) => {
-            let err = |message: String| ConfigError { line: at, message };
-            let writer = writer.ok_or_else(|| err("entry is missing `writer`".into()))?;
-            let reader = reader.ok_or_else(|| err("entry is missing `reader`".into()))?;
-            let reason = reason.ok_or_else(|| err("entry is missing `reason`".into()))?;
-            if reason.trim().is_empty() {
-                return Err(err("`reason` must not be empty".into()));
-            }
-            if writer == reader {
-                return Err(err(format!(
-                    "`writer` and `reader` are both `{writer}` — a function cannot pair \
-                     with itself"
-                )));
-            }
-            if out
-                .symmetry_pairs
-                .iter()
-                .any(|p| p.writer == writer && p.reader == reader)
-            {
-                return Err(err(format!(
-                    "duplicate [[symmetry_pair]] entry for `{writer}`/`{reader}`"
-                )));
-            }
-            out.symmetry_pairs.push(SymmetryPairEntry {
-                writer,
-                reader,
-                reason,
-            });
-            Ok(())
-        }
+fn finish(cur: Option<PartialAllow>, out: &mut Allowlist) -> Result<(), ConfigError> {
+    let Some((rule, path, line, reason, at)) = cur else {
+        return Ok(());
+    };
+    let err = |message: String| ConfigError { line: at, message };
+    let rule = rule.ok_or_else(|| err("entry is missing `rule`".into()))?;
+    let path = path.ok_or_else(|| err("entry is missing `path`".into()))?;
+    let reason = reason.ok_or_else(|| err("entry is missing `reason`".into()))?;
+    if reason.trim().is_empty() {
+        return Err(err("`reason` must not be empty".into()));
     }
-}
-
-/// Parses a double-quoted string that must be a bare `fn` identifier (no
-/// paths, no generics — both the sanitizer and symmetry registries match
-/// by call-site name).
-fn parse_ident(value: &str, line: u32, key: &str) -> Result<String, ConfigError> {
-    let name = parse_string(value, line)?;
-    if name.is_empty() || !name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
-        return Err(ConfigError {
-            line,
-            message: format!("`{key}` must be a bare function name, got `{name}`"),
-        });
+    // A duplicated (rule, path, line) entry is rot: the second copy can
+    // never match anything the first did not already waive, yet both read
+    // as live policy.
+    if out
+        .entries
+        .iter()
+        .any(|e| e.rule == rule && e.path == path && e.line == line)
+    {
+        let at_line = line.map(|l| format!(":{l}")).unwrap_or_default();
+        return Err(err(format!(
+            "duplicate [[allow]] entry for `{} @ {}{}`",
+            rule.name(),
+            path,
+            at_line
+        )));
     }
-    Ok(name)
+    out.entries.push(AllowEntry {
+        rule,
+        path,
+        line,
+        reason,
+    });
+    Ok(())
 }
 
 /// Strips a `#` comment, respecting `#` inside double-quoted strings.
@@ -452,78 +296,16 @@ reason = "feeds a commutative integer sum"
     }
 
     #[test]
-    fn sanitizer_entries_parse_and_validate() {
-        let toml = r#"
-[[sanitizer]]
-function = "canonical_order"
-reason = "sorts by (score, id) before returning"
-
-[[allow]]
-rule = "no-panic-in-lib"
-path = "x.rs"
-reason = "fine"
-"#;
-        let list = Allowlist::parse(toml).expect("parses");
-        assert_eq!(list.sanitizers.len(), 1);
-        assert_eq!(list.sanitizers[0].function, "canonical_order");
-        assert_eq!(list.entries.len(), 1);
-
-        // Missing reason.
-        let bad = "[[sanitizer]]\nfunction = \"f\"\n";
-        assert!(Allowlist::parse(bad).is_err());
-        // Not a bare identifier.
-        let bad = "[[sanitizer]]\nfunction = \"a::b\"\nreason = \"r\"\n";
-        assert!(Allowlist::parse(bad).is_err());
-        // Duplicate function.
-        let dup = "[[sanitizer]]\nfunction = \"f\"\nreason = \"a\"\n\
-                   [[sanitizer]]\nfunction = \"f\"\nreason = \"b\"\n";
-        let err = Allowlist::parse(dup).unwrap_err();
-        assert!(err.message.contains("duplicate"), "{}", err.message);
-        // Unknown key inside [[sanitizer]].
-        let bad = "[[sanitizer]]\nfunction = \"f\"\npath = \"x.rs\"\nreason = \"r\"\n";
-        assert!(Allowlist::parse(bad).is_err());
-    }
-
-    #[test]
-    fn symmetry_pair_entries_parse_and_validate() {
-        let toml = r#"
-[[symmetry_pair]]
-writer = "dump_postings"
-reader = "load_postings"
-reason = "the postings section of the USNP format"
-"#;
-        let list = Allowlist::parse(toml).expect("parses");
-        assert_eq!(list.symmetry_pairs.len(), 1);
-        assert_eq!(list.symmetry_pairs[0].writer, "dump_postings");
-        assert_eq!(list.symmetry_pairs[0].reader, "load_postings");
-
-        // Missing reader.
-        let bad = "[[symmetry_pair]]\nwriter = \"w\"\nreason = \"r\"\n";
-        assert!(Allowlist::parse(bad).is_err());
-        // Missing reason.
-        let bad = "[[symmetry_pair]]\nwriter = \"w\"\nreader = \"r\"\n";
-        assert!(Allowlist::parse(bad).is_err());
-        // Not a bare identifier.
-        let bad = "[[symmetry_pair]]\nwriter = \"A::dump\"\nreader = \"r\"\nreason = \"x\"\n";
-        let err = Allowlist::parse(bad).unwrap_err();
-        assert!(
-            err.message.contains("bare function name"),
-            "{}",
-            err.message
-        );
-        // Writer pairing with itself.
-        let bad = "[[symmetry_pair]]\nwriter = \"f\"\nreader = \"f\"\nreason = \"x\"\n";
-        assert!(Allowlist::parse(bad).is_err());
-        // Duplicate pair.
-        let one = "[[symmetry_pair]]\nwriter = \"w\"\nreader = \"r\"\nreason = \"x\"\n";
-        let err = Allowlist::parse(&format!("{one}\n{one}")).unwrap_err();
-        assert!(err.message.contains("duplicate"), "{}", err.message);
-        // Unknown key.
-        let bad =
-            "[[symmetry_pair]]\nwriter = \"w\"\nreader = \"r\"\nfoo = \"x\"\nreason = \"y\"\n";
-        assert!(Allowlist::parse(bad).is_err());
-        // Unknown-table error names all three tables.
-        let err = Allowlist::parse("[[nope]]\n").unwrap_err();
-        assert!(err.message.contains("[[symmetry_pair]]"), "{}", err.message);
+    fn only_the_allow_table_is_accepted() {
+        for table in ["[[sanitizer]]", "[[symmetry_pair]]"] {
+            let toml = format!(
+                "[[allow]]\nrule = \"no-panic-in-lib\"\npath = \"x.rs\"\nreason = \"r\"\n\n\
+                 {table}\nfunction = \"f\"\nreason = \"r\"\n"
+            );
+            let err = Allowlist::parse(&toml).unwrap_err();
+            assert_eq!(err.line, 6, "points at the table header");
+            assert!(err.message.contains("unknown table"), "{}", err.message);
+            assert!(err.message.contains(table), "{}", err.message);
+        }
     }
 }

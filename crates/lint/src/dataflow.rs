@@ -26,9 +26,8 @@
 //!    * **order** — the value depends on an unordered iteration
 //!      (`HashMap`/`HashSet` layout). Killed by sanitizers: the `sort*`
 //!      family, `ultra-par`'s `*_ordered` APIs, collecting into a
-//!      `BTreeMap`/`BTreeSet`, order-insensitive observers (`len`,
-//!      `contains`, `max_by_key`, integer `sum::<u64>()`, …), and any
-//!      `[[sanitizer]]` function declared in `lint.toml`.
+//!      `BTreeMap`/`BTreeSet`, and order-insensitive observers (`len`,
+//!      `contains`, `max_by_key`, integer `sum::<u64>()`, …).
 //!    * **value** — the value embeds an environmental observation
 //!      (wall-clock, thread id, OS entropy, `env::var`, pointer address).
 //!      Nothing sanitizes it; only a waiver can.
@@ -872,7 +871,7 @@ const INT_TYPES: [&str; 12] = [
 /// Methods that fold their argument's taint into the receiver.
 const ACCUMULATORS: [&str; 5] = ["push", "insert", "extend", "append", "push_back"];
 
-fn is_order_sanitizer(c: &Call, extra: &BTreeSet<String>) -> bool {
+fn is_order_sanitizer(c: &Call) -> bool {
     let name = c.name.as_str();
     if SORT_SANITIZERS.contains(&name)
         || ORDERED_API_SANITIZERS.contains(&name)
@@ -887,21 +886,17 @@ fn is_order_sanitizer(c: &Call, extra: &BTreeSet<String>) -> bool {
     {
         return true;
     }
-    if (name == "sum" || name == "product")
+    (name == "sum" || name == "product")
         && c.turbofish.iter().any(|t| INT_TYPES.contains(&t.as_str()))
-    {
-        return true;
-    }
-    extra.contains(name)
 }
 
-fn collect_order_sanitizers<'e>(expr: &'e Expr, extra: &BTreeSet<String>, out: &mut Vec<&'e Call>) {
+fn collect_order_sanitizers<'e>(expr: &'e Expr, out: &mut Vec<&'e Call>) {
     for c in &expr.calls {
-        if is_order_sanitizer(c, extra) {
+        if is_order_sanitizer(c) {
             out.push(c);
         }
         for a in &c.args {
-            collect_order_sanitizers(a, extra, out);
+            collect_order_sanitizers(a, out);
         }
     }
 }
@@ -963,7 +958,6 @@ fn sink_of(call: &Call) -> Option<String> {
 
 struct Ctx<'a> {
     graph: &'a Graph<'a>,
-    extra_sanitizers: &'a BTreeSet<String>,
     summaries: &'a BTreeMap<FnId, Summary>,
 }
 
@@ -978,14 +972,6 @@ struct FnEval<'a> {
     summary: Summary,
     emit: bool,
     findings: Vec<Diagnostic>,
-}
-
-fn frame_of(m: &FileModel, f: &FnDef) -> ChainFrame {
-    ChainFrame {
-        function: f.name.clone(),
-        path: m.path.clone(),
-        line: f.line,
-    }
 }
 
 impl<'a> FnEval<'a> {
@@ -1015,7 +1001,7 @@ impl<'a> FnEval<'a> {
         // Statement-level order kill: any sanitizing call cleans the whole
         // statement's result and its direct receiver.
         let mut sans = Vec::new();
-        collect_order_sanitizers(&stmt.expr, self.ctx.extra_sanitizers, &mut sans);
+        collect_order_sanitizers(&stmt.expr, &mut sans);
         if !sans.is_empty() || stmt.btree_let {
             tv.kill_order();
             for c in &sans {
@@ -1116,7 +1102,7 @@ impl<'a> FnEval<'a> {
         // 2. Order sanitizer? The result no longer depends on iteration
         // order; value taint (wall-clock, entropy, …) still flows — sorting
         // doesn't remove an environmental observation from the data.
-        if is_order_sanitizer(call, self.ctx.extra_sanitizers) {
+        if is_order_sanitizer(call) {
             let mut out = recv_tv;
             for a in &arg_tvs {
                 out.merge(a);
@@ -1296,11 +1282,9 @@ fn push_param_sink(summary: &mut Summary, pi: usize, kind: u8, sink: SinkInfo) {
 // Entry points
 // ---------------------------------------------------------------------------
 
-/// Runs L10/L11/L12 over the library-file models. `extra_sanitizers` are
-/// the `[[sanitizer]]` function names from `lint.toml`.
-pub fn check_taint(models: &[FileModel], extra_sanitizers: &[String]) -> Vec<Diagnostic> {
+/// Runs L10/L11/L12 over the library-file models.
+pub fn check_taint(models: &[FileModel]) -> Vec<Diagnostic> {
     let graph = Graph::build(models);
-    let extra: BTreeSet<String> = extra_sanitizers.iter().cloned().collect();
     let mut summaries: BTreeMap<FnId, Summary> = BTreeMap::new();
 
     // Summaries to a fixpoint (capped: each round deepens visible chains by
@@ -1308,12 +1292,11 @@ pub fn check_taint(models: &[FileModel], extra_sanitizers: &[String]) -> Vec<Dia
     for _round in 0..10 {
         let ctx = Ctx {
             graph: &graph,
-            extra_sanitizers: &extra,
             summaries: &summaries,
         };
         let mut next: BTreeMap<FnId, Summary> = BTreeMap::new();
         for_each_fn(models, |fi, fj, m, f| {
-            let (sum, _) = make_eval(&ctx, fi, m, f, false).run();
+            let (sum, _) = make_eval(&ctx, (fi, fj), m, f, false).run();
             next.insert((fi, fj), sum);
         });
         let stable = next == summaries;
@@ -1326,12 +1309,11 @@ pub fn check_taint(models: &[FileModel], extra_sanitizers: &[String]) -> Vec<Dia
     // Final emitting pass against the stable summaries.
     let ctx = Ctx {
         graph: &graph,
-        extra_sanitizers: &extra,
         summaries: &summaries,
     };
     let mut findings = Vec::new();
-    for_each_fn(models, |fi, _fj, m, f| {
-        let (_, found) = make_eval(&ctx, fi, m, f, true).run();
+    for_each_fn(models, |fi, fj, m, f| {
+        let (_, found) = make_eval(&ctx, (fi, fj), m, f, true).run();
         findings.extend(found);
     });
 
@@ -1362,17 +1344,17 @@ fn for_each_fn(models: &[FileModel], mut f: impl FnMut(usize, usize, &FileModel,
 
 fn make_eval<'a>(
     ctx: &'a Ctx<'a>,
-    file: usize,
+    id: FnId,
     m: &'a FileModel,
     f: &'a FnDef,
     emit: bool,
 ) -> FnEval<'a> {
     FnEval {
         ctx,
-        file,
+        file: id.0,
         path: &m.path,
         fn_name: &f.name,
-        me: frame_of(m, f),
+        me: ctx.graph.frame(id),
         flow: &f.flow,
         state: BTreeMap::new(),
         summary: Summary::default(),
@@ -1648,37 +1630,6 @@ fn rank(scores: Vec<u64>) -> RankedList {
             .expect("origin")
             .desc
             .contains("wall-clock"));
-    }
-
-    #[test]
-    fn config_sanitizer_functions_kill_order_taint() {
-        let src = "\
-fn canonical_order(v: Vec<u64>) -> Vec<u64> {
-    deterministic_sort(v)
-}
-
-fn rank(m: &HashMap<u64, u64>) -> RankedList {
-    let mut raw = Vec::new();
-    for k in m.keys() {
-        raw.push(*k);
-    }
-    RankedList::from_sorted(canonical_order(raw))
-}
-";
-        let with = crate::check_sources_with(&[(LIB, src)], &["canonical_order".to_string()]);
-        assert!(
-            !with
-                .diagnostics
-                .iter()
-                .any(|d| d.rule == Rule::NoTaintedRanking),
-            "{:#?}",
-            with.diagnostics
-        );
-        assert_eq!(
-            taint_findings(src).len(),
-            1,
-            "without the config entry it fires"
-        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! [`crate::parser`] computes a live range for every lock acquisition (see
 //! `GuardRegion` there for the let/`if let`/temporary rules). This module
 //! first decides which of those candidates are *real* lock guards — the
-//! receiver must be a known crate-wide lock field (L8's set), a
+//! receiver must be a known crate-wide lock field, a
 //! `Mutex`/`RwLock`-typed param or local, or a helper method attributable
 //! to exactly one lock field, with the acquiring method compatible with the
 //! lock kind (`lock` for `Mutex`, `read`/`write` for `RwLock`) — which is
@@ -14,13 +14,15 @@
 //! For each real guard, **L13** walks the call graph from every call inside
 //! the live range to *blocking operations* (channel `recv`, `join`,
 //! `sleep`, socket accept/connect, typed-receiver file/socket reads and
-//! writes) and to *other lock acquisitions*. The latter upgrades L8 from
-//! per-function acquisition sequences to true held-while-acquiring pairs:
-//! a guard dropped before the second lock no longer counts, and a second
-//! lock reached through callees still does. A name on the blocking list
-//! that resolves to a workspace function is traversed, not reported — the
-//! workspace body decides (`WorkerTeam::recv` reports at its inner channel
-//! `recv`, with the chain showing both).
+//! writes) and to *other lock acquisitions*. The latter is the workspace's
+//! lock-order check: every held-while-acquiring pair is reported at its
+//! acquisition site, so an inversion (`a` then `b` in one place, `b` then
+//! `a` in another) shows up at both sites. A guard dropped before the
+//! second lock does not count, and a second lock reached through callees
+//! does. A name on the blocking list that resolves to a workspace function
+//! is traversed, not reported — the workspace body decides
+//! (`WorkerTeam::recv` reports at its inner channel `recv`, with the chain
+//! showing both).
 //!
 //! Deliberate under-approximations (documented in DESIGN.md §5): `Condvar
 //! wait`/`wait_timeout` release the mutex while blocked and are exempt;
@@ -76,7 +78,7 @@ struct LiveGuard<'a> {
     lock_name: String,
 }
 
-/// Crate key → lock field name → kind (L8's field map).
+/// Crate key → lock field name → kind.
 fn crate_lock_fields(models: &[FileModel]) -> BTreeMap<&str, BTreeMap<&str, LockKind>> {
     let mut fields: BTreeMap<&str, BTreeMap<&str, LockKind>> = BTreeMap::new();
     for m in models {
@@ -99,24 +101,26 @@ fn method_compatible(kind: LockKind, method: &str) -> bool {
     }
 }
 
-/// Validates one guard candidate: is the receiver actually a lock? Returns
+/// Validates one acquisition (a guard candidate or a nested lock site): is
+/// the receiver `target` actually a lock that `method` acquires? Returns
 /// the display name of the lock when it is.
-fn validate_guard(
+fn validate_lock(
     graph: &Graph<'_>,
     fields: &BTreeMap<&str, BTreeMap<&str, LockKind>>,
-    file: usize,
-    fnidx: usize,
-    g: &GuardRegion,
+    (file, fnidx): FnId,
+    target: &str,
+    via_method: bool,
+    method: &str,
 ) -> Option<String> {
     let m = &graph.models[file];
     let known = fields.get(m.krate.as_str());
-    if g.via_method {
+    if via_method {
         // Helper exposing a lock: attributable to exactly one known field
-        // (same trick as L8's via_method handling).
+        // that its body references (ambiguous helpers are skipped).
         let known = known?;
         let mut touched: BTreeSet<&str> = BTreeSet::new();
-        for target in graph.resolve_in_crate(file, &g.target) {
-            let tf = &graph.models[target.0].fns[target.1];
+        for def in graph.resolve_in_crate(file, target) {
+            let tf = &graph.models[def.0].fns[def.1];
             for r in &tf.field_refs {
                 if known.contains_key(r.as_str()) {
                     touched.insert(r);
@@ -124,26 +128,26 @@ fn validate_guard(
             }
         }
         if let [field] = touched.into_iter().collect::<Vec<_>>()[..] {
-            if method_compatible(known[field], &g.method) {
-                return Some(format!("{}()", g.target));
+            if method_compatible(known[field], method) {
+                return Some(format!("{target}()"));
             }
         }
         return None;
     }
     // Crate-wide lock field.
-    if let Some(kind) = known.and_then(|k| k.get(g.target.as_str())) {
-        return method_compatible(*kind, &g.method).then(|| g.target.clone());
+    if let Some(kind) = known.and_then(|k| k.get(target)) {
+        return method_compatible(*kind, method).then(|| target.to_string());
     }
     // `Mutex`/`RwLock`-typed param or local (`shared: &RwLock<..>`,
     // `let m = Mutex::new(..)`).
-    if let Some(ty) = graph.receiver_type(file, fnidx, &g.target) {
+    if let Some(ty) = graph.receiver_type(file, fnidx, target) {
         let kind = match ty {
             "Mutex" => Some(LockKind::Mutex),
             "RwLock" => Some(LockKind::RwLock),
             _ => None,
         };
         if let Some(kind) = kind {
-            return method_compatible(kind, &g.method).then(|| g.target.clone());
+            return method_compatible(kind, method).then(|| target.to_string());
         }
     }
     None
@@ -195,7 +199,9 @@ pub(crate) fn check_guards(graph: &Graph<'_>, out: &mut Vec<Diagnostic>) {
                 if g.span.is_empty() {
                     continue;
                 }
-                if let Some(lock_name) = validate_guard(graph, &fields, fi, fj, g) {
+                let lock_name =
+                    validate_lock(graph, &fields, (fi, fj), &g.target, g.via_method, &g.method);
+                if let Some(lock_name) = lock_name {
                     guards.push(LiveGuard {
                         file: fi,
                         fnidx: fj,
@@ -224,6 +230,7 @@ fn check_one_guard_l13(
     reported: &mut BTreeSet<(String, u32, String, u32)>,
     out: &mut Vec<Diagnostic>,
 ) {
+    let root = (lg.file, lg.fnidx);
     let m = &graph.models[lg.file];
     let f = &m.fns[lg.fnidx];
     let g = lg.region;
@@ -272,16 +279,15 @@ fn check_one_guard_l13(
         if !g.span.contains(&other.tok) {
             continue;
         }
-        let probe = GuardRegion {
-            target: other.target.clone(),
-            via_method: other.via_method,
-            method: other.method.clone(),
-            binding: None,
-            line: other.line,
-            span: 0..0,
-            end_line: other.line,
-        };
-        if let Some(inner) = validate_guard(graph, fields, lg.file, lg.fnidx, &probe) {
+        let inner = validate_lock(
+            graph,
+            fields,
+            root,
+            &other.target,
+            other.via_method,
+            &other.method,
+        );
+        if let Some(inner) = inner {
             if inner != lg.lock_name {
                 emit(
                     &m.path,
@@ -291,7 +297,7 @@ fn check_one_guard_l13(
                          still held — held-while-acquiring pair",
                         lg.lock_name, m.path, g.line
                     ),
-                    vec![frame(graph, (lg.file, lg.fnidx))],
+                    vec![graph.frame(root)],
                     out,
                 );
             }
@@ -302,7 +308,6 @@ fn check_one_guard_l13(
     let mut queue: VecDeque<FnId> = VecDeque::new();
     let mut seen: BTreeSet<FnId> = BTreeSet::new();
     let mut parent: BTreeMap<FnId, FnId> = BTreeMap::new();
-    let root = (lg.file, lg.fnidx);
     for call in &f.calls {
         if !g.span.contains(&call.tok) {
             continue;
@@ -316,7 +321,7 @@ fn check_one_guard_l13(
                      every contender stalls behind this thread",
                     call.callee, lg.lock_name, m.path, g.line
                 ),
-                vec![frame(graph, root)],
+                vec![graph.frame(root)],
                 out,
             );
             continue;
@@ -334,16 +339,15 @@ fn check_one_guard_l13(
         let tm = &graph.models[id.0];
         let tf = &tm.fns[id.1];
         for other in &tf.locks {
-            let probe = GuardRegion {
-                target: other.target.clone(),
-                via_method: other.via_method,
-                method: other.method.clone(),
-                binding: None,
-                line: other.line,
-                span: 0..0,
-                end_line: other.line,
-            };
-            if let Some(inner) = validate_guard(graph, fields, id.0, id.1, &probe) {
+            let inner = validate_lock(
+                graph,
+                fields,
+                id,
+                &other.target,
+                other.via_method,
+                &other.method,
+            );
+            if let Some(inner) = inner {
                 if inner != lg.lock_name || tm.krate != m.krate {
                     emit(
                         &tm.path,
@@ -353,7 +357,7 @@ fn check_one_guard_l13(
                              still held — held-while-acquiring pair through `{}`",
                             lg.lock_name, m.path, g.line, tf.name
                         ),
-                        chain_from(graph, &parent, root, id),
+                        graph.chain(&parent, root, id),
                         out,
                     );
                 }
@@ -369,7 +373,7 @@ fn check_one_guard_l13(
                          every contender stalls behind this thread",
                         call.callee, lg.lock_name, m.path, g.line
                     ),
-                    chain_from(graph, &parent, root, id),
+                    graph.chain(&parent, root, id),
                     out,
                 );
                 continue;
@@ -423,39 +427,6 @@ fn check_one_guard_l14(graph: &Graph<'_>, lg: &LiveGuard<'_>, out: &mut Vec<Diag
         // One finding per guard: the outermost spanned loop names the span.
         break;
     }
-}
-
-/// One chain frame for a function.
-fn frame(graph: &Graph<'_>, id: FnId) -> ChainFrame {
-    let m = &graph.models[id.0];
-    let f = &m.fns[id.1];
-    ChainFrame {
-        function: f.name.clone(),
-        path: m.path.clone(),
-        line: f.line,
-    }
-}
-
-/// The root→…→sink chain from BFS parent pointers.
-fn chain_from(
-    graph: &Graph<'_>,
-    parent: &BTreeMap<FnId, FnId>,
-    root: FnId,
-    sink: FnId,
-) -> Vec<ChainFrame> {
-    let mut frames = vec![frame(graph, sink)];
-    let mut cur = sink;
-    while cur != root {
-        match parent.get(&cur) {
-            Some(&p) => {
-                frames.push(frame(graph, p));
-                cur = p;
-            }
-            None => break,
-        }
-    }
-    frames.reverse();
-    frames
 }
 
 #[cfg(test)]
@@ -558,8 +529,7 @@ mod tests {
         assert_eq!(out.len(), 1, "{out:?}");
         assert!(out[0].message.contains("held-while-acquiring"));
 
-        // Guard dropped before the second acquisition: L8's false-negative
-        // class, correctly quiet here.
+        // Guard dropped before the second acquisition: no pair is held.
         let sequential = "struct S { a: Mutex<u32>, b: Mutex<u32> }\n\
                           impl S {\n\
                           fn f(&self) {\n\
@@ -570,6 +540,36 @@ mod tests {
                           }";
         let out = diags(&[("crates/serve/src/x.rs", sequential)]);
         assert!(out.is_empty(), "{out:?}");
+    }
+
+    #[test]
+    fn l13_flags_both_halves_of_an_inversion_including_via_calls() {
+        let src = "struct S { a: Mutex<u32>, b: Mutex<u32> }\n\
+                   impl S {\n\
+                   fn fwd(&self) { let ga = self.a.lock(); self.b.lock(); }\n\
+                   fn take_a(&self) { self.a.lock(); }\n\
+                   fn rev(&self) { let gb = self.b.lock(); self.take_a(); }\n\
+                   }";
+        let out = diags(&[("crates/serve/src/cache.rs", src)]);
+        let mut pairs: Vec<(u32, &str)> = out
+            .iter()
+            .map(|d| {
+                assert_eq!(d.rule, Rule::NoBlockingUnderLock, "{d:?}");
+                (d.line, d.origin.as_ref().map_or("", |o| o.desc.as_str()))
+            })
+            .collect();
+        pairs.sort_unstable();
+        assert_eq!(
+            pairs,
+            vec![
+                (3, "guard of `a` acquired via `.lock()`"),
+                (4, "guard of `b` acquired via `.lock()`"),
+            ],
+            "`b` under `a` in `fwd`, and `a` under `b` through `take_a`: {out:?}"
+        );
+        let through = out.iter().find(|d| d.line == 4).expect("finding in take_a");
+        let via: Vec<&str> = through.chain.iter().map(|c| c.function.as_str()).collect();
+        assert_eq!(via, vec!["rev", "take_a"]);
     }
 
     #[test]

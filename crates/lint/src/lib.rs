@@ -21,7 +21,7 @@
 //!   outside `crates/par` (the deterministic execution layer) and
 //!   `crates/serve` (long-lived request workers).
 //!
-//! Three further rules are *interprocedural*: they run over a heuristic
+//! Two further rules are *interprocedural*: they run over a heuristic
 //! whole-workspace call graph (see [`parser`] and [`callgraph`]) instead of
 //! one file at a time:
 //!
@@ -29,10 +29,13 @@
 //!   macro/slice-indexing panic source transitively reachable from a serve
 //!   entry point (`handle_*`, the pool worker loop); findings carry the
 //!   full entry→panic call chain.
-//! * **L8 `lock-order`** — no pair of `Mutex`/`RwLock` fields acquired in
-//!   both orders anywhere in a crate (deadlock hazard).
 //! * **L9 `no-alloc-in-hot-loop`** — no `push`/`collect`/`to_vec`/`clone`/
 //!   `format!` inside loops of functions marked `// ultra-lint: hot`.
+//!
+//! L8 (`lock-order`) is retired: L13 flags both acquisitions of each
+//! inversion as held-while-acquiring pairs, and skips L8's false positives
+//! where the first guard was dropped before the second lock. The id stays
+//! unused so L9–L15 keep theirs.
 //!
 //! Three determinism-taint rules run over an interprocedural dataflow built
 //! on the same call graph (see [`dataflow`]):
@@ -53,32 +56,31 @@
 //!
 //! * **L13 `no-blocking-under-lock`** — no blocking operation (socket
 //!   I/O, channel `recv`, `join`, `sleep`, file reads) and no *other* lock
-//!   acquisition reachable while a guard is live; findings carry the
-//!   guard's live range and the guard→blocking-site chain.
+//!   acquisition reachable while a guard is live (the lock-order check);
+//!   findings carry the guard's live range and the guard→blocking-site
+//!   chain.
 //! * **L14 `no-guard-across-hot-loop`** — no guard held across an entire
 //!   `// ultra-lint: hot` loop.
 //!
 //! One format rule diffs paired serializers (see [`symmetry`]):
 //!
 //! * **L15 `serde-symmetry`** — a writer/reader pair
-//!   (`to_bytes`/`from_bytes`, `write_X`/`read_X`, or a `lint.toml`
-//!   `[[symmetry_pair]]`) whose primitive-width byte sequences diverge —
-//!   width drift, reordered fields, written-but-never-read — is flagged
-//!   with both sites.
+//!   (`to_bytes`/`from_bytes` or `write_X`/`read_X`) whose primitive-width
+//!   byte sequences diverge — width drift, reordered fields,
+//!   written-but-never-read — is flagged with both sites.
 //!
 //! Findings carry `file:line` locations, severities, and fix suggestions.
 //! Audited exceptions live in the workspace-root `lint.toml` (each with a
 //! mandatory justification) or as inline `// ultra-lint: allow(rule)`
-//! comments. The analyzer runs as `cargo run -p ultra-lint` and as a
-//! `#[test]` (`crates/lint/tests/workspace_clean.rs`), so tier-1 fails on
-//! any new violation.
+//! comments. The analyzer runs as `cargo run -p ultra-lint` and as the
+//! root package's `tests/lint_gate.rs`, so tier-1 fails on any new
+//! violation of any severity.
 //!
 //! The per-file lex/parse phase fans out over `ultra-par` (honouring
 //! `ULTRA_THREADS`) and merges results in file-id order, so diagnostics are
 //! byte-identical at any thread count; everything downstream of the merge
 //! is sequential.
 
-pub mod baseline;
 pub mod callgraph;
 pub mod config;
 pub mod dataflow;
@@ -89,10 +91,9 @@ pub mod rules;
 pub mod symmetry;
 
 use config::Allowlist;
-use rules::{Diagnostic, FileContext, Severity};
+use rules::{Diagnostic, FileContext};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
-use symmetry::PairSpec;
 
 /// Crates whose ranked output must be reproducible (L2's scope). `serve`
 /// belongs here because it hands out cached `RankedList`s: iteration-order
@@ -140,22 +141,19 @@ pub struct Report {
     /// Number of files scanned.
     pub files_scanned: usize,
     /// Call sites the graph could not resolve to a workspace function
-    /// (std, vendored deps) — the visible boundary of what L7/L8 can see.
+    /// (std, vendored deps) — the visible boundary of what the
+    /// interprocedural rules can see.
     pub unresolved_calls: usize,
     /// Per-phase wall time (JSON output only).
     pub timings: PhaseTimings,
 }
 
 impl Report {
-    /// Whether the run should fail the build. Errors always fail, as do
-    /// stale allowlist entries (an allowlist that outlives the code it
-    /// excuses has rotted); warnings fail when `deny_warnings` is set (the
-    /// tier-1 gate's mode).
-    pub fn failed(&self, deny_warnings: bool) -> bool {
-        !self.stale_allows.is_empty()
-            || self.violations.iter().any(|d| {
-                d.severity == Severity::Error || (deny_warnings && d.severity == Severity::Warn)
-            })
+    /// Whether the run should fail the build: any unwaived finding, of
+    /// either severity, or any stale allowlist entry (an allowlist that
+    /// outlives the code it excuses has rotted).
+    pub fn failed(&self) -> bool {
+        !self.violations.is_empty() || !self.stale_allows.is_empty()
     }
 }
 
@@ -214,48 +212,12 @@ pub fn run_workspace(root: &Path) -> Result<Report, LintError> {
         .iter()
         .map(|(p, s)| (p.as_str(), s.as_str()))
         .collect();
-    let sanitizer_names: Vec<String> = allowlist
-        .sanitizers
-        .iter()
-        .map(|s| s.function.clone())
-        .collect();
-    let pair_specs: Vec<PairSpec> = allowlist
-        .symmetry_pairs
-        .iter()
-        .map(|p| PairSpec {
-            writer: p.writer.clone(),
-            reader: p.reader.clone(),
-        })
-        .collect();
-    let outcome = check_sources_full(&borrowed, &sanitizer_names, &pair_specs);
+    let outcome = check_sources(&borrowed);
     report.unresolved_calls = outcome.unresolved_calls;
     report.timings = outcome.timings;
     // Malformed inline directives fail the run the same way stale allowlist
     // entries do: a waiver that never matches is policy rot either way.
     report.stale_allows.extend(outcome.inline_allow_errors);
-    // A [[sanitizer]] naming a function no scanned source defines or calls
-    // is stale.
-    for s in &allowlist.sanitizers {
-        let mentioned = sources.iter().any(|(_, src)| src.contains(&s.function));
-        if !mentioned {
-            report.stale_allows.push(format!(
-                "sanitizer `{}` matches no scanned source ({})",
-                s.function, s.reason
-            ));
-        }
-    }
-    // A [[symmetry_pair]] whose writer or reader appears in no scanned
-    // source is stale the same way.
-    for p in &allowlist.symmetry_pairs {
-        for (role, name) in [("writer", &p.writer), ("reader", &p.reader)] {
-            if !sources.iter().any(|(_, src)| src.contains(name.as_str())) {
-                report.stale_allows.push(format!(
-                    "symmetry_pair {role} `{name}` matches no scanned source ({})",
-                    p.reason
-                ));
-            }
-        }
-    }
     let mut allow_used = vec![false; allowlist.entries.len()];
     for d in outcome.diagnostics {
         let mut waived = false;
@@ -295,7 +257,7 @@ pub fn run_workspace(root: &Path) -> Result<Report, LintError> {
 /// Outcome of linting a batch of in-memory sources: diagnostics surviving
 /// inline waivers, plus the graph's unresolved-call count.
 pub struct BatchOutcome {
-    /// All findings (L1–L15), in per-file then cross-file order (callers
+    /// All findings (L1–L7, L9–L15), in per-file then cross-file order (callers
     /// that need a canonical order sort, as [`run_workspace`] does).
     pub diagnostics: Vec<Diagnostic>,
     /// See [`Report::unresolved_calls`].
@@ -319,30 +281,15 @@ struct FileAnalysis {
 
 /// Lints a batch of sources as one workspace: every file gets the
 /// intraprocedural rules (L1–L6), and all library-classified files together
-/// feed the call graph for L7–L9 and L13–L14, the taint pass for L10–L12,
+/// feed the call graph for L7, L9 and L13–L14, the taint pass for L10–L12,
 /// and the symmetry pass for L15 (a panic three crates away from a serve
 /// handler is only visible with the whole batch in view). Inline
 /// `ultra-lint: allow(...)` directives are applied here — each diagnostic
 /// against the directives of the file it landed in; `lint.toml` waivers are
-/// applied by [`run_workspace`].
+/// applied by [`run_workspace`]. The per-file phase runs on the `ultra-par`
+/// pool; results merge in input order, so output is identical at any
+/// `ULTRA_THREADS`.
 pub fn check_sources(files: &[(&str, &str)]) -> BatchOutcome {
-    check_sources_full(files, &[], &[])
-}
-
-/// [`check_sources`] with extra L10 order-sanitizer function names (from
-/// `lint.toml`'s `[[sanitizer]]` entries).
-pub fn check_sources_with(files: &[(&str, &str)], sanitizers: &[String]) -> BatchOutcome {
-    check_sources_full(files, sanitizers, &[])
-}
-
-/// [`check_sources`] with L10 sanitizers and L15 `[[symmetry_pair]]`
-/// declarations. The per-file phase runs on the `ultra-par` pool; results
-/// merge in input order, so output is identical at any `ULTRA_THREADS`.
-pub fn check_sources_full(
-    files: &[(&str, &str)],
-    sanitizers: &[String],
-    pairs: &[PairSpec],
-) -> BatchOutcome {
     let mut timings = PhaseTimings::default();
     let phase_start = Instant::now();
     // Weight by source length: lex/parse cost tracks bytes, and a handful
@@ -397,8 +344,8 @@ pub fn check_sources_full(
     }
     let cross = callgraph::check_cross(&models);
     diags.extend(cross.diagnostics);
-    diags.extend(dataflow::check_taint(&models, sanitizers));
-    symmetry::check_symmetry(&models, pairs, &mut diags);
+    diags.extend(dataflow::check_taint(&models));
+    symmetry::check_symmetry(&models, &mut diags);
     // An inline directive waives its rules on the comment's own line and the
     // line that follows it (so a directive can sit above the flagged line).
     diags.retain(|d| {
@@ -467,6 +414,7 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), LintError>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rules::Severity;
 
     #[test]
     fn classification_covers_the_workspace_layout() {
@@ -502,7 +450,7 @@ mod tests {
     }
 
     #[test]
-    fn report_failure_logic_honours_severity() {
+    fn report_fails_on_a_finding_of_either_severity() {
         let warn = Diagnostic {
             rule: rules::Rule::NoPanicInLib,
             severity: Severity::Warn,
@@ -515,8 +463,8 @@ mod tests {
             region: None,
         };
         let mut r = Report::default();
+        assert!(!r.failed());
         r.violations.push(warn);
-        assert!(!r.failed(false));
-        assert!(r.failed(true));
+        assert!(r.failed());
     }
 }

@@ -1,47 +1,22 @@
 //! CLI entry point:
-//! `cargo run -p ultra-lint [-- --root <dir>] [--allow-warnings] [--format json]`.
+//! `cargo run -p ultra-lint [-- --root <dir>] [--format json|text] [--list-rules]`.
 //!
-//! Exit codes: 0 = clean (or warnings only, with `--allow-warnings`),
-//! 1 = violations, 2 = analyzer/config error. Tier-1 runs the strict mode
-//! via `crates/lint/tests/workspace_clean.rs`.
-//!
-//! The differential gate: `--write-baseline lint-baseline.json` snapshots
-//! the current findings; `--baseline lint-baseline.json` fails only on
-//! findings beyond the snapshot (see [`ultra_lint::baseline`]).
+//! Exit codes: 0 = clean, 1 = an unwaived finding of any severity or a
+//! stale allowlist entry, 2 = analyzer/config error or a bad argument.
+//! Tier-1 runs the same check through the root package's
+//! `tests/lint_gate.rs`.
 
 use std::path::PathBuf;
-use ultra_lint::baseline::{Baseline, BaselineDiff};
 use ultra_lint::rules::{Rule, Severity};
 use ultra_lint::{run_workspace, Report};
 
 fn main() {
     let mut root: Option<PathBuf> = None;
-    let mut deny_warnings = true;
     let mut json = false;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut write_baseline_path: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--root" => root = args.next().map(PathBuf::from),
-            "--allow-warnings" => deny_warnings = false,
-            // Strict mode is the default; accepting the flag keeps CI
-            // invocations self-documenting.
-            "--deny-warnings" => deny_warnings = true,
-            "--baseline" => match args.next() {
-                Some(p) => baseline_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("ultra-lint: --baseline takes a file path");
-                    std::process::exit(2);
-                }
-            },
-            "--write-baseline" => match args.next() {
-                Some(p) => write_baseline_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("ultra-lint: --write-baseline takes a file path");
-                    std::process::exit(2);
-                }
-            },
             "--list-rules" => {
                 print!("{}", list_rules());
                 return;
@@ -60,20 +35,18 @@ fn main() {
             "--help" | "-h" => {
                 println!(
                     "ultra-lint: determinism & panic-safety analyzer\n\n\
-                     USAGE: ultra-lint [--root <dir>] [--allow-warnings] [--format json|text]\n\
-                     \x20                 [--baseline <file>] [--write-baseline <file>] [--list-rules]\n\n\
+                     USAGE: ultra-lint [--root <dir>] [--format json|text] [--list-rules]\n\n\
                      Scans every .rs file under the workspace root (default:\n\
                      the directory containing this crate's workspace) and\n\
-                     enforces rules L1-L15 (L7-L9 run over a workspace call\n\
-                     graph, L10-L12 over an interprocedural taint dataflow,\n\
-                     L13-L14 over lock-guard live ranges, L15 over paired\n\
-                     serializer byte sequences); `--list-rules` prints the\n\
-                     rule table, README.md has the details and lint.toml the\n\
-                     audited allowlist.\n\n\
+                     enforces rules L1-L7 and L9-L15 (L7 and L9 run over a\n\
+                     workspace call graph, L10-L12 over an interprocedural\n\
+                     taint dataflow, L13-L14 over lock-guard live ranges, L15\n\
+                     over paired serializer byte sequences); `--list-rules`\n\
+                     prints the rule table, README.md has the details and\n\
+                     lint.toml the audited allowlist. Any unwaived finding\n\
+                     fails the run.\n\n\
                      `--format json` emits a stable machine-readable report\n\
-                     on stdout. `--write-baseline <file>` snapshots current\n\
-                     findings; `--baseline <file>` fails only on findings\n\
-                     beyond the snapshot (the differential CI gate)."
+                     on stdout."
                 );
                 return;
             }
@@ -82,10 +55,6 @@ fn main() {
                 std::process::exit(2);
             }
         }
-    }
-    if baseline_path.is_some() && write_baseline_path.is_some() {
-        eprintln!("ultra-lint: --baseline and --write-baseline are mutually exclusive");
-        std::process::exit(2);
     }
     let root = root.unwrap_or_else(|| {
         // crates/lint -> workspace root.
@@ -103,58 +72,12 @@ fn main() {
         }
     };
 
-    if let Some(path) = write_baseline_path {
-        let snapshot = Baseline::from_violations(&report.violations);
-        if let Err(e) = std::fs::write(&path, snapshot.render()) {
-            eprintln!("ultra-lint: cannot write {}: {e}", path.display());
-            std::process::exit(2);
-        }
-        println!(
-            "ultra-lint: wrote {} finding key(s) covering {} violation(s) to {}",
-            snapshot.findings.len(),
-            report.violations.len(),
-            path.display()
-        );
-        // Snapshotting accepts the current state by definition; only
-        // analyzer-level rot (stale allowlist entries) still fails.
-        std::process::exit(if report.stale_allows.is_empty() { 0 } else { 1 });
-    }
-
-    let diff = match &baseline_path {
-        None => None,
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(text) => match Baseline::parse(&text) {
-                Ok(base) => Some(base.diff(&report.violations)),
-                Err(e) => {
-                    eprintln!("ultra-lint: {}: {e}", path.display());
-                    std::process::exit(2);
-                }
-            },
-            Err(e) => {
-                eprintln!("ultra-lint: cannot read {}: {e}", path.display());
-                std::process::exit(2);
-            }
-        },
-    };
-
     if json {
-        println!("{}", render_json(&report, diff.as_ref()));
+        println!("{}", render_json(&report));
     } else {
-        render_text(&report, diff.as_ref());
+        render_text(&report);
     }
-    let failed = match &diff {
-        // Differential mode: only findings beyond the snapshot (plus
-        // allowlist rot) fail the gate.
-        Some(diff) => {
-            !report.stale_allows.is_empty()
-                || diff.new.iter().any(|&i| {
-                    let d = &report.violations[i];
-                    d.severity == Severity::Error || (deny_warnings && d.severity == Severity::Warn)
-                })
-        }
-        None => report.failed(deny_warnings),
-    };
-    if failed {
+    if report.failed() {
         std::process::exit(1);
     }
 }
@@ -175,23 +98,12 @@ fn list_rules() -> String {
     out
 }
 
-fn render_text(report: &Report, diff: Option<&BaselineDiff>) {
-    let new_set: Option<std::collections::BTreeSet<usize>> =
-        diff.map(|d| d.new.iter().copied().collect());
-    for (i, d) in report.violations.iter().enumerate() {
-        match &new_set {
-            Some(new) if !new.contains(&i) => println!("{d}\n    [known: in baseline]"),
-            Some(_) => println!("{d}\n    [NEW: not in baseline]"),
-            None => println!("{d}"),
-        }
+fn render_text(report: &Report) {
+    for d in &report.violations {
+        println!("{d}");
     }
     for s in &report.stale_allows {
         println!("lint.toml: stale allowlist entry: {s}");
-    }
-    if let Some(diff) = diff {
-        for s in &diff.stale {
-            println!("baseline: stale entry (rewrite the snapshot): {s}");
-        }
     }
     let errors = report
         .violations
@@ -199,17 +111,9 @@ fn render_text(report: &Report, diff: Option<&BaselineDiff>) {
         .filter(|d| d.severity == Severity::Error)
         .count();
     let warns = report.violations.len() - errors;
-    let baseline_note = match diff {
-        Some(d) => format!(
-            ", {} new / {} known vs baseline",
-            d.new.len(),
-            report.violations.len() - d.new.len()
-        ),
-        None => String::new(),
-    };
     println!(
         "ultra-lint: {} files scanned, {errors} errors, {warns} warnings, {} allowed, \
-         {} stale allowlist entries, {} unresolved calls{baseline_note}",
+         {} stale allowlist entries, {} unresolved calls",
         report.files_scanned,
         report.allowed.len(),
         report.stale_allows.len(),
@@ -217,10 +121,10 @@ fn render_text(report: &Report, diff: Option<&BaselineDiff>) {
     );
 }
 
-/// Renders the report as JSON. Schema v3 (stable; additions only):
+/// Renders the report as JSON. Schema v4:
 ///
 /// ```json
-/// {"version":3,
+/// {"version":4,
 ///  "files_scanned":N, "allowed":N, "unresolved_calls":N,
 ///  "timing":{"lex_parse_ms":N,"analyze_ms":N,"total_ms":N},
 ///  "violations":[{"rule":"...","severity":"...","path":"...","line":N,
@@ -228,23 +132,21 @@ fn render_text(report: &Report, diff: Option<&BaselineDiff>) {
 ///                 "origin":{"desc":"...","path":"...","line":N} | null,
 ///                 "region":{"label":"...","path":"...",
 ///                           "start_line":N,"end_line":N} | null,
-///                 "new":true|false,          // only with --baseline
 ///                 "chain":[{"function":"...","path":"...","line":N}]}],
-///  "stale_allows":["..."],
-///  "baseline":{"known":N,"new":N,"stale":["..."]}}  // only with --baseline
+///  "stale_allows":["..."]}
 /// ```
 ///
 /// v2 over v1: `origin` on every violation (the taint source for L10, null
-/// otherwise), and the `new`/`baseline` fields in differential mode. v3
-/// over v2: `region` (the guard live range for L13/L14, the reader fn span
-/// for L15) and the `timing` section — timing appears *only* here, never in
-/// the text report, which stays byte-identical across thread counts.
+/// otherwise). v3 over v2: `region` (the guard live range for L13/L14, the
+/// reader fn span for L15) and the `timing` section — timing appears *only*
+/// here, never in the text report, which stays byte-identical across
+/// thread counts. v4 over v3: the differential-baseline fields (`new` on
+/// each violation, the top-level `baseline` summary) are gone, and rule
+/// `lock-order` no longer appears.
 /// Hand-rolled (no crates.io in the build image); strings are escaped per
 /// RFC 8259.
-fn render_json(report: &Report, diff: Option<&BaselineDiff>) -> String {
-    let new_set: Option<std::collections::BTreeSet<usize>> =
-        diff.map(|d| d.new.iter().copied().collect());
-    let mut out = String::from("{\"version\":3");
+fn render_json(report: &Report) -> String {
+    let mut out = String::from("{\"version\":4");
     out.push_str(&format!(",\"files_scanned\":{}", report.files_scanned));
     out.push_str(&format!(",\"allowed\":{}", report.allowed.len()));
     out.push_str(&format!(
@@ -288,9 +190,6 @@ fn render_json(report: &Report, diff: Option<&BaselineDiff>) -> String {
             )),
             None => out.push_str(",\"region\":null"),
         }
-        if let Some(new) = &new_set {
-            out.push_str(&format!(",\"new\":{}", new.contains(&i)));
-        }
         out.push_str(",\"chain\":[");
         for (j, frame) in d.chain.iter().enumerate() {
             if j > 0 {
@@ -312,22 +211,7 @@ fn render_json(report: &Report, diff: Option<&BaselineDiff>) -> String {
         }
         out.push_str(&json_str(s));
     }
-    out.push(']');
-    if let Some(diff) = diff {
-        out.push_str(&format!(
-            ",\"baseline\":{{\"known\":{},\"new\":{},\"stale\":[",
-            report.violations.len() - diff.new.len(),
-            diff.new.len()
-        ));
-        for (i, s) in diff.stale.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&json_str(s));
-        }
-        out.push_str("]}");
-    }
-    out.push('}');
+    out.push_str("]}");
     out
 }
 
@@ -415,10 +299,10 @@ mod tests {
     #[test]
     fn json_report_round_trips_through_serde() {
         let report = sample_report();
-        let text = render_json(&report, None);
+        let text = render_json(&report);
         let value: serde_json::Value = serde_json::from_str(&text).expect("valid JSON");
         let num = |v: &serde_json::Value, k: &str| v.get(k).and_then(serde_json::Value::as_u64);
-        assert_eq!(num(&value, "version"), Some(3));
+        assert_eq!(num(&value, "version"), Some(4));
         assert_eq!(num(&value, "files_scanned"), Some(3));
         assert_eq!(num(&value, "unresolved_calls"), Some(7));
         let timing = value.get("timing").expect("timing section");
@@ -444,7 +328,6 @@ mod tests {
             Some("no-panic-reachable-from-serve")
         );
         assert!(violations[0].get("origin").expect("origin key").is_null());
-        assert!(violations[0].get("new").is_none(), "no baseline, no flag");
         let frame = violations[0]
             .get("chain")
             .and_then(|v| v.as_array())
@@ -480,42 +363,6 @@ mod tests {
                 .and_then(|v| v.first())
                 .and_then(serde_json::Value::as_str),
             Some("no-panic-in-lib @ x.rs (gone)")
-        );
-        assert!(value.get("baseline").is_none());
-    }
-
-    #[test]
-    fn json_differential_mode_marks_new_findings() {
-        let report = sample_report();
-        // Baseline knows only the first violation.
-        let base = ultra_lint::baseline::Baseline::from_violations(&report.violations[..1]);
-        let diff = base.diff(&report.violations);
-        let text = render_json(&report, Some(&diff));
-        let value: serde_json::Value = serde_json::from_str(&text).expect("valid JSON");
-        let violations = value
-            .get("violations")
-            .and_then(|v| v.as_array())
-            .expect("violations");
-        assert_eq!(
-            violations[0]
-                .get("new")
-                .and_then(serde_json::Value::as_bool),
-            Some(false)
-        );
-        assert_eq!(
-            violations[1]
-                .get("new")
-                .and_then(serde_json::Value::as_bool),
-            Some(true)
-        );
-        let baseline = value.get("baseline").expect("baseline summary");
-        assert_eq!(
-            baseline.get("known").and_then(serde_json::Value::as_u64),
-            Some(1)
-        );
-        assert_eq!(
-            baseline.get("new").and_then(serde_json::Value::as_u64),
-            Some(1)
         );
     }
 

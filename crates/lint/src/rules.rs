@@ -1,7 +1,8 @@
-//! The fifteen ultra-lint rules.
+//! The fourteen ultra-lint rules (L1–L15; L8 `lock-order` is retired and
+//! its id left unused, because L13 reports every pair it did).
 //!
 //! L1–L6 are pure functions over a single file's token stream (plus its
-//! test-code mask); L7–L9 are interprocedural and live in
+//! test-code mask); L7 and L9 are interprocedural and live in
 //! [`crate::callgraph`]; L10–L12 run over the determinism-taint dataflow
 //! pass in [`crate::dataflow`]; L13/L14 run over lock-guard live ranges
 //! ([`crate::guards`]) and L15 over writer/reader byte-sequence pairs
@@ -31,8 +32,6 @@ pub enum Rule {
     NoRawThreadSpawn,
     /// L7: panic source transitively reachable from a serve entry point.
     NoPanicReachableFromServe,
-    /// L8: a pair of locks acquired in both orders (deadlock hazard).
-    LockOrder,
     /// L9: allocation inside a loop of a `// ultra-lint: hot` function.
     NoAllocInHotLoop,
     /// L10: a nondeterminism source flows into a ranked/serialized output
@@ -57,7 +56,7 @@ pub enum Rule {
 
 impl Rule {
     /// Every rule, in documentation order.
-    pub const ALL: [Rule; 15] = [
+    pub const ALL: [Rule; 14] = [
         Rule::NoUnseededRng,
         Rule::NoHashIterationOrder,
         Rule::NoNanUnwrapSort,
@@ -65,7 +64,6 @@ impl Rule {
         Rule::NoWallclockInScoring,
         Rule::NoRawThreadSpawn,
         Rule::NoPanicReachableFromServe,
-        Rule::LockOrder,
         Rule::NoAllocInHotLoop,
         Rule::NoTaintedRanking,
         Rule::SeededRngOnly,
@@ -85,7 +83,6 @@ impl Rule {
             Rule::NoWallclockInScoring => "no-wallclock-in-scoring",
             Rule::NoRawThreadSpawn => "no-raw-thread-spawn",
             Rule::NoPanicReachableFromServe => "no-panic-reachable-from-serve",
-            Rule::LockOrder => "lock-order",
             Rule::NoAllocInHotLoop => "no-alloc-in-hot-loop",
             Rule::NoTaintedRanking => "no-tainted-ranking",
             Rule::SeededRngOnly => "seeded-rng-only",
@@ -101,7 +98,8 @@ impl Rule {
         Rule::ALL.into_iter().find(|r| r.name() == name)
     }
 
-    /// Stable short id (`L1`…`L15`), used by `--list-rules` and the docs.
+    /// Stable short id (`L1`…`L15`, skipping the retired `L8`), used by
+    /// `--list-rules` and the docs.
     pub fn id(self) -> &'static str {
         match self {
             Rule::NoUnseededRng => "L1",
@@ -111,7 +109,6 @@ impl Rule {
             Rule::NoWallclockInScoring => "L5",
             Rule::NoRawThreadSpawn => "L6",
             Rule::NoPanicReachableFromServe => "L7",
-            Rule::LockOrder => "L8",
             Rule::NoAllocInHotLoop => "L9",
             Rule::NoTaintedRanking => "L10",
             Rule::SeededRngOnly => "L11",
@@ -133,7 +130,6 @@ impl Rule {
             Rule::NoWallclockInScoring => "Instant::now/SystemTime reads in library code",
             Rule::NoRawThreadSpawn => "raw std::thread use outside the execution layer",
             Rule::NoPanicReachableFromServe => "panic source reachable from a serve entry point",
-            Rule::LockOrder => "a pair of locks acquired in both orders",
             Rule::NoAllocInHotLoop => "allocation inside a loop of a `hot` function",
             Rule::NoTaintedRanking => {
                 "nondeterminism source flows into a ranked/serialized output sink"
@@ -158,7 +154,6 @@ impl Rule {
             Rule::NoPanicInLib
             | Rule::NoWallclockInScoring
             | Rule::NoPanicReachableFromServe
-            | Rule::LockOrder
             | Rule::NoAllocInHotLoop
             | Rule::NoTaintedRanking
             | Rule::SeededRngOnly
@@ -170,12 +165,12 @@ impl Rule {
         }
     }
 
-    /// Default severity. Everything is deny by default except L4, L7, L10,
-    /// and L14, whose violations in practice include audited boundary cases
+    /// Default severity. Everything is an error except L4, L7, L10, and
+    /// L14, whose violations in practice include audited boundary cases
     /// (e.g. modulo-bounded indexing, intentionally time-derived metrics,
-    /// deliberately serialized hot sections); they still fail the tier-1
-    /// gate unless allowlisted (the gate runs with `--deny-warnings`), but
-    /// read as "warn" semantics in docs.
+    /// deliberately serialized hot sections). Severity orders and labels
+    /// the report; a finding of either severity fails the run unless
+    /// waived.
     pub fn severity(self) -> Severity {
         match self {
             Rule::NoPanicInLib
@@ -187,14 +182,13 @@ impl Rule {
     }
 }
 
-/// Diagnostic severity. `Error`s fail the run unless allowlisted; `Warn`s
-/// are reported but only fail the run under `--deny-warnings` (which the
-/// tier-1 gate uses, so in practice every finding must be fixed or waived).
+/// Diagnostic severity. Every unwaived finding fails the run; severity
+/// decides report order (errors first) and the label CI annotates with.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
-    /// Reported; fails only under `--deny-warnings`.
+    /// An audited-boundary rule's finding.
     Warn,
-    /// Always fails the run unless allowlisted.
+    /// Any other rule's finding.
     Error,
 }
 

@@ -11,9 +11,8 @@
 //!
 //! **Pairing.** By convention within one file: `to_bytes` ↔ `from_bytes`
 //! (matched per `impl` target, so two types in one file pair correctly)
-//! and `write_X` ↔ `read_X` for any suffix `X`. Non-conventional names are
-//! declared in `lint.toml` as `[[symmetry_pair]]` entries (with staleness
-//! detection like `[[sanitizer]]`).
+//! and `write_X` ↔ `read_X` for any suffix `X`. Every serializer pair in
+//! the workspace follows one of the two conventions.
 //!
 //! **Width ops.** A call contributes an op when its name is a primitive
 //! width (`u8`…`u128`, `i8`…`i16`, `f32`, `f64`) called as a method
@@ -39,15 +38,6 @@
 use crate::dataflow::{Call, Expr, Stmt, StmtKind};
 use crate::parser::{FileModel, FnDef};
 use crate::rules::{Diagnostic, RegionSpan, Rule, TaintOrigin};
-
-/// A writer/reader pair declared in `lint.toml` (non-conventional names).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PairSpec {
-    /// Writer function name.
-    pub writer: String,
-    /// Reader function name.
-    pub reader: String,
-}
 
 /// One primitive-width operation in a function's byte sequence.
 struct WidthOp {
@@ -167,37 +157,9 @@ fn convention_pairs(models: &[FileModel]) -> Vec<Pair> {
     out
 }
 
-/// Resolves one configured pair to definitions: first non-test match of
-/// each name, in (path, fn) order. `None` when either side is missing
-/// (reported as a stale config entry by the caller).
-fn config_pair(models: &[FileModel], spec: &PairSpec) -> Option<Pair> {
-    let find = |name: &str| {
-        models.iter().enumerate().find_map(|(fi, m)| {
-            m.fns
-                .iter()
-                .position(|f| !f.in_test && f.name == name)
-                .map(|fj| (fi, fj))
-        })
-    };
-    Some((find(&spec.writer)?, find(&spec.reader)?))
-}
-
 /// Runs L15 over every paired writer/reader.
-pub(crate) fn check_symmetry(
-    models: &[FileModel],
-    extra_pairs: &[PairSpec],
-    out: &mut Vec<Diagnostic>,
-) {
-    let mut pairs = convention_pairs(models);
-    for spec in extra_pairs {
-        if let Some(p) = config_pair(models, spec) {
-            pairs.push(p);
-        }
-    }
-    pairs.sort();
-    pairs.dedup();
-
-    for (w_id, r_id) in pairs {
+pub(crate) fn check_symmetry(models: &[FileModel], out: &mut Vec<Diagnostic>) {
+    for (w_id, r_id) in convention_pairs(models) {
         let (wm, wf) = (&models[w_id.0], &models[w_id.0].fns[w_id.1]);
         let (rm, rf) = (&models[r_id.0], &models[r_id.0].fns[r_id.1]);
         let w_ops = collect_ops(wf);
@@ -346,22 +308,13 @@ mod tests {
     use crate::lexer::{lex, test_code_mask};
     use crate::parser;
 
-    fn diags_with(files: &[(&str, &str)], pairs: &[PairSpec]) -> Vec<Diagnostic> {
-        let models: Vec<FileModel> = files
-            .iter()
-            .map(|(path, src)| {
-                let lexed = lex(src);
-                let mask = test_code_mask(&lexed.tokens);
-                parser::build(path, &lexed, &mask)
-            })
-            .collect();
-        let mut out = Vec::new();
-        check_symmetry(&models, pairs, &mut out);
-        out
-    }
-
     fn diags(src: &str) -> Vec<Diagnostic> {
-        diags_with(&[("crates/core/src/fmt.rs", src)], &[])
+        let lexed = lex(src);
+        let mask = test_code_mask(&lexed.tokens);
+        let models = [parser::build("crates/core/src/fmt.rs", &lexed, &mask)];
+        let mut out = Vec::new();
+        check_symmetry(&models, &mut out);
+        out
     }
 
     const CLEAN: &str = "impl M {\n\
@@ -421,23 +374,6 @@ mod tests {
         let out = diags(src);
         assert_eq!(out.len(), 1, "{out:?}");
         assert!(out[0].message.contains("field order diverges"), "{out:?}");
-    }
-
-    #[test]
-    fn config_pairs_cover_nonconventional_names() {
-        let src = "fn dump(w: &mut ByteWriter, n: u32) { w.u32(n); w.u8(tag); }\n\
-                   fn load(r: &mut ByteReader) -> u32 { let n = r.u32()?; n }";
-        let quiet = diags_with(&[("crates/core/src/fmt.rs", src)], &[]);
-        assert!(quiet.is_empty(), "not paired by convention: {quiet:?}");
-        let out = diags_with(
-            &[("crates/core/src/fmt.rs", src)],
-            &[PairSpec {
-                writer: "dump".to_string(),
-                reader: "load".to_string(),
-            }],
-        );
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert!(out[0].message.contains("written but never read"));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! L8 fixture: two mutex fields acquired in both orders across two methods.
-//! `consistent` repeats the canonical order and must add no second finding.
+//! Lock-order fixture for L13: two mutexes taken in both orders by two
+//! methods; each nested acquisition is a held-while-acquiring pair.
 
 use std::sync::Mutex;
 

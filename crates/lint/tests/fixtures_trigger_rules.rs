@@ -137,18 +137,27 @@ fn l7_fixture_reports_the_three_deep_chain_and_spares_the_guarded_branch() {
 
 #[test]
 fn l8_fixture_reports_the_order_inversion_once() {
+    // Lock order is L13's: each held-while-acquiring pair is reported, so
+    // the inversion shows at both of its sites (14 and 20), and
+    // `consistent` repeats the `alpha`-then-`beta` pair (26).
     let diags = check_source("crates/serve/src/pair.rs", &fixture("l8_lock_order.rs"));
-    let l8: Vec<_> = diags.iter().filter(|d| d.rule == Rule::LockOrder).collect();
-    assert_eq!(
-        l8.len(),
-        1,
-        "one finding for the pair, not one per method: {diags:?}"
-    );
-    assert!(
-        l8[0].message.contains("`alpha` and `beta`"),
-        "names both locks: {}",
-        l8[0].message
-    );
+    let l13: Vec<_> = diags
+        .iter()
+        .filter(|d| d.rule == Rule::NoBlockingUnderLock)
+        .collect();
+    let lines: Vec<u32> = l13.iter().map(|d| d.line).collect();
+    assert_eq!(lines, vec![14, 20, 26], "{diags:#?}");
+    for (d, (held, taken)) in
+        l13.iter()
+            .zip([("alpha", "beta"), ("beta", "alpha"), ("alpha", "beta")])
+    {
+        assert!(
+            d.message
+                .contains(&format!("lock `{taken}` acquired while guard `{held}`")),
+            "{}",
+            d.message
+        );
+    }
 }
 
 #[test]

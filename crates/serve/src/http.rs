@@ -115,7 +115,7 @@ fn read_line(stream: &mut impl BufRead) -> Result<String, HttpError> {
 /// Parses headers up to the blank line; returns pairs and `Content-Length`.
 fn read_headers(stream: &mut impl BufRead) -> Result<(Vec<(String, String)>, usize), HttpError> {
     let mut headers = Vec::new();
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
     loop {
         let line = read_line(stream)?;
         if line.is_empty() {
@@ -134,18 +134,24 @@ fn read_headers(stream: &mut impl BufRead) -> Result<(Vec<(String, String)>, usi
         let name = name.trim().to_ascii_lowercase();
         let value = value.trim().to_string();
         if name == "content-length" {
-            content_length = value
+            let len: usize = value
                 .parse()
                 .map_err(|_| HttpError::Malformed(format!("bad Content-Length `{value}`")))?;
-            if content_length > MAX_BODY {
-                return Err(HttpError::TooLarge(format!(
-                    "body of {content_length} bytes"
+            // RFC 9112 §6.3: repeats that disagree leave the body's framing
+            // ambiguous, so the message is invalid; identical repeats are not.
+            if let Some(first) = content_length.filter(|&first| first != len) {
+                return Err(HttpError::Malformed(format!(
+                    "conflicting Content-Length values {first} and {len}"
                 )));
             }
+            if len > MAX_BODY {
+                return Err(HttpError::TooLarge(format!("body of {len} bytes")));
+            }
+            content_length = Some(len);
         }
         headers.push((name, value));
     }
-    Ok((headers, content_length))
+    Ok((headers, content_length.unwrap_or(0)))
 }
 
 fn read_body(stream: &mut impl BufRead, len: usize) -> Result<Vec<u8>, HttpError> {
@@ -311,6 +317,44 @@ mod tests {
             Err(HttpError::Malformed(_))
         ));
         assert!(matches!(parse_req(""), Err(HttpError::UnexpectedEof)));
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_malformed_but_identical_repeats_parse() {
+        assert!(matches!(
+            parse_req("POST / HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 5\r\n\r\nabcde"),
+            Err(HttpError::Malformed(_))
+        ));
+        let req =
+            parse_req("POST / HTTP/1.1\r\nContent-Length: 4\r\ncontent-length: 4\r\n\r\nabcd")
+                .expect("identical repeats parse");
+        assert_eq!(req.body, b"abcd");
+    }
+
+    #[test]
+    fn line_and_header_caps_are_inclusive() {
+        // A header line of exactly MAX_LINE bytes parses; one more byte is
+        // too large.
+        let header = |len: usize| format!("x-pad: {}", "a".repeat(len - "x-pad: ".len()));
+        let at_cap = format!("GET / HTTP/1.1\r\n{}\r\n\r\n", header(MAX_LINE));
+        assert!(parse_req(&at_cap).is_ok());
+        let over = format!("GET / HTTP/1.1\r\n{}\r\n\r\n", header(MAX_LINE + 1));
+        assert!(matches!(parse_req(&over), Err(HttpError::TooLarge(_))));
+
+        // MAX_HEADERS headers parse; one more is too large.
+        let with_headers = |n: usize| {
+            let mut raw = String::from("GET / HTTP/1.1\r\n");
+            for i in 0..n {
+                raw.push_str(&format!("x-h{i}: v\r\n"));
+            }
+            raw + "\r\n"
+        };
+        let req = parse_req(&with_headers(MAX_HEADERS)).expect("MAX_HEADERS headers parse");
+        assert_eq!(req.headers.len(), MAX_HEADERS);
+        assert!(matches!(
+            parse_req(&with_headers(MAX_HEADERS + 1)),
+            Err(HttpError::TooLarge(_))
+        ));
     }
 
     #[test]

@@ -11,9 +11,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
-/// Lock order (checked by L8 `lock-order`): `queue` is the pool's only
-/// internal lock and is never held across the handler call or any cache
-/// shard acquisition — the canonical workspace order is `queue` before
+/// Lock order (checked by L13 `no-blocking-under-lock`): `queue` is the
+/// pool's only internal lock and is never held across the handler call or
+/// any cache shard acquisition — the canonical workspace order is `queue` before
 /// shards, enforced by dropping the queue guard before a job runs.
 struct PoolShared<T> {
     queue: Mutex<VecDeque<T>>,
