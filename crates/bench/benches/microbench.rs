@@ -29,7 +29,7 @@ fn bench_encoding(c: &mut Criterion) {
     let sentence = world.corpus.sentence(sid);
     c.bench_function("encode_context_bag", |b| {
         b.iter(|| {
-            let bag = enc.context_bag(&world, sentence, e, &[]);
+            let bag = enc.context_bag(&world, sentence, e);
             std::hint::black_box(enc.encode_bag(&bag))
         })
     });

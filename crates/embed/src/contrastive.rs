@@ -12,11 +12,10 @@
 //!
 //! The paper appends the query's seed entities to every training sample "to
 //! implicitly specify the corresponding ultra-fine-grained semantics".
-//! [`QueryLists::seed_tokens`] implements that hook, but the default miner
-//! leaves it empty: with *bag-of-token* contexts (unlike BERT's positional
-//! attention) the appended seed tokens become a dominant shared component
-//! across anchor, positive *and* negative bags, which washes out the
-//! per-sentence signal (measured: final pos/neg margin 0.88 without the
+//! This reproduction does not: with *bag-of-token* contexts (unlike BERT's
+//! positional attention) the appended seed tokens become a dominant shared
+//! component across anchor, positive *and* negative bags, which washes out
+//! the per-sentence signal (measured: final pos/neg margin 0.88 without the
 //! append vs 0.28 with it). Cross-query pair conflicts are instead resolved
 //! by mining per-query lists.
 //!
@@ -40,9 +39,6 @@ use ultra_par::{Pool, WorkerTeam};
 pub struct QueryLists {
     /// The query's ultra-fine-grained class.
     pub ultra: UltraClassId,
-    /// Mention tokens of the query's positive and negative seeds, appended
-    /// to every training context of this query.
-    pub seed_tokens: Vec<TokenId>,
     /// Entities the annotator deemed consistent with the positive seeds.
     pub l_pos: Vec<EntityId>,
     /// Entities deemed consistent with the negative seeds.
@@ -198,21 +194,21 @@ fn build_example(
     anchor_entity: EntityId,
     rng: &mut UltraRng,
 ) -> Option<ContrastiveExample> {
-    let anchor_bag = sample_bag(enc, world, anchor_entity, &q.seed_tokens, rng)?;
+    let anchor_bag = sample_bag(enc, world, anchor_entity, rng)?;
     // Positive: same-list entity (or the anchor entity itself).
     let pos_entity = if pair_cfg.cross_entity_positives && own.len() > 1 {
         own[rng.gen_range(0..own.len())]
     } else {
         anchor_entity
     };
-    let pos_bag = sample_bag(enc, world, pos_entity, &q.seed_tokens, rng)?;
+    let pos_bag = sample_bag(enc, world, pos_entity, rng)?;
     // Negatives: hard first (they carry `hard_weight`), then normal.
     let mut neg_bags: Vec<Vec<TokenId>> = Vec::new();
     let mut weights: Vec<f32> = Vec::new();
     if pair_cfg.hard_negatives && !other.is_empty() {
         for _ in 0..pair_cfg.hard_per_anchor {
             let ne = other[rng.gen_range(0..other.len())];
-            if let Some(b) = sample_bag(enc, world, ne, &q.seed_tokens, rng) {
+            if let Some(b) = sample_bag(enc, world, ne, rng) {
                 neg_bags.push(b);
                 weights.push(pair_cfg.hard_weight);
             }
@@ -221,7 +217,7 @@ fn build_example(
     if pair_cfg.normal_negatives && !q.outside.is_empty() {
         for _ in 0..pair_cfg.normal_per_anchor {
             let ne = q.outside[rng.gen_range(0..q.outside.len())];
-            if let Some(b) = sample_bag(enc, world, ne, &q.seed_tokens, rng) {
+            if let Some(b) = sample_bag(enc, world, ne, rng) {
                 neg_bags.push(b);
                 weights.push(1.0);
             }
@@ -355,7 +351,7 @@ fn step_batch(
         wss.chunks[done.chunk] = done.ws;
     }
     // Left-fold losses and accumulators in chunk order — the same fixed
-    // reduction the sequential fused step performs.
+    // reduction the per-example reference performs.
     let mut loss_sum = 0.0f32;
     for &l in &chunk_losses {
         loss_sum += l;
@@ -390,12 +386,11 @@ pub fn contrastive_batch_step_pooled(
     )
 }
 
-/// Samples one masked-context bag for `entity`, with seed tokens appended.
+/// Samples one masked-context bag for `entity`.
 fn sample_bag(
     enc: &EntityEncoder,
     world: &World,
     entity: EntityId,
-    seed_tokens: &[TokenId],
     rng: &mut UltraRng,
 ) -> Option<Vec<TokenId>> {
     let sids = world.corpus.sentences_of(entity);
@@ -403,7 +398,7 @@ fn sample_bag(
         return None;
     }
     let sid = sids[rng.gen_range(0..sids.len())];
-    Some(enc.context_bag(world, world.corpus.sentence(sid), entity, seed_tokens))
+    Some(enc.context_bag(world, world.corpus.sentence(sid), entity))
 }
 
 #[cfg(test)]
@@ -421,9 +416,6 @@ mod tests {
     /// for one ultra class — unit tests need no oracle.
     fn perfect_lists(world: &World) -> MinedLists {
         let u = &world.ultra_classes[0];
-        let q = &u.queries[0];
-        let _ = q;
-        let seed_tokens: Vec<TokenId> = Vec::new();
         let outside: Vec<EntityId> = world.classes[1].entities.iter().copied().take(10).collect();
         // N may contain entities that also satisfy the positive constraint
         // (Figure 3's overlap); a perfect annotator lists only clear-cut
@@ -438,7 +430,6 @@ mod tests {
         MinedLists {
             queries: vec![QueryLists {
                 ultra: u.id,
-                seed_tokens,
                 l_pos: u.pos_targets.iter().copied().take(8).collect(),
                 l_neg,
                 outside,

@@ -11,7 +11,7 @@ use ultra_data::World;
 use ultra_nn::{
     infonce_weighted_into, l2_normalize, l2_normalize_backward, l2_normalize_backward_into,
     label_smoothed_ce, Activation, EmbeddingBag, Matrix, Mlp, MlpGrad, MlpT, Sgd, SparseGrad,
-    SparseSink, TrainWorkspace, TrainWorkspaces,
+    SparseSink, TrainWorkspace,
 };
 
 /// One fully sampled contrastive training example: the anchor, positive,
@@ -28,62 +28,6 @@ pub struct ContrastiveExample {
     pub neg_bags: Vec<Vec<TokenId>>,
     /// Per-negative InfoNCE weights (`None` = uniform).
     pub weights: Option<Vec<f32>>,
-}
-
-/// Borrowed view of a contrastive example — the zero-copy twin of
-/// [`ContrastiveExample`] for call sites that already own the bags. The
-/// per-sample ablation path used to clone every bag (anchor, positive,
-/// each negative, the weights) just to enter the batch machinery; this
-/// view routes it through the same fused kernel without a single copy.
-#[derive(Clone, Copy, Debug)]
-pub struct ContrastiveExampleRef<'a> {
-    /// Anchor context bag.
-    pub anchor_bag: &'a [TokenId],
-    /// Positive context bag.
-    pub pos_bag: &'a [TokenId],
-    /// Negative context bags.
-    pub neg_bags: &'a [Vec<TokenId>],
-    /// Per-negative InfoNCE weights (`None` = uniform).
-    pub weights: Option<&'a [f32]>,
-}
-
-/// Uniform access to owned and borrowed examples so the fused chunk
-/// kernel is written once.
-pub(crate) trait ExampleView {
-    fn anchor_bag(&self) -> &[TokenId];
-    fn pos_bag(&self) -> &[TokenId];
-    fn neg_bags(&self) -> &[Vec<TokenId>];
-    fn weights(&self) -> Option<&[f32]>;
-}
-
-impl ExampleView for ContrastiveExample {
-    fn anchor_bag(&self) -> &[TokenId] {
-        &self.anchor_bag
-    }
-    fn pos_bag(&self) -> &[TokenId] {
-        &self.pos_bag
-    }
-    fn neg_bags(&self) -> &[Vec<TokenId>] {
-        &self.neg_bags
-    }
-    fn weights(&self) -> Option<&[f32]> {
-        self.weights.as_deref()
-    }
-}
-
-impl ExampleView for ContrastiveExampleRef<'_> {
-    fn anchor_bag(&self) -> &[TokenId] {
-        self.anchor_bag
-    }
-    fn pos_bag(&self) -> &[TokenId] {
-        self.pos_bag
-    }
-    fn neg_bags(&self) -> &[Vec<TokenId>] {
-        self.neg_bags
-    }
-    fn weights(&self) -> Option<&[f32]> {
-        self.weights
-    }
 }
 
 /// Chunks per training batch. Fixed — never derived from the thread count
@@ -197,18 +141,15 @@ impl EntityEncoder {
 
     /// Builds the context bag for `(sentence, entity)`: the sentence with
     /// the entity's mentions replaced by `[MASK]`, prefixed by the
-    /// configured augmentation tokens, plus any `extra` tokens (contrastive
-    /// training appends the query's seed mention tokens here).
+    /// configured augmentation tokens.
     pub fn context_bag(
         &self,
         world: &World,
         sentence: &Sentence,
         entity: EntityId,
-        extra: &[TokenId],
     ) -> Vec<TokenId> {
         let mut bag = self.cfg.augment.prefix_tokens(world, entity);
         bag.extend(sentence.masked(entity, self.mask));
-        bag.extend_from_slice(extra);
         bag
     }
 
@@ -216,13 +157,8 @@ impl EntityEncoder {
     /// `h = tanh(mean E[t]) - c`. The center `c` is zero until
     /// [`calibrate_center`](Self::calibrate_center) runs.
     pub fn encode_bag(&self, tokens: &[TokenId]) -> Vec<f32> {
-        let mut h = self
-            .emb
-            .forward(tokens)
-            .unwrap_or_else(|| vec![0.0; self.cfg.dim]);
-        for (x, c) in h.iter_mut().zip(&self.center) {
-            *x = x.tanh() - c;
-        }
+        let mut h = vec![0.0; self.cfg.dim];
+        self.encode_bag_into(tokens, &mut h);
         h
     }
 
@@ -243,7 +179,7 @@ impl EntityEncoder {
             let Some(&(_, entity)) = s.mentions.first() else {
                 continue;
             };
-            let bag = self.context_bag(world, s, entity, &[]);
+            let bag = self.context_bag(world, s, entity);
             let h = self.encode_bag(&bag);
             for (a, x) in acc.iter_mut().zip(&h) {
                 *a += *x as f64;
@@ -252,16 +188,9 @@ impl EntityEncoder {
         self.center = acc.iter().map(|a| (*a / samples as f64) as f32).collect();
     }
 
-    /// Accumulates embedding gradients for `dL/dh` through the tanh
-    /// (the additive center is a constant under the gradient).
-    fn encode_bag_backward(&mut self, tokens: &[TokenId], h: &[f32], dh: &[f32]) {
-        let dz = self.encode_bag_backward_dz(h, dh);
-        self.emb.backward(tokens, &dz);
-    }
-
-    /// Detached-buffer variant of
-    /// [`encode_bag_backward`](Self::encode_bag_backward); same math, but
-    /// `self` stays frozen so batches can run in parallel.
+    /// Accumulates embedding gradients for `dL/dh` through the tanh (the
+    /// additive center is a constant under the gradient) into the
+    /// reference [`SparseGrad`] map.
     fn encode_bag_backward_into(
         &self,
         tokens: &[TokenId],
@@ -273,9 +202,9 @@ impl EntityEncoder {
         self.emb.backward_into(tokens, &dz, g);
     }
 
-    /// Allocation-free twin of [`encode_bag`](Self::encode_bag): writes
-    /// `tanh(mean E[t]) - c` into `out`. Bit-identical to the allocating
-    /// path, including the empty-bag case (`0.0.tanh() - c`).
+    /// [`encode_bag`](Self::encode_bag) into a caller-owned buffer:
+    /// writes `tanh(mean E[t]) - c` into `out` (an empty bag encodes as
+    /// `0.0.tanh() - c`).
     // ultra-lint: hot
     pub(crate) fn encode_bag_into(&self, tokens: &[TokenId], out: &mut [f32]) {
         if !self.emb.forward_into(tokens, out) {
@@ -286,7 +215,7 @@ impl EntityEncoder {
         }
     }
 
-    /// The tanh pre-activation gradient shared by both backward variants.
+    /// The tanh pre-activation gradient of the encoder.
     fn encode_bag_backward_dz(&self, h: &[f32], dh: &[f32]) -> Vec<f32> {
         dh.iter()
             .zip(h.iter().zip(&self.center))
@@ -315,27 +244,32 @@ impl EntityEncoder {
     pub fn train_entity_prediction(&mut self, world: &World) {
         let mut rng = derive_rng(self.cfg.seed, stream_label("entity-prediction"));
         let examples = self.collect_examples(world, &mut rng);
+        // One sparse accumulator for the whole run, shaped once and
+        // cleared after every step.
+        let mut sink = SparseSink::new();
+        sink.ensure(self.emb.vocab_size(), self.cfg.dim);
         for _epoch in 0..self.cfg.epochs {
             let mut order: Vec<usize> = (0..examples.len()).collect();
             order.shuffle(&mut rng);
             for &i in &order {
                 let (sid, entity) = examples[i];
                 let sentence = world.corpus.sentence(sid);
-                let bag = self.context_bag(world, sentence, entity, &[]);
-                self.entity_prediction_step(&bag, entity, &mut rng);
+                let bag = self.context_bag(world, sentence, entity);
+                self.entity_prediction_step(&bag, entity, &mut sink, &mut rng);
             }
         }
         // Calibrate the common-mode center once representations settle.
         self.calibrate_center(world, 2000);
     }
 
-    /// One sampled-softmax SGD step. Exposed for the alternating
-    /// entity-prediction/contrastive schedule.
+    /// One sampled-softmax SGD step; the embedding gradient goes through
+    /// `sink`, which is left empty.
     // ultra-lint: hot
-    pub(crate) fn entity_prediction_step(
+    fn entity_prediction_step(
         &mut self,
         bag: &[TokenId],
         gold: EntityId,
+        sink: &mut SparseSink,
         rng: &mut UltraRng,
     ) {
         let h = self.encode_bag(bag);
@@ -369,43 +303,11 @@ impl EntityEncoder {
                 row[j] -= lr * (d * h[j] + wd * row[j]);
             }
         }
-        self.encode_bag_backward(bag, &h, &dh);
-        self.emb.apply_sparse_sgd(lr, wd, self.cfg.clip);
-    }
-
-    /// One InfoNCE step over already-built context bags. Returns the loss.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn contrastive_step(
-        &mut self,
-        anchor_bag: &[TokenId],
-        pos_bag: &[TokenId],
-        neg_bags: &[Vec<TokenId>],
-    ) -> f32 {
-        self.contrastive_step_weighted(anchor_bag, pos_bag, neg_bags, None)
-    }
-
-    /// [`contrastive_step`](Self::contrastive_step) with per-negative
-    /// weights (the Section 6.2 "amplify hard negatives" experiment).
-    /// Routed as a borrowed batch of one through the fused chunk kernel —
-    /// no bag is cloned (the historical implementation copied every bag
-    /// into an owned [`ContrastiveExample`] first).
-    pub(crate) fn contrastive_step_weighted(
-        &mut self,
-        anchor_bag: &[TokenId],
-        pos_bag: &[TokenId],
-        neg_bags: &[Vec<TokenId>],
-        weights: Option<&[f32]>,
-    ) -> f32 {
-        let ex = ContrastiveExampleRef {
-            anchor_bag,
-            pos_bag,
-            neg_bags,
-            weights,
-        };
-        let mut ws = TrainWorkspace::new();
-        let loss = self.contrastive_chunk_grads(std::slice::from_ref(&ex), &mut ws);
-        self.apply_contrastive_update(&ws.proj_grad, &ws.sink);
-        loss
+        let dz = self.encode_bag_backward_dz(&h, &dh);
+        self.emb.backward_into_sink(bag, &dz, sink);
+        self.emb
+            .apply_sparse_sgd_from_sink(sink, lr, wd, self.cfg.clip);
+        sink.clear();
     }
 
     /// Gradients of the InfoNCE loss for one example, computed against the
@@ -453,8 +355,8 @@ impl EntityEncoder {
     /// Returns the chunk's loss sum, left-folded in example order.
     ///
     /// The fusion: every bag of every example becomes one row of `ws.h`,
-    /// the projection head runs as two blocked GEMMs over the whole chunk
-    /// ([`Mlp::forward_batch`]), and the backward pass accumulates
+    /// the projection head runs as two sweep-form GEMMs over the whole
+    /// chunk ([`Mlp::forward_batch_pret`]), and the backward pass accumulates
     /// straight into the chunk-level `proj_grad` / `sink` accumulators —
     /// no per-example gradient structs, no allocations after warm-up.
     /// Bit-equality with the per-example reference path
@@ -462,16 +364,16 @@ impl EntityEncoder {
     /// is pinned by the fused-vs-reference proptest in
     /// `tests/par_determinism.rs`.
     // ultra-lint: hot
-    pub(crate) fn contrastive_chunk_grads<E: ExampleView>(
+    pub(crate) fn contrastive_chunk_grads(
         &self,
-        examples: &[E],
+        examples: &[ContrastiveExample],
         ws: &mut TrainWorkspace,
     ) -> f32 {
         let mut rows = 0usize;
         let mut max_logits = 1usize;
         for ex in examples {
-            rows += 2 + ex.neg_bags().len();
-            max_logits = max_logits.max(1 + ex.neg_bags().len());
+            rows += 2 + ex.neg_bags.len();
+            max_logits = max_logits.max(1 + ex.neg_bags.len());
         }
         ws.ensure(&self.proj, self.emb.vocab_size(), rows, max_logits);
         ws.reset();
@@ -479,16 +381,16 @@ impl EntityEncoder {
         //    (anchor, positive, negatives…).
         let mut r = 0usize;
         for ex in examples {
-            self.encode_bag_into(ex.anchor_bag(), ws.h.row_mut(r));
-            self.encode_bag_into(ex.pos_bag(), ws.h.row_mut(r + 1));
-            for (k, nb) in ex.neg_bags().iter().enumerate() {
+            self.encode_bag_into(&ex.anchor_bag, ws.h.row_mut(r));
+            self.encode_bag_into(&ex.pos_bag, ws.h.row_mut(r + 1));
+            for (k, nb) in ex.neg_bags.iter().enumerate() {
                 self.encode_bag_into(nb, ws.h.row_mut(r + 2 + k));
             }
-            r += 2 + ex.neg_bags().len();
+            r += 2 + ex.neg_bags.len();
         }
         // 2) Project the whole chunk: two sweep-form GEMMs against the
-        //    transposed weight snapshot (bit-identical to the dot-form
-        //    `forward_batch`, ~2x faster — see `matmat_nt_pret_into`).
+        //    transposed weight snapshot (bit-identical to per-row
+        //    `Mlp::forward` — see `matmat_nt_pret_into`).
         self.proj.forward_batch_pret(
             &self.proj_t,
             &ws.h,
@@ -508,7 +410,7 @@ impl EntityEncoder {
         let mut loss_sum = 0.0f32;
         let mut base = 0usize;
         for ex in examples {
-            let k = ex.neg_bags().len();
+            let k = ex.neg_bags.len();
             let z = ws.z.as_slice();
             let anchor = &z[base * d..(base + 1) * d];
             let positive = &z[(base + 1) * d..(base + 2) * d];
@@ -520,7 +422,7 @@ impl EntityEncoder {
                 anchor,
                 positive,
                 negatives,
-                ex.weights(),
+                ex.weights.as_deref(),
                 self.cfg.tau,
                 &mut ws.logits[..1 + k],
                 d_anchor,
@@ -561,12 +463,12 @@ impl EntityEncoder {
         }
         let mut rr = 0usize;
         for ex in examples {
-            self.bag_grad_into_sink(ex.anchor_bag(), rr, ws);
-            self.bag_grad_into_sink(ex.pos_bag(), rr + 1, ws);
-            for (k, nb) in ex.neg_bags().iter().enumerate() {
+            self.bag_grad_into_sink(&ex.anchor_bag, rr, ws);
+            self.bag_grad_into_sink(&ex.pos_bag, rr + 1, ws);
+            for (k, nb) in ex.neg_bags.iter().enumerate() {
                 self.bag_grad_into_sink(nb, rr + 2 + k, ws);
             }
-            rr += 2 + ex.neg_bags().len();
+            rr += 2 + ex.neg_bags.len();
         }
         loss_sum
     }
@@ -589,8 +491,6 @@ impl EntityEncoder {
 
     /// Applies one batch's merged gradients: accumulate into the
     /// projection head, one SGD step, then the sparse embedding update.
-    /// Shared by every batch path (fused, per-sample, worker-team) so the
-    /// optimizer arithmetic cannot drift between them.
     pub(crate) fn apply_contrastive_update(&mut self, proj_g: &MlpGrad, sink: &SparseSink) {
         self.proj.accumulate(proj_g);
         let lr = self.cfg.contrastive_lr;
@@ -602,40 +502,14 @@ impl EntityEncoder {
             .apply_sparse_sgd_from_sink(sink, lr, self.cfg.weight_decay, self.cfg.clip);
     }
 
-    /// One fused optimizer step over a batch: cost-weighted chunk
-    /// boundaries, the fused chunk kernel per chunk, chunk accumulators
-    /// merged in chunk order (a fixed reduction tree), one parameter
-    /// update. Returns the mean loss. Sequential over chunks — the
-    /// worker-team path in `contrastive.rs` runs the same chunks on
-    /// threads and is bit-identical by construction.
-    pub fn contrastive_batch_step_fused(
-        &mut self,
-        examples: &[ContrastiveExample],
-        wss: &mut TrainWorkspaces,
-    ) -> f32 {
-        if examples.is_empty() {
-            return 0.0;
-        }
-        let bounds = batch_boundaries(examples, self.cfg.dim);
-        if wss.chunks.len() < bounds.len() {
-            wss.chunks.resize_with(bounds.len(), TrainWorkspace::new);
-        }
-        let mut loss_sum = 0.0f32;
-        for (c, r) in bounds.iter().enumerate() {
-            loss_sum += self.contrastive_chunk_grads(&examples[r.start..r.end], &mut wss.chunks[c]);
-        }
-        merge_chunk_accumulators(&mut wss.chunks, bounds.len());
-        let first = &wss.chunks[0];
-        self.apply_contrastive_update(&first.proj_grad, &first.sink);
-        loss_sum / examples.len() as f32
-    }
-
-    /// Per-example reference for the fused batch step: identical chunk
-    /// boundaries and reduction order, but gradients computed one example
-    /// at a time through the allocating path
-    /// ([`contrastive_grads_into`](Self::contrastive_grads_into)). Exists
-    /// to pin the fused kernel — the determinism proptests assert both
-    /// paths produce bit-identical losses and parameters.
+    /// Per-example reference for the worker-team batch step
+    /// ([`contrastive_batch_step_pooled`](crate::contrastive_batch_step_pooled)):
+    /// identical chunk boundaries and reduction order, but gradients
+    /// computed one example at a time through the allocating path
+    /// ([`contrastive_grads_into`](Self::contrastive_grads_into)) into the
+    /// [`SparseGrad`] map. Exists to pin the fused kernel — the determinism
+    /// proptest asserts both paths produce bit-identical losses and
+    /// parameters.
     pub fn contrastive_batch_step_reference(&mut self, examples: &[ContrastiveExample]) -> f32 {
         if examples.is_empty() {
             return 0.0;
@@ -729,7 +603,7 @@ impl EntityEncoder {
             }
             let row = mat.row_mut(e.id.index());
             for sid in &chosen {
-                let bag = self.context_bag(world, world.corpus.sentence(*sid), e.id, &[]);
+                let bag = self.context_bag(world, world.corpus.sentence(*sid), e.id);
                 let h = self.encode_bag(&bag);
                 for (r, x) in row.iter_mut().zip(&h) {
                     *r += x;
@@ -793,7 +667,7 @@ mod tests {
         let enc = EntityEncoder::new(&w, quick_cfg());
         let s = w.corpus.sentence(ultra_core::SentenceId::new(0));
         let e = s.mentions[0].1;
-        let bag = enc.context_bag(&w, s, e, &[]);
+        let bag = enc.context_bag(&w, s, e);
         let h = enc.encode_bag(&bag);
         assert_eq!(h.len(), enc.dim());
         assert!(h.iter().all(|x| x.abs() <= 1.0));
@@ -806,7 +680,7 @@ mod tests {
         let e = w.classes[0].entities[0];
         let sid = w.corpus.sentences_of(e)[0];
         let s = w.corpus.sentence(sid);
-        let bag = enc.context_bag(&w, s, e, &[]);
+        let bag = enc.context_bag(&w, s, e);
         assert!(!bag.contains(&w.mention_tokens[e.index()]));
         assert!(bag.contains(&w.vocab.mask()));
     }
@@ -848,7 +722,7 @@ mod tests {
     }
 
     #[test]
-    fn contrastive_step_pulls_anchor_toward_positive() {
+    fn contrastive_steps_pull_anchor_toward_positive() {
         let w = world();
         let mut enc = EntityEncoder::new(&w, quick_cfg());
         let e0 = w.classes[0].entities[0];
@@ -856,7 +730,7 @@ mod tests {
         let e2 = w.classes[5].entities[0];
         let bag = |enc: &EntityEncoder, e: EntityId| {
             let sid = w.corpus.sentences_of(e)[0];
-            enc.context_bag(&w, w.corpus.sentence(sid), e, &[])
+            enc.context_bag(&w, w.corpus.sentence(sid), e)
         };
         let (a, p, n) = (bag(&enc, e0), bag(&enc, e1), bag(&enc, e2));
         let sim_before = {
@@ -864,9 +738,21 @@ mod tests {
             let zp = enc.project(&enc.encode_bag(&p));
             cosine(&za, &zp)
         };
+        let ex = ContrastiveExample {
+            anchor_bag: a.clone(),
+            pos_bag: p.clone(),
+            neg_bags: vec![n],
+            weights: None,
+        };
+        let (pool, mut wss) = (ultra_par::Pool::new(1), ultra_nn::TrainWorkspaces::new(1));
         let mut last = f32::INFINITY;
         for _ in 0..30 {
-            last = enc.contrastive_step(&a, &p, std::slice::from_ref(&n));
+            last = crate::contrastive_batch_step_pooled(
+                &mut enc,
+                std::slice::from_ref(&ex),
+                &pool,
+                &mut wss,
+            );
         }
         let sim_after = {
             let za = enc.project(&enc.encode_bag(&a));

@@ -16,7 +16,16 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--root" => root = args.next().map(PathBuf::from),
+            "--root" => match args.next() {
+                Some(dir) if !dir.starts_with("--") => root = Some(PathBuf::from(dir)),
+                other => {
+                    eprintln!(
+                        "ultra-lint: --root takes a directory, got `{}`",
+                        other.as_deref().unwrap_or("<none>")
+                    );
+                    std::process::exit(2);
+                }
+            },
             "--list-rules" => {
                 print!("{}", list_rules());
                 return;

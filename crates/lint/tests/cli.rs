@@ -1,6 +1,6 @@
 //! The `ultra-lint` binary end to end: strict exit codes, the JSON report
 //! (schema v4) on a scratch workspace, the `--list-rules` registry, and
-//! rejection of unknown arguments.
+//! rejection of unknown arguments and of a `--root` without a directory.
 
 use serde_json::Value;
 use std::path::{Path, PathBuf};
@@ -153,6 +153,19 @@ fn retired_flags_are_unknown_arguments() {
             err.contains(&format!("unknown argument `{}`", args[0])),
             "{args:?}: {err}"
         );
+        assert!(out.stdout.is_empty(), "{args:?} must not lint anything");
+    }
+}
+
+#[test]
+fn root_without_a_directory_is_a_usage_error() {
+    // Neither form may fall back to linting the default workspace, and the
+    // second must not take `--format` as the directory.
+    for args in [&["--root"][..], &["--root", "--format", "json"]] {
+        let out = lint(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("--root takes a directory"), "{args:?}: {err}");
         assert!(out.stdout.is_empty(), "{args:?} must not lint anything");
     }
 }

@@ -6,17 +6,18 @@
 //! O(vocabulary) per step.
 
 use crate::matrix::Matrix;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use ultra_core::rng::UltraRng;
 use ultra_core::TokenId;
 
-/// A detached sparse gradient buffer: token row → gradient vector.
+/// A detached sparse gradient buffer: token row → gradient vector — the
+/// reference accumulator that [`SparseSink`] is pinned against.
 ///
 /// Backed by a `BTreeMap` so that traversal order is the token order — a
 /// pure function of the content, never of hashing — which keeps merged
 /// buffers and their parameter updates deterministic. Per-sample buffers
-/// are filled in parallel via [`EmbeddingBag::backward_into`] and merged in
-/// sample order with [`merge`](Self::merge).
+/// are filled via [`EmbeddingBag::backward_into`] and merged in sample
+/// order with [`merge`](Self::merge).
 #[derive(Clone, Debug, Default)]
 pub struct SparseGrad {
     grads: BTreeMap<u32, Vec<f32>>,
@@ -69,7 +70,8 @@ impl SparseGrad {
 }
 
 /// Reusable sparse-gradient accumulator with O(touched) clearing — the
-/// workspace counterpart of [`SparseGrad`].
+/// training accumulator of both encoder heads, and the workspace
+/// counterpart of [`SparseGrad`].
 ///
 /// `SparseGrad`'s `BTreeMap` allocates a node per touched row per batch;
 /// at ~140 touched rows × thousands of batches that allocation traffic
@@ -170,11 +172,12 @@ impl SparseSink {
     }
 }
 
-/// Mean-pooled embedding lookup with sparse gradient accumulation.
+/// Mean-pooled embedding lookup. Gradients accumulate outside the layer,
+/// in a [`SparseSink`] (or the reference [`SparseGrad`]), and are applied
+/// with a sparse SGD row update.
 #[derive(Clone, Debug)]
 pub struct EmbeddingBag {
     table: Matrix,
-    sparse_grads: HashMap<u32, Vec<f32>>,
 }
 
 impl EmbeddingBag {
@@ -182,7 +185,6 @@ impl EmbeddingBag {
     pub fn new(vocab_size: usize, dim: usize, rng: &mut UltraRng) -> Self {
         Self {
             table: Matrix::xavier(vocab_size, dim, rng),
-            sparse_grads: HashMap::new(),
         }
     }
 
@@ -206,23 +208,13 @@ impl EmbeddingBag {
 
     /// Mean of the rows for `tokens`; `None` if `tokens` is empty.
     pub fn forward(&self, tokens: &[TokenId]) -> Option<Vec<f32>> {
-        if tokens.is_empty() {
-            return None;
-        }
         let mut acc = vec![0.0f32; self.dim()];
-        for &t in tokens {
-            for (a, &x) in acc.iter_mut().zip(self.row(t)) {
-                *a += x;
-            }
-        }
-        let inv = 1.0 / tokens.len() as f32;
-        acc.iter_mut().for_each(|a| *a *= inv);
-        Some(acc)
+        self.forward_into(tokens, &mut acc).then_some(acc)
     }
 
     /// [`forward`](Self::forward) into a caller-owned buffer
     /// (`out.len() == dim`). Returns `false` (leaving `out` untouched) for
-    /// an empty bag. Same accumulate-then-scale arithmetic, so same bits.
+    /// an empty bag.
     pub fn forward_into(&self, tokens: &[TokenId], out: &mut [f32]) -> bool {
         if tokens.is_empty() {
             return false;
@@ -238,9 +230,9 @@ impl EmbeddingBag {
         true
     }
 
-    /// [`backward_into`](Self::backward_into) against a reusable
-    /// [`SparseSink`]: identical per-token `+=` sequence, no per-batch
-    /// allocation.
+    /// Accumulates the gradient of the mean pool into a reusable
+    /// [`SparseSink`]: each participating row receives `dy / n`. No
+    /// per-call allocation once the sink has grown.
     pub fn backward_into_sink(&self, tokens: &[TokenId], dy: &[f32], g: &mut SparseSink) {
         if tokens.is_empty() {
             return;
@@ -251,28 +243,8 @@ impl EmbeddingBag {
         }
     }
 
-    /// Accumulates the gradient of the mean pool: each participating row
-    /// receives `dy / n`.
-    pub fn backward(&mut self, tokens: &[TokenId], dy: &[f32]) {
-        if tokens.is_empty() {
-            return;
-        }
-        let inv = 1.0 / tokens.len() as f32;
-        for &t in tokens {
-            let g = self
-                .sparse_grads
-                .entry(t.0)
-                .or_insert_with(|| vec![0.0; dy.len()]);
-            for (gi, &d) in g.iter_mut().zip(dy) {
-                *gi += d * inv;
-            }
-        }
-    }
-
-    /// Non-mutating variant of [`backward`](Self::backward): accumulates
-    /// the mean-pool gradient into a detached [`SparseGrad`] buffer, so
-    /// per-sample gradients can be computed in parallel against a frozen
-    /// table. Same math (and bits) as `backward`.
+    /// [`backward_into_sink`](Self::backward_into_sink) into the reference
+    /// [`SparseGrad`] map: the same per-token `+=` sequence.
     pub fn backward_into(&self, tokens: &[TokenId], dy: &[f32], g: &mut SparseGrad) {
         if tokens.is_empty() {
             return;
@@ -283,46 +255,18 @@ impl EmbeddingBag {
         }
     }
 
-    /// Applies accumulated sparse gradients with plain SGD
-    /// (`w -= lr · (g + wd · w)`), clipping each row gradient to
-    /// `clip` in l2 norm, then clears the gradient buffer.
+    /// Applies a [`SparseSink`]'s row gradients with plain SGD
+    /// (`w -= lr · (g + wd · w)`), clipping each row gradient to `clip` in
+    /// l2 norm. Borrows the sink; callers [`SparseSink::clear`] it for
+    /// reuse.
     ///
     /// Embedding rows use a dedicated sparse step rather than the dense
     /// [`GradApply`](crate::optim::GradApply) path because dense traversal
     /// of a vocabulary-sized table per batch would dominate training time.
-    pub fn apply_sparse_sgd(&mut self, lr: f32, weight_decay: f32, clip: f32) {
-        for (row_idx, grad) in self.sparse_grads.drain() {
-            Self::sparse_row_update(
-                self.table.row_mut(row_idx as usize),
-                &grad,
-                lr,
-                weight_decay,
-                clip,
-            );
-        }
-    }
-
-    /// [`apply_sparse_sgd`](Self::apply_sparse_sgd) over a detached buffer:
-    /// identical per-row update math, consuming `g` instead of the internal
-    /// accumulator. Row updates are independent, so the two paths agree
-    /// bit-for-bit for equal row gradients.
-    pub fn apply_sparse_sgd_from(&mut self, g: SparseGrad, lr: f32, weight_decay: f32, clip: f32) {
-        for (row_idx, grad) in g.grads {
-            Self::sparse_row_update(
-                self.table.row_mut(row_idx as usize),
-                &grad,
-                lr,
-                weight_decay,
-                clip,
-            );
-        }
-    }
-
-    /// [`apply_sparse_sgd_from`](Self::apply_sparse_sgd_from) over a
-    /// [`SparseSink`], borrowing it (callers [`SparseSink::clear`] it for
-    /// reuse). Rows are visited in first-touch order instead of token
-    /// order; row updates are independent, so the table bits match the
-    /// map-based path for equal row gradients.
+    /// Rows are visited in first-touch order; row updates are independent,
+    /// so the table bits match the map-based
+    /// [`apply_sparse_sgd_from`](Self::apply_sparse_sgd_from) for equal row
+    /// gradients.
     pub fn apply_sparse_sgd_from_sink(
         &mut self,
         g: &SparseSink,
@@ -336,6 +280,21 @@ impl EmbeddingBag {
         }
     }
 
+    /// [`apply_sparse_sgd_from_sink`](Self::apply_sparse_sgd_from_sink)
+    /// over the reference [`SparseGrad`], consuming it: identical per-row
+    /// update math, rows in token order.
+    pub fn apply_sparse_sgd_from(&mut self, g: SparseGrad, lr: f32, weight_decay: f32, clip: f32) {
+        for (row_idx, grad) in g.grads {
+            Self::sparse_row_update(
+                self.table.row_mut(row_idx as usize),
+                &grad,
+                lr,
+                weight_decay,
+                clip,
+            );
+        }
+    }
+
     fn sparse_row_update(row: &mut [f32], grad: &[f32], lr: f32, weight_decay: f32, clip: f32) {
         let norm: f32 = grad.iter().map(|g| g * g).sum::<f32>().sqrt();
         let scale = if clip > 0.0 && norm > clip {
@@ -346,11 +305,6 @@ impl EmbeddingBag {
         for (w, &g) in row.iter_mut().zip(grad) {
             *w -= lr * (g * scale + weight_decay * *w);
         }
-    }
-
-    /// Number of rows with pending gradients (test/diagnostic hook).
-    pub fn pending_rows(&self) -> usize {
-        self.sparse_grads.len()
     }
 }
 
@@ -381,25 +335,35 @@ mod tests {
         assert!(bag.forward(&[]).is_none());
     }
 
+    /// A sink shaped for `bag`'s table.
+    fn sink_for(bag: &EmbeddingBag) -> SparseSink {
+        let mut sink = SparseSink::new();
+        sink.ensure(bag.vocab_size(), bag.dim());
+        sink
+    }
+
     #[test]
     fn backward_touches_only_active_rows() {
         let mut rng = derive_rng(1, 0);
         let mut bag = EmbeddingBag::new(8, 2, &mut rng);
-        bag.backward(&[t(1), t(3)], &[1.0, -1.0]);
-        assert_eq!(bag.pending_rows(), 2);
+        let mut sink = sink_for(&bag);
+        bag.backward_into_sink(&[t(1), t(3)], &[1.0, -1.0], &mut sink);
+        assert_eq!(sink.len(), 2);
         let before = bag.row(t(5)).to_vec();
-        bag.apply_sparse_sgd(0.1, 0.0, 0.0);
+        bag.apply_sparse_sgd_from_sink(&sink, 0.1, 0.0, 0.0);
         assert_eq!(bag.row(t(5)), before.as_slice(), "inactive row untouched");
-        assert_eq!(bag.pending_rows(), 0);
+        sink.clear();
+        assert!(sink.is_empty());
     }
 
     #[test]
     fn sgd_moves_against_gradient() {
         let mut rng = derive_rng(1, 0);
         let mut bag = EmbeddingBag::new(2, 2, &mut rng);
+        let mut sink = sink_for(&bag);
         let before = bag.row(t(0)).to_vec();
-        bag.backward(&[t(0)], &[1.0, 0.0]);
-        bag.apply_sparse_sgd(0.5, 0.0, 0.0);
+        bag.backward_into_sink(&[t(0)], &[1.0, 0.0], &mut sink);
+        bag.apply_sparse_sgd_from_sink(&sink, 0.5, 0.0, 0.0);
         let after = bag.row(t(0));
         assert!((after[0] - (before[0] - 0.5)).abs() < 1e-6);
         assert!((after[1] - before[1]).abs() < 1e-6);
@@ -409,40 +373,13 @@ mod tests {
     fn clipping_bounds_row_update() {
         let mut rng = derive_rng(1, 0);
         let mut bag = EmbeddingBag::new(1, 2, &mut rng);
+        let mut sink = sink_for(&bag);
         let before = bag.row(t(0)).to_vec();
-        bag.backward(&[t(0)], &[30.0, 40.0]); // norm 50
-        bag.apply_sparse_sgd(1.0, 0.0, 5.0); // clipped to norm 5
+        bag.backward_into_sink(&[t(0)], &[30.0, 40.0], &mut sink); // norm 50
+        bag.apply_sparse_sgd_from_sink(&sink, 1.0, 0.0, 5.0); // clipped to norm 5
         let after = bag.row(t(0));
         let delta = ((after[0] - before[0]).powi(2) + (after[1] - before[1]).powi(2)).sqrt();
         assert!((delta - 5.0).abs() < 1e-4);
-    }
-
-    #[test]
-    fn detached_sparse_path_matches_internal_path_bitwise() {
-        let mut rng = derive_rng(2, 0);
-        let proto = EmbeddingBag::new(8, 3, &mut rng);
-
-        // Internal path: two backward calls, one apply.
-        let mut a = proto.clone();
-        a.backward(&[t(1), t(3)], &[0.5, -1.0, 2.0]);
-        a.backward(&[t(3), t(6)], &[1.5, 0.25, -0.75]);
-        a.apply_sparse_sgd(0.1, 1e-4, 5.0);
-
-        // Detached path: per-sample buffers merged in sample order.
-        let mut b = proto.clone();
-        let mut g1 = SparseGrad::new();
-        let mut g2 = SparseGrad::new();
-        b.backward_into(&[t(1), t(3)], &[0.5, -1.0, 2.0], &mut g1);
-        b.backward_into(&[t(3), t(6)], &[1.5, 0.25, -0.75], &mut g2);
-        g1.merge(g2);
-        assert_eq!(g1.len(), 3);
-        b.apply_sparse_sgd_from(g1, 0.1, 1e-4, 5.0);
-
-        for r in 0..8 {
-            let ra: Vec<u32> = a.row(t(r)).iter().map(|v| v.to_bits()).collect();
-            let rb: Vec<u32> = b.row(t(r)).iter().map(|v| v.to_bits()).collect();
-            assert_eq!(ra, rb, "row {r} diverged");
-        }
     }
 
     #[test]

@@ -53,27 +53,22 @@ pub struct InfoNceGrads {
     pub d_negs: Vec<Vec<f32>>,
 }
 
-/// InfoNCE contrastive loss over *pre-normalized* vectors.
+/// InfoNCE contrastive loss over *pre-normalized* vectors, with optional
+/// per-negative weights.
 ///
-/// `L = -log( exp(a·p/τ) / (exp(a·p/τ) + Σ_k exp(a·n_k/τ)) )`.
+/// `L = -log( exp(a·p/τ) / (exp(a·p/τ) + Σ_k w_k·exp(a·n_k/τ)) )`.
 ///
 /// Inputs are assumed l2-normalized (the contrastive head l2-normalizes its
 /// projections, matching the paper's "new hypersphere space"), so similarity
-/// is the dot product. All negatives share the denominator with equal
-/// weight — the property the paper's Table 7 analysis attributes the
-/// dilution of hard-negative penalties to.
-pub fn infonce(anchor: &[f32], positive: &[f32], negatives: &[&[f32]], tau: f32) -> InfoNceGrads {
-    infonce_weighted(anchor, positive, negatives, None, tau)
-}
-
-/// InfoNCE with per-negative weights.
+/// is the dot product. With `None` weights every negative shares the
+/// denominator with equal weight — the property the paper's Table 7
+/// analysis attributes the dilution of hard-negative penalties to.
 ///
 /// A weight `w_k > 1` multiplies negative `k`'s exponential in the
 /// denominator, amplifying its repulsion — the "directly increasing the
 /// weights of negative terms" idea whose ineffectiveness the paper reports
 /// (Section 6.2 point 4: mined hard negatives "inevitably contain errors",
-/// so amplifying them amplifies the noise). `None` weights reduce to plain
-/// InfoNCE.
+/// so amplifying them amplifies the noise).
 pub fn infonce_weighted(
     anchor: &[f32],
     positive: &[f32],
@@ -278,8 +273,8 @@ mod tests {
     fn infonce_loss_decreases_when_anchor_aligns_with_positive() {
         let pos = [1.0f32, 0.0];
         let neg = [0.0f32, 1.0];
-        let aligned = infonce(&[1.0, 0.0], &pos, &[&neg], 0.2);
-        let misaligned = infonce(&[0.0, 1.0], &pos, &[&neg], 0.2);
+        let aligned = infonce_weighted(&[1.0, 0.0], &pos, &[&neg], None, 0.2);
+        let misaligned = infonce_weighted(&[0.0, 1.0], &pos, &[&neg], None, 0.2);
         assert!(aligned.loss < misaligned.loss);
     }
 
@@ -289,15 +284,15 @@ mod tests {
         let pos = [0.0f32, 1.0];
         let neg1 = [1.0f32, 0.0];
         let neg2 = [-1.0f32, 0.0];
-        let g = infonce(&anchor, &pos, &[&neg1, &neg2], 0.5);
+        let g = infonce_weighted(&anchor, &pos, &[&neg1, &neg2], None, 0.5);
         let eps = 1e-3f32;
         for i in 0..2 {
             let mut ap = anchor;
             ap[i] += eps;
             let mut am = anchor;
             am[i] -= eps;
-            let lp = infonce(&ap, &pos, &[&neg1, &neg2], 0.5).loss;
-            let lm = infonce(&am, &pos, &[&neg1, &neg2], 0.5).loss;
+            let lp = infonce_weighted(&ap, &pos, &[&neg1, &neg2], None, 0.5).loss;
+            let lm = infonce_weighted(&am, &pos, &[&neg1, &neg2], None, 0.5).loss;
             let fd = (lp - lm) / (2.0 * eps);
             assert!(
                 (fd - g.d_anchor[i]).abs() < 1e-2,
@@ -312,8 +307,8 @@ mod tests {
         let anchor = [1.0f32, 0.0];
         let pos = [0.9f32, 0.1];
         let neg = [0.5f32, 0.5];
-        let one = infonce(&anchor, &pos, &[&neg], 0.2).loss;
-        let two = infonce(&anchor, &pos, &[&neg, &neg], 0.2).loss;
+        let one = infonce_weighted(&anchor, &pos, &[&neg], None, 0.2).loss;
+        let two = infonce_weighted(&anchor, &pos, &[&neg, &neg], None, 0.2).loss;
         assert!(two > one);
     }
 
@@ -328,7 +323,7 @@ mod tests {
         let anchor = [0.6f32, 0.8];
         let pos = [0.0f32, 1.0];
         let neg = [1.0f32, 0.0];
-        let plain = infonce(&anchor, &pos, &[&neg], 0.4);
+        let plain = infonce_weighted(&anchor, &pos, &[&neg], None, 0.4);
         let weighted = infonce_weighted(&anchor, &pos, &[&neg], Some(&[1.0]), 0.4);
         assert!((plain.loss - weighted.loss).abs() < 1e-6);
         for i in 0..2 {

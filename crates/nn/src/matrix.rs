@@ -77,42 +77,23 @@ impl Matrix {
     }
 
     /// `y = self · x` (matrix-vector product). `x.len()` must equal `cols`.
+    /// Each output element is one [`crate::ops::dot_unrolled`], whose
+    /// summand grouping the sweep-form GEMM
+    /// ([`matmat_nt_pret_into`](Self::matmat_nt_pret_into)) reproduces, so
+    /// a batched forward over a row matrix and a per-row forward produce
+    /// identical bits.
     pub fn matvec(&self, x: &[f32]) -> Vec<f32> {
-        let mut y = vec![0.0f32; self.rows];
-        self.matvec_into(x, &mut y);
-        y
-    }
-
-    /// [`matvec`](Self::matvec) into a caller-owned buffer
-    /// (`y.len() == rows`), the allocation-free form used by training
-    /// workspaces. Each output element is one [`crate::ops::dot_unrolled`]
-    /// — the *same* kernel [`matmat_nt`](Self::matmat_nt) applies per
-    /// element, so a batched forward over a row matrix and a per-row
-    /// forward produce identical bits.
-    // ultra-lint: hot
-    pub fn matvec_into(&self, x: &[f32], y: &mut [f32]) {
         assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
-        assert_eq!(y.len(), self.rows, "matvec output length mismatch");
-        for (r, yr) in y.iter_mut().enumerate() {
-            *yr = crate::ops::dot_unrolled(self.row(r), x);
-        }
+        (0..self.rows)
+            .map(|r| crate::ops::dot_unrolled(self.row(r), x))
+            .collect()
     }
 
     /// `y = selfᵀ · x` (transposed matrix-vector product).
     /// `x.len()` must equal `rows`; result has length `cols`.
     pub fn matvec_t(&self, x: &[f32]) -> Vec<f32> {
-        let mut y = vec![0.0f32; self.cols];
-        self.matvec_t_into(x, &mut y);
-        y
-    }
-
-    /// [`matvec_t`](Self::matvec_t) into a caller-owned buffer
-    /// (`y.len() == cols`); `y` is overwritten, not accumulated into.
-    // ultra-lint: hot
-    pub fn matvec_t_into(&self, x: &[f32], y: &mut [f32]) {
         assert_eq!(x.len(), self.rows, "matvec_t dimension mismatch");
-        assert_eq!(y.len(), self.cols, "matvec_t output length mismatch");
-        y.iter_mut().for_each(|v| *v = 0.0);
+        let mut y = vec![0.0f32; self.cols];
         for (r, &xr) in x.iter().enumerate() {
             if xr == 0.0 {
                 continue;
@@ -121,6 +102,7 @@ impl Matrix {
                 *yc += xr * w;
             }
         }
+        y
     }
 
     /// Rank-1 update `self += alpha · u vᵀ`
@@ -168,49 +150,6 @@ impl Matrix {
             .collect()
     }
 
-    /// `C = self · otherᵀ` — both operands row-major, so every inner product
-    /// reads two contiguous rows (the cache-friendly "NT" layout used by
-    /// blocked scoring). `self` is `(m × k)`, `other` is `(n × k)`, the
-    /// result is `(m × n)`.
-    pub fn matmat_nt(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        self.matmat_nt_into(other, &mut out);
-        out
-    }
-
-    /// [`matmat_nt`](Self::matmat_nt) into a caller-owned `(m × n)` output,
-    /// blocked over 16×16 output tiles so both operand row groups stay
-    /// cache-resident across the tile. Each output element is still one
-    /// full-depth [`crate::ops::dot_unrolled`] — tiling reorders only
-    /// *which element* is computed next, never the additions inside an
-    /// element — so the result is bit-identical to the naive double loop
-    /// and to per-row [`matvec_into`](Self::matvec_into).
-    // ultra-lint: hot
-    pub fn matmat_nt_into(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(self.cols, other.cols, "matmat_nt inner dimension mismatch");
-        assert_eq!(out.rows, self.rows, "matmat_nt output row mismatch");
-        assert_eq!(out.cols, other.rows, "matmat_nt output col mismatch");
-        const TILE: usize = 16;
-        let (m, n) = (self.rows, other.rows);
-        let mut ib = 0;
-        while ib < m {
-            let ie = (ib + TILE).min(m);
-            let mut jb = 0;
-            while jb < n {
-                let je = (jb + TILE).min(n);
-                for i in ib..ie {
-                    let a = self.row(i);
-                    let row = &mut out.data[i * out.cols..(i + 1) * out.cols];
-                    for (j, o) in row[jb..je].iter_mut().enumerate() {
-                        *o = crate::ops::dot_unrolled(a, other.row(jb + j));
-                    }
-                }
-                jb = je;
-            }
-            ib = ie;
-        }
-    }
-
     /// Writes `selfᵀ` into `out`, reshaping `out` to `(cols × rows)` if
     /// needed (reusing its allocation when the element count matches).
     /// Small matrices only — the write pattern keeps one cache line per
@@ -227,20 +166,20 @@ impl Matrix {
         }
     }
 
-    /// [`matmat_nt_into`](Self::matmat_nt_into) against a *pre-transposed*
-    /// right operand: `other_t` is `otherᵀ` (`k × n`), and the kernel sweeps
-    /// it row-wise — `out[r][..] += a[i] · other_t[i][..]` — instead of
-    /// taking `n` row-dot-products. The sweep form is throughput-bound
-    /// (pure elementwise multiply-adds, no serial reduction chain), which
-    /// makes it ~2x faster than the dot form on the training shapes.
+    /// `out = self · otherᵀ` against a *pre-transposed* right operand:
+    /// `other_t` is `otherᵀ` (`k × n`), and the kernel sweeps it row-wise —
+    /// `out[r][..] += a[i] · other_t[i][..]` — instead of taking `n`
+    /// row-dot-products. The sweep form is throughput-bound (pure
+    /// elementwise multiply-adds, no serial reduction chain), which makes
+    /// it ~2x faster than the dot form on the training shapes.
     ///
-    /// Bit-identical to the dot form by construction: `dot_unrolled` folds
-    /// element `i` into partial sum `i % 4` (ascending `i` within each
-    /// lane), the depth tail (`i ≥ 4⌊k/4⌋`) into a fifth sequential
-    /// accumulator, and combines as `((s0+s1)+(s2+s3))+tail`. The four
-    /// `lanes` rows plus the tail row reproduce exactly that grouping,
-    /// order, and combine for every output element at once — the same
-    /// IEEE-754 operations in the same order, just batched across `j`.
+    /// Bit-identical to per-row [`matvec`](Self::matvec) by construction:
+    /// `dot_unrolled` folds element `i` into partial sum `i % 4` (ascending
+    /// `i` within each lane), the depth tail (`i ≥ 4⌊k/4⌋`) into a fifth
+    /// sequential accumulator, and combines as `((s0+s1)+(s2+s3))+tail`.
+    /// The four `lanes` rows plus the tail row reproduce exactly that
+    /// grouping, order, and combine for every output element at once — the
+    /// same IEEE-754 operations in the same order, just batched across `j`.
     ///
     /// `lanes` is caller-owned scratch with at least 5 rows of at least
     /// `n` columns (the rows are the 4 partial-sum lanes plus the tail).
@@ -350,37 +289,6 @@ mod tests {
     }
 
     #[test]
-    fn matmat_nt_matches_matvec_per_row() {
-        let mut rng = derive_rng(10, 0);
-        let a = Matrix::xavier(4, 6, &mut rng);
-        let b = Matrix::xavier(3, 6, &mut rng);
-        let c = a.matmat_nt(&b);
-        assert_eq!(c.rows(), 4);
-        assert_eq!(c.cols(), 3);
-        for i in 0..4 {
-            for j in 0..3 {
-                let exact = crate::ops::dot_unrolled(a.row(i), b.row(j));
-                assert_eq!(c.row(i)[j].to_bits(), exact.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_matmat_matches_per_row_matvec_bitwise() {
-        // Sizes straddle the 16×16 tile so ragged edge tiles are hit.
-        let mut rng = derive_rng(13, 0);
-        let a = Matrix::xavier(37, 21, &mut rng);
-        let b = Matrix::xavier(19, 21, &mut rng);
-        let c = a.matmat_nt(&b);
-        for i in 0..37 {
-            let per_row = b.matvec(a.row(i));
-            let bits: Vec<u32> = per_row.iter().map(|v| v.to_bits()).collect();
-            let got: Vec<u32> = c.row(i).iter().map(|v| v.to_bits()).collect();
-            assert_eq!(got, bits, "row {i} diverged from matvec");
-        }
-    }
-
-    #[test]
     fn resize_rows_keeps_cols_and_reuses_buffer() {
         let mut m = Matrix::zeros(4, 3);
         m.row_mut(0).copy_from_slice(&[1.0, 2.0, 3.0]);
@@ -424,12 +332,12 @@ mod tests {
         assert_eq!(back, m);
     }
 
-    /// The sweep-form GEMM must be bit-identical to the dot-form one for
+    /// The sweep-form GEMM must be bit-identical to per-row `matvec` for
     /// every depth parity (multiple of 4, and each tail length 1–3) and in
     /// the presence of exact zeros — the summand grouping proof in the doc
     /// comment, checked empirically.
     #[test]
-    fn matmat_nt_pret_into_is_bit_identical_to_dot_form() {
+    fn matmat_nt_pret_into_is_bit_identical_to_per_row_matvec() {
         let mut rng = derive_rng(12, 0);
         for k in [4usize, 5, 6, 7, 8, 96] {
             let mut a = Matrix::xavier(7, k, &mut rng);
@@ -439,14 +347,15 @@ mod tests {
             a.row_mut(3).iter_mut().for_each(|v| *v = 0.0);
             let mut bt = Matrix::zeros(0, 0);
             b.transpose_into(&mut bt);
-            let mut want = Matrix::zeros(7, 9);
-            a.matmat_nt_into(&b, &mut want);
             let mut got = Matrix::zeros(7, 9);
             // Oversized, dirty lane scratch — the kernel must not care.
             let mut lanes = Matrix::from_vec(6, 16, vec![7.5; 96]);
             a.matmat_nt_pret_into(&bt, &mut got, &mut lanes);
-            for (w, g) in want.as_slice().iter().zip(got.as_slice()) {
-                assert_eq!(w.to_bits(), g.to_bits(), "k={k}");
+            for r in 0..7 {
+                let want = b.matvec(a.row(r));
+                for (w, g) in want.iter().zip(got.row(r)) {
+                    assert_eq!(w.to_bits(), g.to_bits(), "k={k}, row {r}");
+                }
             }
         }
     }

@@ -66,18 +66,13 @@ pub fn l2_normalize(v: &mut [f32]) -> f32 {
 /// the loss gradient w.r.t. `y`, returns the gradient w.r.t. the
 /// unnormalized input: `(dy - y·(y·dy)) / n`.
 pub fn l2_normalize_backward(y: &[f32], norm: f32, dy: &[f32]) -> Vec<f32> {
-    if norm == 0.0 {
-        return dy.to_vec();
-    }
-    let proj = dot(y, dy);
-    y.iter()
-        .zip(dy)
-        .map(|(&yi, &di)| (di - yi * proj) / norm)
-        .collect()
+    let mut dx = vec![0.0; y.len()];
+    l2_normalize_backward_into(y, norm, dy, &mut dx);
+    dx
 }
 
-/// [`l2_normalize_backward`] into a caller-owned buffer — same math and
-/// bits, no allocation. `dx.len()` must equal `y.len()`.
+/// [`l2_normalize_backward`] into a caller-owned buffer, with no
+/// allocation. `dx.len()` must equal `y.len()`.
 // ultra-lint: hot
 pub fn l2_normalize_backward_into(y: &[f32], norm: f32, dy: &[f32], dx: &mut [f32]) {
     debug_assert_eq!(dx.len(), y.len());
@@ -89,28 +84,6 @@ pub fn l2_normalize_backward_into(y: &[f32], norm: f32, dy: &[f32], dx: &mut [f3
     for ((o, &yi), &di) in dx.iter_mut().zip(y).zip(dy) {
         *o = (di - yi * proj) / norm;
     }
-}
-
-/// Mean of a set of equal-length vectors; `None` if the set is empty.
-pub fn mean_pool<'a, I>(vectors: I, dim: usize) -> Option<Vec<f32>>
-where
-    I: IntoIterator<Item = &'a [f32]>,
-{
-    let mut acc = vec![0.0f32; dim];
-    let mut count = 0usize;
-    for v in vectors {
-        debug_assert_eq!(v.len(), dim);
-        for (a, &x) in acc.iter_mut().zip(v) {
-            *a += x;
-        }
-        count += 1;
-    }
-    if count == 0 {
-        return None;
-    }
-    let inv = 1.0 / count as f32;
-    acc.iter_mut().for_each(|a| *a *= inv);
-    Some(acc)
 }
 
 #[cfg(test)]
@@ -182,14 +155,5 @@ mod tests {
                 dx[i]
             );
         }
-    }
-
-    #[test]
-    fn mean_pool_averages_and_rejects_empty() {
-        let a = [1.0f32, 2.0];
-        let b = [3.0f32, 6.0];
-        let m = mean_pool([a.as_slice(), b.as_slice()], 2).unwrap();
-        assert_eq!(m, vec![2.0, 4.0]);
-        assert!(mean_pool(std::iter::empty::<&[f32]>(), 2).is_none());
     }
 }

@@ -1,14 +1,13 @@
-//! Optimizers: SGD with weight decay + gradient clipping, and Adam.
+//! The optimizer: SGD with weight decay.
 //!
-//! Appendix B trains RetExpan with lr 4e-5 / weight-decay 1e-2, Appendix C
-//! pre-trains the LM with gradient clipping 1.0 — both optimizer features
-//! are implemented here.
+//! Appendix B trains RetExpan with lr 4e-5 / weight-decay 1e-2; the
+//! dense parameters (the projection head) step through [`Sgd`], the
+//! embedding rows through `EmbeddingBag`'s sparse row update.
 
 /// Visitor trait exposing `(parameters, gradients)` pairs of a model.
 ///
-/// Layers accumulate gradients in their backward passes; optimizers walk
-/// the pairs via this trait. Visit order is stable, which is what lets
-/// Adam keep per-parameter state externally.
+/// Layers accumulate gradients into their own buffers; optimizers walk
+/// the pairs via this trait, in a stable visit order.
 pub trait GradApply {
     /// Calls `f(params, grads)` for every parameter block, in a stable order.
     fn visit(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32]));
@@ -17,24 +16,21 @@ pub trait GradApply {
     fn zero_grads(&mut self);
 }
 
-/// Plain SGD: `w -= lr · (clip(g) + wd · w)`.
+/// Plain SGD: `w -= lr · (g + wd · w)`.
 #[derive(Clone, Copy, Debug)]
 pub struct Sgd {
     /// Learning rate.
     pub lr: f32,
     /// L2 weight decay coefficient.
     pub weight_decay: f32,
-    /// Global l2 gradient-norm clip; `0` disables clipping.
-    pub clip: f32,
 }
 
 impl Sgd {
-    /// SGD with the given learning rate, no decay, no clipping.
+    /// SGD with the given learning rate and no decay.
     pub fn new(lr: f32) -> Self {
         Self {
             lr,
             weight_decay: 0.0,
-            clip: 0.0,
         }
     }
 
@@ -44,109 +40,13 @@ impl Sgd {
         self
     }
 
-    /// Sets the global gradient-norm clip.
-    pub fn with_clip(mut self, clip: f32) -> Self {
-        self.clip = clip;
-        self
-    }
-
     /// Applies one update and clears gradients.
     pub fn step(&self, model: &mut dyn GradApply) {
-        let scale = clip_scale(model, self.clip);
         let (lr, wd) = (self.lr, self.weight_decay);
         model.visit(&mut |params, grads| {
             for (w, g) in params.iter_mut().zip(grads.iter()) {
-                *w -= lr * (g * scale + wd * *w);
+                *w -= lr * (g + wd * *w);
             }
-        });
-        model.zero_grads();
-    }
-}
-
-/// Computes the global-norm clip scale (1.0 when disabled or under limit).
-fn clip_scale(model: &mut dyn GradApply, clip: f32) -> f32 {
-    if clip <= 0.0 {
-        return 1.0;
-    }
-    let mut sq = 0.0f64;
-    model.visit(&mut |_, grads| {
-        for g in grads.iter() {
-            sq += (*g as f64) * (*g as f64);
-        }
-    });
-    let norm = sq.sqrt() as f32;
-    if norm > clip {
-        clip / norm
-    } else {
-        1.0
-    }
-}
-
-/// Adam (Kingma & Ba) with decoupled weight decay and bias correction.
-#[derive(Clone, Debug)]
-pub struct Adam {
-    /// Learning rate.
-    pub lr: f32,
-    /// First-moment decay.
-    pub beta1: f32,
-    /// Second-moment decay.
-    pub beta2: f32,
-    /// Numerical stabilizer.
-    pub eps: f32,
-    /// Decoupled weight decay (AdamW-style).
-    pub weight_decay: f32,
-    step: u64,
-    moments: Vec<(Vec<f32>, Vec<f32>)>,
-}
-
-impl Adam {
-    /// Adam with conventional betas (0.9, 0.999).
-    pub fn new(lr: f32) -> Self {
-        Self {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            weight_decay: 0.0,
-            step: 0,
-            moments: Vec::new(),
-        }
-    }
-
-    /// Sets decoupled weight decay.
-    pub fn with_weight_decay(mut self, wd: f32) -> Self {
-        self.weight_decay = wd;
-        self
-    }
-
-    /// Applies one update and clears gradients.
-    ///
-    /// Moment buffers are allocated lazily on the first step and matched to
-    /// parameter blocks by visit order, so the same `Adam` instance must
-    /// always step the same model.
-    pub fn step(&mut self, model: &mut dyn GradApply) {
-        self.step += 1;
-        let t = self.step as i32;
-        let (b1, b2, eps, lr, wd) = (self.beta1, self.beta2, self.eps, self.lr, self.weight_decay);
-        let bc1 = 1.0 - b1.powi(t);
-        let bc2 = 1.0 - b2.powi(t);
-        let moments = &mut self.moments;
-        let mut idx = 0usize;
-        model.visit(&mut |params, grads| {
-            if moments.len() <= idx {
-                moments.push((vec![0.0; params.len()], vec![0.0; params.len()]));
-            }
-            let (m, v) = &mut moments[idx];
-            assert_eq!(m.len(), params.len(), "model shape changed under Adam");
-            for i in 0..params.len() {
-                let g = grads[i];
-                m[i] = b1 * m[i] + (1.0 - b1) * g;
-                v[i] = b2 * v[i] + (1.0 - b2) * g * g;
-                let mhat = m[i] / bc1;
-                let vhat = v[i] / bc2;
-                params[i] -= lr * (mhat / (vhat.sqrt() + eps) + wd * params[i]);
-            }
-            idx += 1;
         });
         model.zero_grads();
     }
@@ -184,36 +84,5 @@ mod tests {
         let mut s = Scalar { w: [1.0], g: [0.0] };
         Sgd::new(0.1).with_weight_decay(0.5).step(&mut s);
         assert!((s.w[0] - 0.95).abs() < 1e-6);
-    }
-
-    #[test]
-    fn sgd_clipping_limits_update_magnitude() {
-        let mut s = Scalar {
-            w: [0.0],
-            g: [100.0],
-        };
-        Sgd::new(1.0).with_clip(1.0).step(&mut s);
-        assert!((s.w[0] + 1.0).abs() < 1e-5, "update clipped to norm 1");
-    }
-
-    #[test]
-    fn adam_converges_on_quadratic() {
-        // minimize (w-3)^2 from w=0.
-        let mut s = Scalar { w: [0.0], g: [0.0] };
-        let mut adam = Adam::new(0.1);
-        for _ in 0..500 {
-            s.g[0] = 2.0 * (s.w[0] - 3.0);
-            adam.step(&mut s);
-        }
-        assert!((s.w[0] - 3.0).abs() < 0.05, "w = {}", s.w[0]);
-    }
-
-    #[test]
-    fn adam_first_step_is_lr_sized() {
-        // With bias correction the first Adam step is ≈ lr·sign(g).
-        let mut s = Scalar { w: [0.0], g: [5.0] };
-        let mut adam = Adam::new(0.01);
-        adam.step(&mut s);
-        assert!((s.w[0] + 0.01).abs() < 1e-4);
     }
 }

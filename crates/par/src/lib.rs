@@ -10,19 +10,20 @@
 //! This crate makes parallelism safe to adopt by construction:
 //!
 //! * **Fixed chunking** — chunk boundaries are a pure function of the input
-//!   *length* (never of the thread count or of scheduling), so the units of
-//!   work are identical whether one thread or sixteen execute them.
-//! * **Ordered assembly** — [`Pool::chunks_map_ordered`] concatenates chunk
-//!   results in chunk order regardless of completion order.
-//! * **Range dispatch** — [`Pool::ranges_map_ordered`] hands kernels the
-//!   chunk's index *range* instead of an item slice, so callers whose items
-//!   are just positions (embedding-matrix rows, candidate ids) never
-//!   materialize an `O(N)` index vector. The slice APIs are shims over it,
-//!   so both paths share one dispatch loop and one determinism argument.
-//! * **Ordered reduction** — [`Pool::reduce_ordered`] folds each chunk
-//!   sequentially and then combines the per-chunk accumulators in a fixed
-//!   pairwise tree, so an `f32` sum is bit-identical at any thread count,
-//!   including 1 (the single-threaded path runs the *same* chunked code).
+//!   (its *length*, or per-item cost estimates via [`weighted_boundaries`]),
+//!   never of the thread count or of scheduling, so the units of work are
+//!   identical whether one thread or sixteen execute them.
+//! * **Ordered assembly** — [`Pool::ranges_map_ordered`] hands kernels a
+//!   chunk's index *range* and concatenates chunk outputs in chunk order
+//!   regardless of completion order; [`Pool::map_ordered`] is the per-item
+//!   form over a slice. Callers whose items are just positions
+//!   (embedding-matrix rows, candidate ids) never materialize an `O(N)`
+//!   index vector.
+//! * **Ordered reduction** — a caller that reduces folds the per-chunk
+//!   outputs left to right in chunk order, so the `f32` parenthesization
+//!   depends only on the chunk boundaries and a sum is bit-identical at any
+//!   thread count, including 1 (the single-threaded path runs the *same*
+//!   chunked code).
 //!
 //! Workers are spawned scoped (`std::thread::scope`) per call and pull
 //! chunks from an atomic counter. A [`Pool`] value therefore carries only
@@ -101,17 +102,8 @@ pub fn threads() -> usize {
 /// Chunk length for an input of `len` items — a pure function of `len`
 /// only, never of the thread count. All determinism guarantees rest on
 /// this property.
-pub fn chunk_len(len: usize) -> usize {
+fn chunk_len(len: usize) -> usize {
     len.div_ceil(MAX_CHUNKS).max(MIN_CHUNK)
-}
-
-/// Number of chunks an input of `len` items splits into.
-pub fn num_chunks(len: usize) -> usize {
-    if len == 0 {
-        0
-    } else {
-        len.div_ceil(chunk_len(len))
-    }
 }
 
 /// A deterministic scoped worker pool. Carries only the worker count, so it
@@ -139,48 +131,14 @@ impl Pool {
         self.threads
     }
 
-    /// Maps fixed chunks of `items` through `f` and concatenates the chunk
-    /// outputs in chunk order. `f` receives the chunk's start offset within
-    /// `items` plus the chunk slice, and may return any number of results
-    /// per chunk (blocked kernels typically return one result per item).
+    /// Maps fixed chunk *ranges* of a length-`len` index space through `f`
+    /// and concatenates outputs in chunk order. `f` may return any number
+    /// of results per chunk (blocked kernels typically return one result
+    /// per index).
     ///
     /// Output is bit-identical at any worker count provided `f` itself is
-    /// deterministic, because chunk boundaries depend only on `items.len()`
-    /// and assembly order is chunk order.
-    pub fn chunks_map_ordered<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &[T]) -> Vec<R> + Sync,
-    {
-        self.chunks_map_ordered_with(items, chunk_len(items.len()), f)
-    }
-
-    /// [`chunks_map_ordered`](Self::chunks_map_ordered) with an explicit
-    /// chunk length. `cl` MUST be derived from `items.len()` alone (or be a
-    /// constant) — never from the thread count — or the determinism
-    /// contract breaks. Use `cl = 1` for heavy items (a full query
-    /// expansion, a training sample) where the default [`MIN_CHUNK`] grain
-    /// would serialize small inputs.
-    pub fn chunks_map_ordered_with<T, R, F>(&self, items: &[T], cl: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &[T]) -> Vec<R> + Sync,
-    {
-        self.ranges_map_ordered_with(items.len(), cl, |r| {
-            let start = r.start;
-            f(start, &items[r])
-        })
-    }
-
-    /// Maps fixed chunk *ranges* of a length-`len` index space through `f`
-    /// and concatenates outputs in chunk order —
-    /// [`chunks_map_ordered`](Self::chunks_map_ordered) without an item
-    /// slice, for kernels whose "items" are just positions into shared
-    /// structure (embedding-matrix rows, candidate ids). Chunk boundaries
-    /// are the same function of `len` as the slice APIs', so a caller
-    /// switching between the two forms keeps byte-identical output.
+    /// deterministic, because chunk boundaries depend only on `len` and
+    /// assembly order is chunk order.
     pub fn ranges_map_ordered<R, F>(&self, len: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -190,11 +148,13 @@ impl Pool {
     }
 
     /// [`ranges_map_ordered`](Self::ranges_map_ordered) with an explicit
-    /// chunk length (same contract as
-    /// [`chunks_map_ordered_with`](Self::chunks_map_ordered_with): `cl`
-    /// must be a function of `len` alone). Uniform boundaries are
-    /// materialized once and handed to [`bounds_map_ordered`]
-    /// (Self::bounds_map_ordered), the crate's single dispatch loop.
+    /// chunk length. `cl` MUST be derived from `len` alone (or be a
+    /// constant) — never from the thread count — or the determinism
+    /// contract breaks. Use `cl = 1` for heavy items (a full query
+    /// expansion) where the default [`MIN_CHUNK`] grain would serialize
+    /// small inputs. Uniform boundaries are materialized once and handed
+    /// to [`bounds_map_ordered`](Self::bounds_map_ordered), the crate's
+    /// single dispatch loop.
     pub fn ranges_map_ordered_with<R, F>(&self, len: usize, cl: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -356,7 +316,7 @@ impl Pool {
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        self.chunks_map_ordered(items, |_, chunk| chunk.iter().map(&f).collect())
+        self.ranges_map_ordered(items.len(), |r| items[r].iter().map(&f).collect())
     }
 
     /// [`map_ordered`](Self::map_ordered) at one item per chunk, for items
@@ -368,30 +328,7 @@ impl Pool {
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        self.chunks_map_ordered_with(items, 1, |_, chunk| chunk.iter().map(&f).collect())
-    }
-
-    /// Ordered reduction: each chunk is folded sequentially from a fresh
-    /// `init()`, then the per-chunk accumulators are combined in a fixed
-    /// pairwise tree — `(c0⊕c1) ⊕ (c2⊕c3) …` — whose shape depends only on
-    /// the chunk count. `f32`/`f64` sums are therefore bit-identical at any
-    /// worker count. Returns `init()` for empty input.
-    pub fn reduce_ordered<T, A, I, F, C>(&self, items: &[T], init: I, fold: F, combine: C) -> A
-    where
-        T: Sync,
-        A: Send,
-        I: Fn() -> A + Sync,
-        F: Fn(A, &T) -> A + Sync,
-        C: Fn(A, A) -> A,
-    {
-        let accs: Vec<A> = self.chunks_map_ordered(items, |_, chunk| {
-            let mut a = init();
-            for t in chunk {
-                a = fold(a, t);
-            }
-            vec![a]
-        });
-        combine_tree(accs, &combine).unwrap_or_else(init)
+        self.ranges_map_ordered_with(items.len(), 1, |r| items[r].iter().map(&f).collect())
     }
 }
 
@@ -443,7 +380,7 @@ impl<J, R> WorkerTeam<J, R> {
 /// occur.
 ///
 /// The boundaries are a pure function of `costs` (never of the thread
-/// count), making this the cost-weighted analogue of [`chunk_len`]: work
+/// count), making this the cost-weighted analogue of length-derived chunking: work
 /// split along these ranges and reassembled in range order is bit-identical
 /// at any worker count. At most `max_chunks` ranges are returned: every
 /// closed chunk carries at least the target cost, so more than
@@ -473,63 +410,6 @@ pub fn weighted_boundaries(costs: &[u64], max_chunks: usize) -> Vec<Range<usize>
     bounds
 }
 
-/// Combines accumulators pairwise, level by level, in a fixed order.
-fn combine_tree<A>(mut level: Vec<A>, combine: &impl Fn(A, A) -> A) -> Option<A> {
-    while level.len() > 1 {
-        let mut nxt = Vec::with_capacity(level.len().div_ceil(2));
-        let mut it = level.into_iter();
-        while let Some(a) = it.next() {
-            match it.next() {
-                Some(b) => nxt.push(combine(a, b)),
-                None => nxt.push(a),
-            }
-        }
-        level = nxt;
-    }
-    level.pop()
-}
-
-/// [`Pool::map_ordered`] on the globally configured pool.
-pub fn par_map_ordered<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    Pool::global().map_ordered(items, f)
-}
-
-/// [`Pool::chunks_map_ordered`] on the globally configured pool.
-pub fn par_chunks_map_ordered<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &[T]) -> Vec<R> + Sync,
-{
-    Pool::global().chunks_map_ordered(items, f)
-}
-
-/// [`Pool::ranges_map_ordered`] on the globally configured pool.
-pub fn par_ranges_map_ordered<R, F>(len: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(Range<usize>) -> Vec<R> + Sync,
-{
-    Pool::global().ranges_map_ordered(len, f)
-}
-
-/// [`Pool::reduce_ordered`] on the globally configured pool.
-pub fn par_reduce_ordered<T, A, I, F, C>(items: &[T], init: I, fold: F, combine: C) -> A
-where
-    T: Sync,
-    A: Send,
-    I: Fn() -> A + Sync,
-    F: Fn(A, &T) -> A + Sync,
-    C: Fn(A, A) -> A,
-{
-    Pool::global().reduce_ordered(items, init, fold, combine)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -540,14 +420,6 @@ mod tests {
         for t in [1, 2, 8] {
             assert!(Pool::new(t).map_ordered(&items, |x| x * 2).is_empty());
         }
-        assert_eq!(num_chunks(0), 0);
-    }
-
-    #[test]
-    fn empty_input_reduces_to_init() {
-        let items: Vec<f32> = Vec::new();
-        let sum = Pool::new(4).reduce_ordered(&items, || 7.5f32, |a, x| a + x, |a, b| a + b);
-        assert_eq!(sum, 7.5);
     }
 
     #[test]
@@ -572,76 +444,8 @@ mod tests {
         for len in [1usize, 15, 16, 17, 1000, 1024, 1037, 100_000] {
             let cl = chunk_len(len);
             assert!(cl >= MIN_CHUNK);
-            assert_eq!(num_chunks(len), len.div_ceil(cl));
-            assert!(num_chunks(len) <= MAX_CHUNKS.max(1));
+            assert!(len.div_ceil(cl) <= MAX_CHUNKS);
         }
-    }
-
-    #[test]
-    fn chunks_map_sees_correct_offsets_and_slices() {
-        let items: Vec<usize> = (0..777).collect();
-        let out = Pool::new(4).chunks_map_ordered(&items, |start, chunk| {
-            chunk
-                .iter()
-                .enumerate()
-                .map(|(i, &x)| {
-                    assert_eq!(x, start + i, "offset/slice mismatch");
-                    x
-                })
-                .collect()
-        });
-        assert_eq!(out, items);
-    }
-
-    #[test]
-    fn f32_sum_is_bit_identical_across_thread_counts() {
-        // Values chosen to be order-sensitive under f32 addition: a naive
-        // per-thread partition would produce different bits at different
-        // thread counts.
-        let items: Vec<f32> = (0..10_000)
-            .map(|i| ((i * 2_654_435_761u64 as usize) % 1000) as f32 * 1e-3 + 1e4)
-            .collect();
-        let sums: Vec<u32> = [1usize, 2, 5, 8, 16]
-            .iter()
-            .map(|&t| {
-                Pool::new(t)
-                    .reduce_ordered(&items, || 0.0f32, |a, x| a + x, |a, b| a + b)
-                    .to_bits()
-            })
-            .collect();
-        for s in &sums {
-            assert_eq!(*s, sums[0], "sum bits differ across thread counts");
-        }
-    }
-
-    #[test]
-    fn vector_accumulators_reduce_in_fixed_order() {
-        let items: Vec<f32> = (0..5000).map(|i| (i as f32).sin()).collect();
-        let run = |t: usize| -> Vec<u32> {
-            Pool::new(t)
-                .reduce_ordered(
-                    &items,
-                    || vec![0.0f32; 4],
-                    |mut a, x| {
-                        for (i, v) in a.iter_mut().enumerate() {
-                            *v += x * (i as f32 + 1.0);
-                        }
-                        a
-                    },
-                    |mut a, b| {
-                        for (x, y) in a.iter_mut().zip(&b) {
-                            *x += y;
-                        }
-                        a
-                    },
-                )
-                .iter()
-                .map(|v| v.to_bits())
-                .collect()
-        };
-        let base = run(1);
-        assert_eq!(run(2), base);
-        assert_eq!(run(8), base);
     }
 
     #[test]
@@ -650,25 +454,6 @@ mod tests {
         let expect: Vec<u32> = items.iter().map(|x| x + 1).collect();
         for t in [1, 2, 8] {
             assert_eq!(Pool::new(t).map_ordered_each(&items, |x| x + 1), expect);
-        }
-    }
-
-    #[test]
-    fn range_dispatch_matches_slice_dispatch_bitwise() {
-        let items: Vec<f32> = (0..5_000).map(|i| (i as f32).cos()).collect();
-        for t in [1usize, 2, 8] {
-            let pool = Pool::new(t);
-            let via_slice: Vec<u32> = pool.chunks_map_ordered(&items, |start, chunk| {
-                chunk
-                    .iter()
-                    .enumerate()
-                    .map(|(i, x)| (x * (start + i) as f32).to_bits())
-                    .collect()
-            });
-            let via_range: Vec<u32> = pool.ranges_map_ordered(items.len(), |r| {
-                r.map(|i| (items[i] * i as f32).to_bits()).collect()
-            });
-            assert_eq!(via_range, via_slice, "diverged at {t} threads");
         }
     }
 
@@ -796,17 +581,5 @@ mod tests {
                 let _ = team.recv();
             },
         );
-    }
-
-    #[test]
-    fn combine_tree_order_is_fixed() {
-        // With strings, the tree shape is directly observable:
-        // ((a·b)·(c·d))·e for five leaves.
-        let leaves: Vec<String> = ["a", "b", "c", "d", "e"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let joined = combine_tree(leaves, &|a, b| format!("({a}{b})"));
-        assert_eq!(joined.as_deref(), Some("(((ab)(cd))e)"));
     }
 }

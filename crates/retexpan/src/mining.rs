@@ -57,7 +57,6 @@ pub fn mine_lists(
             outside.truncate(list_cap);
             queries.push(QueryLists {
                 ultra: u.id,
-                seed_tokens: Vec::new(),
                 l_pos,
                 l_neg,
                 outside,

@@ -1,7 +1,7 @@
 //! Pinned ranked output of every negative-seed re-ranking path.
 //!
 //! On the tiny profile, with the default configurations the Table 5
-//! ablation (`expt_table5`) uses, this pins two things:
+//! ablation (`expt_table5`) uses, this pins:
 //!
 //! * an FNV-1a fingerprint ([`ultra_core::stable`]) of every query's full
 //!   ranked list — entity ids and raw score bits — for RetExpan (re-rank on
@@ -12,7 +12,11 @@
 //! * the GenExpan decode paths the tiny default run does not reach: the
 //!   default pipeline over every small-world query (with its window memo
 //!   cold, warm, and shared by four workers), a Witten-Bell backbone and
-//!   unconstrained decoding.
+//!   unconstrained decoding;
+//! * contrastive training (Section 5.1.2) on lists mined from the tiny
+//!   RetExpan, as the `retexpan-contrast` row runs it: the loss curve's
+//!   bits, the trained encoder's parameter fingerprint and the ranked
+//!   lists of RetExpan over the trained encoder.
 //!
 //! The fingerprints were computed once and are never edited to follow a
 //! refactor: a change that moves one of them changes what the pipelines
@@ -20,6 +24,7 @@
 
 use std::sync::OnceLock;
 use ultrawiki::core::stable::stable_hash64;
+use ultrawiki::embed::contrastive::train_contrastive;
 use ultrawiki::lm::ModelSpec;
 use ultrawiki::prelude::*;
 use ultrawiki::retexpan::{DecoupledRetExpan, DynamicRaRetExpan};
@@ -51,20 +56,42 @@ fn run(
     }
 }
 
+/// Every pipeline's run, plus what contrastive training leaves behind.
+struct Runs {
+    runs: Vec<Run>,
+    /// `stable_hash64` of the contrastive loss curve's `f32` bits.
+    contrast_losses: u64,
+    /// `params_fingerprint()` of the contrastively trained encoder.
+    contrast_params: u64,
+}
+
 /// Trains every pipeline once and runs all of them (shared by the tests
 /// below; training dominates the cost).
-fn runs() -> &'static [Run] {
-    static RUNS: OnceLock<Vec<Run>> = OnceLock::new();
+fn runs() -> &'static Runs {
+    static RUNS: OnceLock<Runs> = OnceLock::new();
     RUNS.get_or_init(|| {
         let world = World::generate(WorldConfig::tiny()).expect("tiny world");
         let mut ret = RetExpan::train(&world, EncoderConfig::default(), RetExpanConfig::default());
         let rebuilt = || RetExpan::from_encoder(&world, ret.encoder.clone(), ret.config.clone());
+        // The `retexpan-contrast` row: lists mined from the trained
+        // RetExpan, InfoNCE on a clone of its encoder.
+        let oracle = KnowledgeOracle::new(&world, OracleConfig::default());
+        let mined = mine_lists(&world, &ret, &oracle, 30, 10);
+        let mut encoder = ret.encoder.clone();
+        let losses = train_contrastive(&mut encoder, &world, &mined, &PairConfig::default());
+        let bits: Vec<u32> = losses.iter().map(|l| l.to_bits()).collect();
+        let (contrast_losses, contrast_params) =
+            (stable_hash64(&bits), encoder.params_fingerprint());
+        let contrast = RetExpan::from_encoder(&world, encoder, ret.config.clone());
         let dynamic = DynamicRaRetExpan::new(rebuilt());
         let decoupled = DecoupledRetExpan::new(rebuilt());
         let mut prob = ProbExpan::from_encoder(&world, &ret.encoder);
         let mut gen = GenExpan::train(&world, GenExpanConfig::default());
 
         let mut out = vec![run("retexpan", &world, |_u, q| ret.expand(&world, q))];
+        out.push(run("retexpan-contrast", &world, |_u, q| {
+            contrast.expand(&world, q)
+        }));
         ret.config.rerank = false;
         out.push(run("retexpan-no-rerank", &world, |_u, q| {
             ret.expand(&world, q)
@@ -83,12 +110,17 @@ fn runs() -> &'static [Run] {
         out.push(run("genexpan-no-rerank", &world, |u, q| {
             gen.expand(&world, u, q)
         }));
-        out
+        Runs {
+            runs: out,
+            contrast_losses,
+            contrast_params,
+        }
     })
 }
 
 fn by_name(name: &str) -> &'static Run {
     runs()
+        .runs
         .iter()
         .find(|r| r.name == name)
         .unwrap_or_else(|| panic!("no run named {name}"))
@@ -138,6 +170,35 @@ fn negative_rerank_lowers_negmap_for_every_method() {
             without.name
         );
     }
+}
+
+/// The pinned fingerprints of contrastive training on the tiny world.
+const CONTRASTIVE_GOLDEN: [(&str, u64); 3] = [
+    ("loss-curve", 0xd0a3_6d31_ce00_58cc),
+    ("params", 0xaf8f_de01_095c_9731),
+    ("retexpan-contrast", 0x8e85_58ae_0f1f_a377),
+];
+
+#[test]
+fn contrastive_training_matches_the_pinned_fingerprints() {
+    let runs = runs();
+    // In `CONTRASTIVE_GOLDEN` order.
+    let got = [
+        runs.contrast_losses,
+        runs.contrast_params,
+        by_name("retexpan-contrast").fingerprint,
+    ];
+    let diffs: Vec<String> = CONTRASTIVE_GOLDEN
+        .iter()
+        .zip(got)
+        .filter(|&(&(_, want), got)| got != want)
+        .map(|(&(name, want), got)| format!("{name}: got {got:#018x}, pinned {want:#018x}"))
+        .collect();
+    assert!(
+        diffs.is_empty(),
+        "contrastive training moved:\n  {}",
+        diffs.join("\n  ")
+    );
 }
 
 /// The pinned fingerprint of every GenExpan decode path below.

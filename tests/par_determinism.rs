@@ -148,13 +148,13 @@ mod fused_training_props {
     }
 
     proptest! {
-        /// The fused batched gradient step — sequential and through the
-        /// persistent worker team at several thread counts — must be
-        /// bitwise identical to the per-example reference step, across
-        /// batch sizes, negative counts, weighted/unweighted examples,
-        /// and *repeated workspace reuse* (the middle half-batch step
-        /// shrinks every buffer, so stale rows would leak into the third
-        /// step if reuse were unsound).
+        /// The fused batched gradient step through the persistent worker
+        /// team — at one thread (no workers: every chunk runs inline) and
+        /// at several — must be bitwise identical to the per-example
+        /// reference step, across batch sizes, negative counts,
+        /// weighted/unweighted examples, and *repeated workspace reuse*
+        /// (the middle half-batch step shrinks every buffer, so stale rows
+        /// would leak into the third step if reuse were unsound).
         #[test]
         fn fused_batched_step_is_bit_identical_to_reference(raw in raw_batches()) {
             let (w, base) = base_encoder();
@@ -168,18 +168,6 @@ mod fused_training_props {
                 enc_ref.contrastive_batch_step_reference(&examples),
             ];
             let ref_fp = enc_ref.params_fingerprint();
-
-            let mut enc_seq = base.clone();
-            let mut wss = TrainWorkspaces::new(4);
-            let seq_losses = [
-                enc_seq.contrastive_batch_step_fused(&examples, &mut wss),
-                enc_seq.contrastive_batch_step_fused(half, &mut wss),
-                enc_seq.contrastive_batch_step_fused(&examples, &mut wss),
-            ];
-            for (a, b) in ref_losses.iter().zip(&seq_losses) {
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "fused loss diverged: {} vs {}", a, b);
-            }
-            prop_assert_eq!(enc_seq.params_fingerprint(), ref_fp, "fused params diverged");
 
             for threads in [1usize, 2, 8] {
                 let pool = Pool::new(threads);
