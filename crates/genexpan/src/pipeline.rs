@@ -11,7 +11,7 @@ use ultra_core::rng::{derive_rng, UltraRng};
 use ultra_core::{mix_seed, rerank_by_negatives, EntityId, Query, RankedList, TokenId, UltraClass};
 use ultra_data::World;
 use ultra_lm::{
-    constrained_entity_beam, unconstrained_beam, BeamParams, LmPrefix, ModelSpec, NgramLm,
+    constrained_entity_beam, unconstrained_beam, BeamParams, LmContext, ModelSpec, NgramLm,
 };
 use ultra_text::PrefixTrie;
 
@@ -122,7 +122,7 @@ struct ExpItem {
 /// once per query.
 struct SeedTemplate<'a> {
     name: &'a [TokenId],
-    template: LmPrefix<'a>,
+    template: LmContext<'a>,
 }
 
 /// A trained GenExpan instance.
@@ -233,7 +233,7 @@ impl GenExpan {
     /// for "`{e}` is similar to" — see crate docs), resolved once:
     /// `sco(e → e') = P(e'|f(e))^(1/|e'|)` is
     /// `lm.entity_score_from(&template(e), e')`.
-    fn template(&self, name: &[TokenId]) -> LmPrefix<'_> {
+    fn template(&self, name: &[TokenId]) -> LmContext<'_> {
         self.lm.prefix(&[name, std::slice::from_ref(&self.sep)])
     }
 

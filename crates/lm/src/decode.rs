@@ -1,7 +1,7 @@
 //! Beam-search decoding: prefix-trie-constrained (Figure 6) and
 //! unconstrained (the "- Prefix constrain" ablation of Table 3).
 
-use crate::ngram::NgramLm;
+use crate::ngram::{LmContext, NgramLm};
 use ultra_core::{EntityId, TokenId};
 use ultra_text::{PrefixTrie, TrieNode};
 
@@ -23,8 +23,8 @@ impl Default for BeamParams {
     }
 }
 
-/// One constrained hypothesis: the trie node its prefix reaches and a link
-/// to the hypothesis it extends; the prefix is rebuilt from the links.
+/// One constrained hypothesis: the trie node its prefix reaches, the
+/// prefix's last token, and the hypothesis it extends.
 #[derive(Clone, Copy, Debug)]
 struct NodeHyp {
     node: TrieNode,
@@ -44,34 +44,33 @@ struct NodeHyp {
 /// the geometric mean of its token probabilities. Returns the best
 /// `beam_size` distinct entities, best first.
 ///
-/// Each hypothesis resolves its LM context once and scores all children of
-/// its trie node in one sorted pass.
+/// Each surviving hypothesis carries its LM context, advanced from its
+/// parent's by its token, and scores all children of its trie node in one
+/// sorted pass.
 pub fn constrained_entity_beam(
     lm: &NgramLm,
     prompt: &[TokenId],
     trie: &PrefixTrie,
     params: BeamParams,
 ) -> Vec<(EntityId, f64)> {
-    // `beams[s]` is the beam after `s` steps: its prefixes have `s` tokens.
-    let mut beams: Vec<Vec<NodeHyp>> = vec![vec![NodeHyp {
+    let mut beam: Vec<NodeHyp> = vec![NodeHyp {
         node: PrefixTrie::ROOT,
         tok: TokenId::new(0),
         parent: 0,
         logp: 0.0,
-    }]];
+    }];
+    // `contexts[h]` is the LM context after hypothesis `h` of `beam`.
+    let mut contexts: Vec<LmContext<'_>> = vec![lm.context(prompt)];
     let mut completed: Vec<(EntityId, f64)> = Vec::new();
-    let mut ctx_buf: Vec<TokenId> = Vec::with_capacity(prompt.len() + params.max_len);
 
     for step in 0..params.max_len {
         let len = (step + 1) as f64;
         let mut next: Vec<NodeHyp> = Vec::new();
-        for (h, hyp) in beams[step].iter().enumerate() {
+        for (h, (hyp, ctx)) in beam.iter().zip(&contexts).enumerate() {
             let children = trie.children(hyp.node);
             if children.is_empty() {
                 continue;
             }
-            prefix_context(prompt, &beams, step, h, &mut ctx_buf);
-            let ctx = lm.context(&ctx_buf);
             let probs = ctx.sorted_probs(children.iter().map(|&(tok, _)| tok));
             for (&(tok, node), p) in children.iter().zip(probs) {
                 let logp = hyp.logp + p.max(1e-300).ln();
@@ -95,30 +94,18 @@ pub fn constrained_entity_beam(
         // so that order is part of the output.
         next.sort_unstable_by(|a, b| b.logp.total_cmp(&a.logp));
         next.truncate(params.beam_size);
-        beams.push(next);
+        contexts = next
+            .iter()
+            .map(|hyp| {
+                let mut ctx = contexts[hyp.parent as usize].clone();
+                ctx.advance(hyp.tok);
+                ctx
+            })
+            .collect();
+        beam = next;
     }
 
     dedup_best(completed, params.beam_size)
-}
-
-/// Writes `prompt` followed by the prefix of hypothesis `h` of
-/// `beams[step]` into `out`, following parent links back to the root.
-fn prefix_context(
-    prompt: &[TokenId],
-    beams: &[Vec<NodeHyp>],
-    step: usize,
-    h: usize,
-    out: &mut Vec<TokenId>,
-) {
-    out.clear();
-    out.extend_from_slice(prompt);
-    let mut h = h;
-    for beam in beams[1..=step].iter().rev() {
-        let hyp = beam[h];
-        out.push(hyp.tok);
-        h = hyp.parent as usize;
-    }
-    out[prompt.len()..].reverse();
 }
 
 /// One unconstrained generation: a token sequence that may or may not name
@@ -133,11 +120,14 @@ pub struct GeneratedSeq {
     pub entity: Option<EntityId>,
 }
 
-/// One unconstrained hypothesis: the tokens generated so far.
+/// One unconstrained hypothesis: the tokens generated so far, and the
+/// hypothesis it extends.
 #[derive(Clone, Debug)]
 struct Hyp {
     prefix: Vec<TokenId>,
     logp: f64,
+    /// Index of the extended hypothesis in the previous step's beam.
+    parent: u32,
 }
 
 /// Unconstrained beam search over observed LM continuations.
@@ -145,7 +135,8 @@ struct Hyp {
 /// Generation stops a hypothesis when it reaches `stop` (the list separator)
 /// or `max_len`. Produced sequences are looked up in `trie`; sequences that
 /// name no candidate entity are the hallucinations the prefix constraint
-/// exists to prevent.
+/// exists to prevent. Each surviving hypothesis carries its LM context,
+/// advanced from its parent's by its last token.
 pub fn unconstrained_beam(
     lm: &NgramLm,
     prompt: &[TokenId],
@@ -156,17 +147,15 @@ pub fn unconstrained_beam(
     let mut beams = vec![Hyp {
         prefix: Vec::new(),
         logp: 0.0,
+        parent: 0,
     }];
+    // `contexts[h]` is the LM context after hypothesis `h` of `beams`.
+    let mut contexts: Vec<LmContext<'_>> = vec![lm.context(prompt)];
     let mut done: Vec<GeneratedSeq> = Vec::new();
-    let mut ctx_buf: Vec<TokenId> = Vec::with_capacity(prompt.len() + params.max_len);
 
     for _step in 0..params.max_len {
         let mut next: Vec<Hyp> = Vec::new();
-        for hyp in &beams {
-            ctx_buf.clear();
-            ctx_buf.extend_from_slice(prompt);
-            ctx_buf.extend_from_slice(&hyp.prefix);
-            let ctx = lm.context(&ctx_buf);
+        for (h, (hyp, ctx)) in beams.iter().zip(&contexts).enumerate() {
             // Expand along tokens the LM has actually seen in context;
             // cap the branching factor at the beam size.
             for (tok, _) in ctx.observed_continuations(params.beam_size) {
@@ -184,7 +173,11 @@ pub fn unconstrained_beam(
                 }
                 let mut prefix = hyp.prefix.clone();
                 prefix.push(tok);
-                next.push(Hyp { prefix, logp: lp });
+                next.push(Hyp {
+                    prefix,
+                    logp: lp,
+                    parent: h as u32,
+                });
             }
         }
         if next.is_empty() {
@@ -192,6 +185,16 @@ pub fn unconstrained_beam(
         }
         next.sort_unstable_by(|a, b| b.logp.total_cmp(&a.logp));
         next.truncate(params.beam_size);
+        contexts = next
+            .iter()
+            .map(|hyp| {
+                let mut ctx = contexts[hyp.parent as usize].clone();
+                if let Some(&tok) = hyp.prefix.last() {
+                    ctx.advance(tok);
+                }
+                ctx
+            })
+            .collect();
         beams = next;
     }
     // Hypotheses that never hit the separator are emitted as-is.
@@ -246,6 +249,13 @@ mod tests {
     use crate::ngram::Smoothing;
     use proptest::prelude::*;
 
+    /// A reference hypothesis: the tokens generated so far.
+    #[derive(Clone, Debug)]
+    struct RefHyp {
+        prefix: Vec<TokenId>,
+        logp: f64,
+    }
+
     /// Reference constrained beam: one trie walk, one prefix clone and one
     /// back-off recursion per candidate token.
     fn reference_constrained_entity_beam(
@@ -254,14 +264,14 @@ mod tests {
         trie: &PrefixTrie,
         params: BeamParams,
     ) -> Vec<(EntityId, f64)> {
-        let mut beams = vec![Hyp {
+        let mut beams = vec![RefHyp {
             prefix: Vec::new(),
             logp: 0.0,
         }];
         let mut completed: Vec<(EntityId, f64)> = Vec::new();
         let mut ctx_buf: Vec<TokenId> = Vec::new();
         for _step in 0..params.max_len {
-            let mut next: Vec<Hyp> = Vec::new();
+            let mut next: Vec<RefHyp> = Vec::new();
             for hyp in &beams {
                 ctx_buf.clear();
                 ctx_buf.extend_from_slice(prompt);
@@ -274,7 +284,7 @@ mod tests {
                         let gm = (lp / prefix.len() as f64).exp();
                         completed.push((entity, gm));
                     }
-                    next.push(Hyp { prefix, logp: lp });
+                    next.push(RefHyp { prefix, logp: lp });
                 }
             }
             if next.is_empty() {
@@ -300,14 +310,14 @@ mod tests {
         stop: TokenId,
         params: BeamParams,
     ) -> Vec<GeneratedSeq> {
-        let mut beams = vec![Hyp {
+        let mut beams = vec![RefHyp {
             prefix: Vec::new(),
             logp: 0.0,
         }];
         let mut done: Vec<GeneratedSeq> = Vec::new();
         let mut ctx_buf: Vec<TokenId> = Vec::new();
         for _step in 0..params.max_len {
-            let mut next: Vec<Hyp> = Vec::new();
+            let mut next: Vec<RefHyp> = Vec::new();
             for hyp in &beams {
                 ctx_buf.clear();
                 ctx_buf.extend_from_slice(prompt);
@@ -327,7 +337,7 @@ mod tests {
                     }
                     let mut prefix = hyp.prefix.clone();
                     prefix.push(tok);
-                    next.push(Hyp { prefix, logp: lp });
+                    next.push(RefHyp { prefix, logp: lp });
                 }
             }
             if next.is_empty() {

@@ -11,7 +11,9 @@
 //! * *base* vs *further* pre-training as separate count updates (the
 //!   Table 3 "- Further pretrain" ablation),
 //! * conditional scoring `P(e'|f(e))` with geometric-mean length
-//!   normalization (Eq. 7, [`NgramLm::entity_score`]),
+//!   normalization (Eq. 7, [`NgramLm::entity_score_from`]), which steps a
+//!   resolved context ([`LmContext`]) along count-table links one token at
+//!   a time instead of searching the tables,
 //! * prefix-trie-constrained beam search returning only valid candidate
 //!   entities ([`decode::constrained_entity_beam`]), and an *unconstrained*
 //!   variant that can hallucinate token sequences (the Table 3 "- Prefix
@@ -25,5 +27,5 @@ pub mod ngram;
 pub mod spec;
 
 pub use decode::{constrained_entity_beam, unconstrained_beam, BeamParams, GeneratedSeq};
-pub use ngram::{LmContext, LmPrefix, NgramLm, Smoothing};
+pub use ngram::{LmContext, NgramLm, Smoothing};
 pub use spec::ModelSpec;

@@ -3,16 +3,26 @@
 //! Counts live in one [`Table`] per context length: the observed contexts
 //! in lexicographic key order, each with its continuations as a
 //! token-sorted `(token, count)` run — the layout the NGLM snapshot section
-//! serializes. Scoring resolves a context's back-off chain once into an
-//! [`LmContext`] and then scores any number of tokens against it; a batch
-//! of ascending tokens costs one forward merge per back-off level (DESIGN.md
-//! §6, "GenExpan decode kernel").
+//! serializes. Every run entry also links to the one-token-longer context
+//! it extends to, and the unigram run is indexed by token, so an
+//! [`LmContext`] moves one token along by following links instead of
+//! searching the tables (DESIGN.md §6, "Suffix-linked contexts"). A batch
+//! of ascending tokens scored against one context costs one forward merge
+//! per back-off level (DESIGN.md §6, "GenExpan decode kernel").
 
 use std::cmp::Ordering;
 use ultra_core::{ByteReader, ByteWriter, TokenId, UltraError};
 
 /// Largest supported model order; the NGLM section rejects larger ones.
 pub const MAX_ORDER: usize = 16;
+
+/// Largest supported vocabulary; the NGLM section rejects larger ones. It
+/// bounds the direct unigram index, one `u32` per token, at 16 MiB.
+pub const MAX_VOCAB: usize = 1 << 22;
+
+/// The link of a run entry whose one-token extension is not stored, and
+/// the unigram index entry of an unseen token.
+const NO_LINK: u32 = u32::MAX;
 
 /// Smoothing family. Stands in for the LLM *family* axis of Figure 8:
 /// Witten-Bell plays the weaker BLOOM, absolute discounting (the
@@ -26,6 +36,21 @@ pub enum Smoothing {
     AbsoluteDiscount(f64),
 }
 
+impl Smoothing {
+    /// One back-off step: the probability of a token seen `count` times in
+    /// `level`'s run, interpolated with its back-off probability `p`.
+    #[inline]
+    fn interpolate(self, level: &Level<'_>, count: f64, p: f64) -> f64 {
+        let (total, types) = (level.total, level.run.len() as f64);
+        match self {
+            Smoothing::WittenBell => (count + types * p) / (total + types),
+            Smoothing::AbsoluteDiscount(d) => {
+                (count - d).max(0.0) / total + (d * types / total) * p
+            }
+        }
+    }
+}
+
 /// Every observed context of one length `k`, in lexicographic key order.
 #[derive(Clone, Debug)]
 struct Table {
@@ -36,9 +61,13 @@ struct Table {
     /// Per-context total: the sum of the context's run.
     totals: Vec<u64>,
     /// Context `c`'s run is `conts[starts[c]..starts[c + 1]]`.
-    starts: Vec<usize>,
+    starts: Vec<u32>,
     /// One token-sorted `(token, count)` run per context, concatenated.
     conts: Vec<(u32, u32)>,
+    /// `next[i]` is the context of the next table that run entry `i` (token
+    /// `t` of context `c`) extends to, `key(c) ++ [t]`, or [`NO_LINK`] if
+    /// that table lacks it. Empty in the deepest table.
+    next: Vec<u32>,
 }
 
 impl Table {
@@ -51,6 +80,7 @@ impl Table {
             totals: Vec::with_capacity(contexts),
             starts,
             conts: Vec::new(),
+            next: Vec::new(),
         }
     }
 
@@ -65,33 +95,27 @@ impl Table {
         &self.keys[c * self.k..(c + 1) * self.k]
     }
 
+    /// Context `c`'s entries: `conts[span(c)]` and `next[span(c)]`.
+    #[inline]
+    fn span(&self, c: usize) -> std::ops::Range<usize> {
+        self.starts[c] as usize..self.starts[c + 1] as usize
+    }
+
     #[inline]
     fn run(&self, c: usize) -> &[(u32, u32)] {
-        &self.conts[self.starts[c]..self.starts[c + 1]]
+        &self.conts[self.span(c)]
     }
 
-    /// Context `c`'s run and the statistics the smoothing expressions read.
+    /// Context `c` as a back-off level.
+    #[inline]
     fn level(&self, c: usize) -> Level<'_> {
-        let run = self.run(c);
+        let span = self.span(c);
         Level {
-            run,
+            len: self.k,
+            run: &self.conts[span.clone()],
+            next: self.next.get(span).unwrap_or(&[]),
             total: self.totals[c] as f64,
-            types: run.len() as f64,
         }
-    }
-
-    /// Binary search for the context `key` (`key.len() == k`).
-    fn find(&self, key: &[u32]) -> Option<usize> {
-        let (mut lo, mut hi) = (0, self.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            match self.key(mid).cmp(key) {
-                Ordering::Less => lo = mid + 1,
-                Ordering::Greater => hi = mid,
-                Ordering::Equal => return Some(mid),
-            }
-        }
-        None
     }
 
     /// Appends a context after every stored one; keys must arrive in
@@ -101,7 +125,11 @@ impl Table {
         self.totals
             .push(run.iter().map(|&(_, n)| u64::from(n)).sum());
         self.conts.extend_from_slice(run);
-        self.starts.push(self.conts.len());
+        assert!(
+            self.conts.len() <= u32::MAX as usize,
+            "a table holds at most u32::MAX continuations"
+        );
+        self.starts.push(self.conts.len() as u32);
     }
 
     /// The counts of `grams`, sorted `(k + 1)`-grams: each one's first `k`
@@ -190,6 +218,55 @@ fn merge_runs(x: &[(u32, u32)], y: &[(u32, u32)], out: &mut Vec<(u32, u32)>) {
     out.extend_from_slice(&y[j..]);
 }
 
+/// Links the contexts of one table to their parent entries in the table
+/// before it. Contexts arrive in increasing key order, and the parent's
+/// entries are in `(key, token)` order, so every link is a step of one
+/// forward merge.
+#[derive(Default)]
+struct Linker {
+    /// The parent context the merge stands at.
+    c: usize,
+    /// The parent run entry the merge stands at.
+    e: usize,
+}
+
+impl Linker {
+    /// Points `parent`'s entry for `key` — token `key[k]` of context
+    /// `key[..k]`, where `k = parent.k` — at context `child` of the next
+    /// table. False if `parent` has no such entry.
+    fn link(&mut self, parent: &mut Table, key: &[u32], child: u32) -> bool {
+        let Some((&t, prefix)) = key.split_last() else {
+            return false;
+        };
+        while self.c < parent.len() && parent.key(self.c) < prefix {
+            self.c += 1;
+        }
+        if self.c == parent.len() || parent.key(self.c) != prefix {
+            return false;
+        }
+        let span = parent.span(self.c);
+        self.e = self.e.max(span.start);
+        while self.e < span.end && parent.conts[self.e].0 < t {
+            self.e += 1;
+        }
+        if self.e == span.end || parent.conts[self.e].0 != t {
+            return false;
+        }
+        parent.next[self.e] = child;
+        true
+    }
+}
+
+/// The direct unigram index: each vocabulary token's entry in the unigram
+/// run (table 0's one context), [`NO_LINK`] for a token the run lacks.
+fn unigram_index(unigrams: &Table, vocab_size: usize) -> Vec<u32> {
+    let mut index = vec![NO_LINK; vocab_size];
+    for (i, &(t, _)) in unigrams.conts.iter().enumerate() {
+        index[t as usize] = i as u32;
+    }
+    index
+}
+
 /// Interpolated back-off n-gram LM over [`TokenId`] streams.
 ///
 /// `order = n` conditions on up to `n-1` previous tokens. Training is
@@ -203,6 +280,9 @@ pub struct NgramLm {
     /// `tables[k]` holds the length-`k` contexts (`k = 0` is the unigram
     /// table, whose one context is empty).
     tables: Vec<Table>,
+    /// `unigram_index[t]` is token `t`'s entry in the unigram run, or
+    /// [`NO_LINK`]; empty before training.
+    unigram_index: Vec<u32>,
     vocab_size: usize,
 }
 
@@ -210,13 +290,17 @@ impl NgramLm {
     /// Creates an untrained LM.
     ///
     /// `vocab_size` bounds the uniform floor of the unigram distribution;
-    /// pass the interned vocabulary size.
+    /// pass the interned vocabulary size. Every trained token must lie
+    /// below it.
     pub fn new(order: usize, smoothing: Smoothing, vocab_size: usize) -> Self {
         assert!(
             (1..=MAX_ORDER).contains(&order),
             "order must be at least 1 and at most {MAX_ORDER}"
         );
-        assert!(vocab_size > 0, "vocabulary must be non-empty");
+        assert!(
+            (1..=MAX_VOCAB).contains(&vocab_size),
+            "vocabulary must be non-empty and at most {MAX_VOCAB}"
+        );
         if let Smoothing::AbsoluteDiscount(d) = smoothing {
             assert!((0.0..1.0).contains(&d), "discount must be in (0,1)");
         }
@@ -224,6 +308,7 @@ impl NgramLm {
             order,
             smoothing,
             tables: (0..order).map(|k| Table::with_capacity(k, 0)).collect(),
+            unigram_index: Vec::new(),
             vocab_size,
         }
     }
@@ -253,39 +338,78 @@ impl NgramLm {
             grams.sort_unstable();
             table.merge(Table::from_sorted_grams(k, &grams));
         }
+        self.build_links();
     }
 
-    /// Total observed unigram tokens (diagnostic).
-    pub fn tokens_seen(&self) -> u64 {
-        let uni = &self.tables[0];
-        uni.find(&[]).map_or(0, |c| uni.totals[c])
+    /// Rebuilds every table's links and the unigram index from the counts.
+    fn build_links(&mut self) {
+        for k in 1..self.order {
+            let (lower, upper) = self.tables.split_at_mut(k);
+            let (parent, child) = (&mut lower[k - 1], &upper[0]);
+            parent.next = vec![NO_LINK; parent.conts.len()];
+            let mut linker = Linker::default();
+            for c in 0..child.len() {
+                // The first `k` tokens of a counted `(k + 1)`-gram are a
+                // counted `k`-gram: trained tables are prefix-closed.
+                let linked = linker.link(parent, child.key(c), c as u32);
+                debug_assert!(linked, "trained context without its parent entry");
+            }
+        }
+        let unigrams = &self.tables[0];
+        if let Some(&(last, _)) = unigrams.conts.last() {
+            assert!(
+                (last as usize) < self.vocab_size,
+                "token {last} outside a vocabulary of {}",
+                self.vocab_size
+            );
+        }
+        self.unigram_index = unigram_index(unigrams, self.vocab_size);
     }
 
-    /// Resolves the back-off chain of `context` (its last `order - 1`
-    /// tokens; unseen suffixes back off transparently) for scoring any
-    /// number of next tokens.
-    pub fn context(&self, context: &[TokenId]) -> LmContext<'_> {
-        let mut window = Window::new(self.order);
-        window.extend(context);
-        self.resolve(&window)
+    /// Token `w`'s entry in the unigram run.
+    #[inline]
+    fn unigram_entry(&self, w: u32) -> Option<usize> {
+        match self.unigram_index.get(w as usize) {
+            Some(&i) if i != NO_LINK => Some(i as usize),
+            _ => None,
+        }
     }
 
-    fn resolve(&self, window: &Window) -> LmContext<'_> {
-        let uni = &self.tables[0];
-        let mut ctx = LmContext {
-            smoothing: self.smoothing,
-            vocab: self.vocab_size as f64,
-            unigram: uni.find(&[]).map_or(Level::EMPTY, |c| uni.level(c)),
+    /// The empty context: the unigram table alone.
+    fn root(&self) -> LmContext<'_> {
+        let unigrams = &self.tables[0];
+        LmContext {
+            lm: self,
+            unigram: if unigrams.len() == 0 {
+                Level::EMPTY
+            } else {
+                unigrams.level(0)
+            },
             suffixes: [Level::EMPTY; MAX_ORDER - 1],
             depth: 0,
-        };
-        let toks = window.tokens();
-        for len in 1..=toks.len() {
-            let table = &self.tables[len];
-            if let Some(c) = table.find(&toks[toks.len() - len..]) {
-                ctx.suffixes[ctx.depth] = table.level(c);
-                ctx.depth += 1;
-            }
+        }
+    }
+
+    /// The back-off chain of `context`: the root advanced over its last
+    /// `order - 1` tokens (unseen suffixes back off transparently), for
+    /// scoring any number of next tokens.
+    pub fn context(&self, context: &[TokenId]) -> LmContext<'_> {
+        self.prefix(&[context])
+    }
+
+    /// [`context`](Self::context) of a context given as consecutive pieces
+    /// — GenExpan's template `f(e)` is a name followed by the list
+    /// separator — without concatenating them.
+    pub fn prefix(&self, pieces: &[&[TokenId]]) -> LmContext<'_> {
+        let len: usize = pieces.iter().map(|p| p.len()).sum();
+        let mut ctx = self.root();
+        for &t in pieces
+            .iter()
+            .copied()
+            .flatten()
+            .skip(len.saturating_sub(self.order - 1))
+        {
+            ctx.advance(t);
         }
         ctx
     }
@@ -298,72 +422,30 @@ impl NgramLm {
         self.context(context).prob(next)
     }
 
-    /// Resolves a context given as consecutive pieces — GenExpan's template
-    /// `f(e)` is a name followed by the list separator — without
-    /// concatenating them. Every sequence scored after the returned prefix
-    /// reads its first token's back-off chain from it instead of searching
-    /// the tables again.
-    pub fn prefix(&self, pieces: &[&[TokenId]]) -> LmPrefix<'_> {
-        let mut window = Window::new(self.order);
-        for piece in pieces {
-            window.extend(piece);
-        }
-        LmPrefix {
-            first: self.resolve(&window),
-            window,
-        }
-    }
-
-    /// Log-probability of a token sequence continuing `context`.
-    pub fn logprob_seq(&self, context: &[TokenId], seq: &[TokenId]) -> f64 {
-        self.logprob_from(&self.prefix(&[context]), seq)
-    }
-
-    /// [`logprob_seq`](Self::logprob_seq) after a resolved prefix of this
-    /// model: the one scoring loop behind every sequence score.
-    fn logprob_from(&self, prefix: &LmPrefix<'_>, seq: &[TokenId]) -> f64 {
-        let Some((&first, rest)) = seq.split_first() else {
-            return 0.0;
-        };
-        let mut lp = 0.0f64;
-        lp += prefix.first.prob(first).max(1e-300).ln();
-        let mut window = prefix.window;
-        window.push(first);
-        for &t in rest {
-            lp += self.resolve(&window).prob(t).max(1e-300).ln();
-            window.push(t);
-        }
-        lp
-    }
-
     /// Eq. 7 scoring primitive: the geometric-mean probability
-    /// `P(e'|f(e))^(1/|e'|)` of generating `entity_tokens` after `context`.
-    /// The geometric mean "balances the different token numbers of various
-    /// entities".
-    pub fn entity_score(&self, context: &[TokenId], entity_tokens: &[TokenId]) -> f64 {
-        self.entity_score_after(&[context], entity_tokens)
-    }
-
-    /// [`entity_score`](Self::entity_score) after a context given as
-    /// consecutive pieces (see [`prefix`](Self::prefix)).
-    pub fn entity_score_after(&self, context: &[&[TokenId]], entity_tokens: &[TokenId]) -> f64 {
-        self.entity_score_from(&self.prefix(context), entity_tokens)
-    }
-
-    /// [`entity_score`](Self::entity_score) after a prefix this model
-    /// resolved: a template scored against many sequences is resolved once.
-    pub fn entity_score_from(&self, prefix: &LmPrefix<'_>, entity_tokens: &[TokenId]) -> f64 {
+    /// `P(e'|f(e))^(1/|e'|)` of generating `entity_tokens` after `context`
+    /// (from [`prefix`](Self::prefix)). The geometric mean "balances the
+    /// different token numbers of various entities". The context is cloned
+    /// and advanced once per token, so a template scored against many
+    /// sequences is resolved once.
+    pub fn entity_score_from(&self, context: &LmContext<'_>, entity_tokens: &[TokenId]) -> f64 {
         if entity_tokens.is_empty() {
             return 0.0;
         }
-        (self.logprob_from(prefix, entity_tokens) / entity_tokens.len() as f64).exp()
+        let mut ctx = context.clone();
+        let mut lp = 0.0f64;
+        for &t in entity_tokens {
+            lp += ctx.advance(t).max(1e-300).ln();
+        }
+        (lp / entity_tokens.len() as f64).exp()
     }
 
     /// Serializes the count tables in canonical form: for every table the
     /// contexts are emitted in lexicographic key order and every context's
     /// continuation counts in ascending token order — the order they are
     /// stored in — so two identically trained models produce byte-identical
-    /// output regardless of training history.
+    /// output regardless of training history. Links and the unigram index
+    /// are derived, and not written.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.u32(self.order as u32);
@@ -400,10 +482,13 @@ impl NgramLm {
 
     /// Strict inverse of [`to_bytes`](Self::to_bytes). Validates every
     /// invariant [`new`](Self::new) asserts (order in `1..=MAX_ORDER`,
-    /// vocab > 0, discount in `(0,1)`) *before* construction, plus canonical
-    /// ordering (strictly increasing contexts and tokens — rejecting
-    /// duplicates and reorderings), context-length/table agreement, and
-    /// count/total consistency, all as typed errors.
+    /// vocab in `1..=MAX_VOCAB`, discount in `(0,1)`) *before*
+    /// construction, plus canonical ordering (strictly increasing contexts
+    /// and tokens — rejecting duplicates and reorderings),
+    /// context-length/table agreement, count/total consistency, table sizes
+    /// that fit `u32`, and prefix closure (every context of length `k + 1`
+    /// is an entry of its first `k` tokens' run), all as typed errors. The
+    /// links are built in the same pass.
     pub fn from_bytes(bytes: &[u8]) -> ultra_core::Result<Self> {
         let corrupt = |msg: String| UltraError::Corrupt(format!("ngram-lm: {msg}"));
         let mut r = ByteReader::new(bytes, "ngram-lm");
@@ -418,8 +503,10 @@ impl NgramLm {
             (tag, _) => return Err(corrupt(format!("unknown smoothing tag {tag}"))),
         };
         let vocab_size = r.u64()?;
-        if vocab_size == 0 || vocab_size > u32::MAX as u64 {
-            return Err(corrupt(format!("vocab size {vocab_size} out of range")));
+        if vocab_size == 0 || vocab_size > MAX_VOCAB as u64 {
+            return Err(corrupt(format!(
+                "vocab size {vocab_size} outside 1..={MAX_VOCAB}"
+            )));
         }
         let mut tables: Vec<Table> = Vec::with_capacity(order);
         let mut key: Vec<u32> = Vec::with_capacity(order);
@@ -428,7 +515,11 @@ impl NgramLm {
             let declared = r.u64()?;
             // A context entry is at least key-len + total + count-len bytes.
             let n = r.check_count(declared, 16, "contexts")?;
+            if n > u32::MAX as usize {
+                return Err(corrupt(format!("table {k} holds {n} contexts")));
+            }
             let mut table = Table::with_capacity(k, n);
+            let mut linker = Linker::default();
             for c in 0..n {
                 let key_len = r.u32()? as usize;
                 if key_len != k {
@@ -445,9 +536,23 @@ impl NgramLm {
                         "table {k} contexts not strictly increasing"
                     )));
                 }
+                if let Some(parent) = tables.last_mut() {
+                    if !linker.link(parent, &key, c as u32) {
+                        return Err(corrupt(format!(
+                            "table {k} context {key:?} is no entry of table {}",
+                            k - 1
+                        )));
+                    }
+                }
                 let total = r.u64()?;
                 let declared_types = u64::from(r.u32()?);
                 let type_count = r.check_count(declared_types, 8, "continuations")?;
+                if table.conts.len() + type_count > u32::MAX as usize {
+                    return Err(corrupt(format!(
+                        "table {k} holds more than {} continuations",
+                        u32::MAX
+                    )));
+                }
                 run.clear();
                 let mut sum = 0u64;
                 for _ in 0..type_count {
@@ -474,86 +579,60 @@ impl NgramLm {
                 }
                 table.push(&key, &run);
             }
+            if k + 1 < order {
+                table.next = vec![NO_LINK; table.conts.len()];
+            }
             tables.push(table);
         }
         r.expect_end()?;
+        let vocab_size = vocab_size as usize;
         Ok(Self {
             order,
             smoothing,
+            unigram_index: unigram_index(&tables[0], vocab_size),
             tables,
-            vocab_size: vocab_size as usize,
+            vocab_size,
         })
     }
 }
 
-/// The last `order - 1` tokens of a context — all the model conditions
-/// on — kept on the stack.
-#[derive(Clone, Copy, Debug)]
-struct Window {
-    toks: [u32; MAX_ORDER - 1],
-    len: usize,
-    cap: usize,
-}
-
-impl Window {
-    fn new(order: usize) -> Self {
-        Self {
-            toks: [0; MAX_ORDER - 1],
-            len: 0,
-            cap: order - 1,
-        }
-    }
-
-    fn push(&mut self, t: TokenId) {
-        if self.cap == 0 {
-            return;
-        }
-        if self.len == self.cap {
-            self.toks.copy_within(1..self.len, 0);
-            self.len -= 1;
-        }
-        self.toks[self.len] = t.0;
-        self.len += 1;
-    }
-
-    fn extend(&mut self, toks: &[TokenId]) {
-        for &t in &toks[toks.len().saturating_sub(self.cap)..] {
-            self.push(t);
-        }
-    }
-
-    fn tokens(&self) -> &[u32] {
-        &self.toks[..self.len]
-    }
-}
-
-/// One observed context: its continuation run and the statistics the
-/// smoothing expressions read.
+/// One observed context: its length, its continuation run with the run's
+/// links, and its total.
 #[derive(Clone, Copy, Debug)]
 struct Level<'a> {
+    /// Context length: the level's table.
+    len: usize,
     run: &'a [(u32, u32)],
+    /// `run`'s links into table `len + 1` (empty in the deepest table).
+    next: &'a [u32],
     total: f64,
-    types: f64,
 }
 
 impl Level<'_> {
     const EMPTY: Level<'static> = Level {
+        len: 0,
         run: &[],
+        next: &[],
         total: 0.0,
-        types: 0.0,
     };
+
+    /// The link of run entry `i`.
+    #[inline]
+    fn link(&self, i: usize) -> u32 {
+        self.next.get(i).copied().unwrap_or(NO_LINK)
+    }
 }
 
-/// A context's back-off chain, resolved once: the unigram table plus every
-/// observed suffix of the context, shortest first.
+/// A context's back-off chain: the unigram table plus every observed
+/// suffix of the context's last `order - 1` tokens, shortest first.
 ///
 /// Every probability it returns is the same IEEE-754 operation sequence as
 /// the back-off recursion: the add-one unigram floor, then one smoothing
 /// step per observed suffix from shortest to longest.
-#[derive(Clone, Debug)]
+/// [`advance`](Self::advance) is the only way a context moves.
+#[derive(Clone)]
 pub struct LmContext<'a> {
-    smoothing: Smoothing,
-    vocab: f64,
+    lm: &'a NgramLm,
     /// The unigram table (empty before training).
     unigram: Level<'a>,
     /// The observed suffixes, shortest first; only `..depth` are set.
@@ -561,10 +640,65 @@ pub struct LmContext<'a> {
     depth: usize,
 }
 
+impl std::fmt::Debug for LmContext<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LmContext")
+            .field("unigram", &self.unigram)
+            .field("suffixes", &&self.suffixes[..self.depth])
+            .finish()
+    }
+}
+
 impl<'a> LmContext<'a> {
     /// `P(next | context)`.
     pub fn prob(&self, next: TokenId) -> f64 {
-        self.score(&mut [0; MAX_ORDER], next.0)
+        self.prob_and_links(next.0, &mut [(0, NO_LINK); MAX_ORDER])
+    }
+
+    /// Returns `P(next | context)`, then moves the context one token along:
+    /// to the observed suffixes of the context followed by `next`. Each of
+    /// them is one level's link for `next`, shortest first; a level whose
+    /// entry has no link drops out, and so does the deepest table.
+    pub fn advance(&mut self, next: TokenId) -> f64 {
+        let mut links = [(0, NO_LINK); MAX_ORDER];
+        let p = self.prob_and_links(next.0, &mut links);
+        let lm = self.lm;
+        let mut depth = 0;
+        // Level `depth` is written only after every link below it was read
+        // into `links`.
+        for &(k, c) in &links[..=self.depth] {
+            if c != NO_LINK {
+                self.suffixes[depth] = lm.tables[k].level(c as usize);
+                depth += 1;
+            }
+        }
+        self.depth = depth;
+        p
+    }
+
+    /// `P(w | context)`, finding `w` once per level: the unigram through
+    /// the direct index, each suffix by a binary search of its run.
+    /// `links[0]` receives the unigram entry's link and `links[1 + i]`
+    /// suffix `i`'s, each as `(table, context)`.
+    #[inline]
+    fn prob_and_links(&self, w: u32, links: &mut [(usize, u32); MAX_ORDER]) -> f64 {
+        let lm = self.lm;
+        let uni = &self.unigram;
+        let (count, link) = match lm.unigram_entry(w) {
+            Some(i) => (f64::from(uni.run[i].1), uni.link(i)),
+            None => (0.0, NO_LINK),
+        };
+        links[0] = (1, link);
+        let mut p = (count + 1.0) / (uni.total + lm.vocab_size as f64);
+        for (level, slot) in self.suffixes[..self.depth].iter().zip(&mut links[1..]) {
+            let (count, link) = match level.run.binary_search_by_key(&w, |e| e.0) {
+                Ok(i) => (f64::from(level.run[i].1), level.link(i)),
+                Err(_) => (0.0, NO_LINK),
+            };
+            *slot = (level.len + 1, link);
+            p = lm.smoothing.interpolate(level, count, p);
+        }
+        p
     }
 
     /// `P(w | context)` for each of `tokens`. Ascending tokens are scored
@@ -577,27 +711,22 @@ impl<'a> LmContext<'a> {
         SortedProbs {
             ctx: self,
             tokens: tokens.into_iter(),
-            cursors: [0; MAX_ORDER],
+            cursors: [0; MAX_ORDER - 1],
             prev: 0,
         }
     }
 
-    /// The probability of `w`, advancing each level's merge cursor
-    /// (`cursors[0]` the unigram's, `cursors[1 + i]` suffix `i`'s) to `w`.
+    /// The probability of `w`, advancing each suffix's merge cursor to `w`.
     #[inline]
-    fn score(&self, cursors: &mut [usize; MAX_ORDER], w: u32) -> f64 {
-        let (uni_pos, suffix_pos) = cursors.split_at_mut(1);
-        let uni = self.unigram;
-        let mut p = (gallop(uni.run, &mut uni_pos[0], w) + 1.0) / (uni.total + self.vocab);
-        for (level, pos) in self.suffixes[..self.depth].iter().zip(suffix_pos) {
-            let count = gallop(level.run, pos, w);
-            let (total, types) = (level.total, level.types);
-            p = match self.smoothing {
-                Smoothing::WittenBell => (count + types * p) / (total + types),
-                Smoothing::AbsoluteDiscount(d) => {
-                    (count - d).max(0.0) / total + (d * types / total) * p
-                }
-            };
+    fn score(&self, cursors: &mut [usize; MAX_ORDER - 1], w: u32) -> f64 {
+        let lm = self.lm;
+        let uni = &self.unigram;
+        let count = lm.unigram_entry(w).map_or(0.0, |i| f64::from(uni.run[i].1));
+        let mut p = (count + 1.0) / (uni.total + lm.vocab_size as f64);
+        for (level, pos) in self.suffixes[..self.depth].iter().zip(cursors) {
+            p = lm
+                .smoothing
+                .interpolate(level, gallop(level.run, pos, w), p);
         }
         p
     }
@@ -651,20 +780,11 @@ impl<'a> LmContext<'a> {
     }
 }
 
-/// A context resolved once for scoring many sequences after it (from
-/// [`NgramLm::prefix`]): the model window it leaves and the back-off chain
-/// of the first token after it.
-#[derive(Clone, Debug)]
-pub struct LmPrefix<'a> {
-    window: Window,
-    first: LmContext<'a>,
-}
-
 /// Iterator returned by [`LmContext::sorted_probs`].
 pub struct SortedProbs<'c, 'a, I> {
     ctx: &'c LmContext<'a>,
     tokens: I,
-    cursors: [usize; MAX_ORDER],
+    cursors: [usize; MAX_ORDER - 1],
     prev: u32,
 }
 
@@ -675,7 +795,7 @@ impl<I: Iterator<Item = TokenId>> Iterator for SortedProbs<'_, '_, I> {
     fn next(&mut self) -> Option<f64> {
         let w = self.tokens.next()?.0;
         if w < self.prev {
-            self.cursors = [0; MAX_ORDER];
+            self.cursors = [0; MAX_ORDER - 1];
         }
         self.prev = w;
         Some(self.ctx.score(&mut self.cursors, w))
@@ -708,7 +828,43 @@ fn gallop(run: &[(u32, u32)], pos: &mut usize, w: u32) -> f64 {
 }
 
 #[cfg(test)]
+impl Table {
+    /// Binary search for the context `key` (`key.len() == k`).
+    fn find(&self, key: &[u32]) -> Option<usize> {
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.key(mid).cmp(key) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return Some(mid),
+            }
+        }
+        None
+    }
+}
+
+#[cfg(test)]
 impl NgramLm {
+    /// Reference [`NgramLm::context`]: one binary search of its table per
+    /// suffix length of the context's last `order - 1` tokens.
+    pub(crate) fn resolve_reference(&self, context: &[TokenId]) -> LmContext<'_> {
+        let keep = context.len().min(self.order - 1);
+        let toks: Vec<u32> = context[context.len() - keep..]
+            .iter()
+            .map(|t| t.0)
+            .collect();
+        let mut ctx = self.root();
+        for len in 1..=toks.len() {
+            let table = &self.tables[len];
+            if let Some(c) = table.find(&toks[toks.len() - len..]) {
+                ctx.suffixes[ctx.depth] = table.level(c);
+                ctx.depth += 1;
+            }
+        }
+        ctx
+    }
+
     /// Reference `P(next | context)`: the back-off recursion that
     /// [`LmContext`] unrolls, with one context search and one count search
     /// per level and token.
@@ -840,6 +996,55 @@ mod tests {
         }
     }
 
+    /// One table of a handmade NGLM payload: `(key, run)` per context.
+    type Contexts<'a> = &'a [(&'a [u32], &'a [(u32, u32)])];
+
+    /// An NGLM payload (absolute discounting, `d = 0.5`, vocabulary 8)
+    /// holding `tables` as given, totals summed from the runs.
+    fn payload(tables: &[Contexts<'_>]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.u32(tables.len() as u32);
+        w.u8(1);
+        w.f64(0.5);
+        w.u64(8);
+        for table in tables {
+            w.u64(table.len() as u64);
+            for &(key, run) in table.iter() {
+                w.u32(key.len() as u32);
+                for &tok in key {
+                    w.u32(tok);
+                }
+                w.u64(run.iter().map(|&(_, n)| u64::from(n)).sum());
+                w.u32(run.len() as u32);
+                for &(tok, n) in run {
+                    w.u32(tok);
+                    w.u32(n);
+                }
+            }
+        }
+        w.finish()
+    }
+
+    /// Each level as (length, run, links, total), shortest first: equal
+    /// lists name the same contexts of the same model.
+    type LevelId = (usize, *const (u32, u32), usize, *const u32, usize, u64);
+
+    fn level_ids(ctx: &LmContext<'_>) -> Vec<LevelId> {
+        std::iter::once(&ctx.unigram)
+            .chain(&ctx.suffixes[..ctx.depth])
+            .map(|l| {
+                (
+                    l.len,
+                    l.run.as_ptr(),
+                    l.run.len(),
+                    l.next.as_ptr(),
+                    l.next.len(),
+                    l.total.to_bits(),
+                )
+            })
+            .collect()
+    }
+
     #[test]
     fn probabilities_sum_to_one_over_vocab() {
         for smoothing in [Smoothing::WittenBell, Smoothing::AbsoluteDiscount(0.75)] {
@@ -921,8 +1126,9 @@ mod tests {
     #[test]
     fn entity_score_is_length_normalized() {
         let lm = toy_lm(Smoothing::WittenBell);
-        let s1 = lm.entity_score(&[t(1)], &[t(2)]);
-        let s2 = lm.entity_score(&[t(1)], &[t(2), t(3)]);
+        let ctx = lm.context(&[t(1)]);
+        let s1 = lm.entity_score_from(&ctx, &[t(2)]);
+        let s2 = lm.entity_score_from(&ctx, &[t(2), t(3)]);
         // Geometric mean keeps multi-token scores on the same scale:
         // both are ≤ 1 and within a factor, not a power, of each other.
         assert!(s1 > 0.0 && s2 > 0.0);
@@ -940,8 +1146,9 @@ mod tests {
             let whole: Vec<TokenId> = head.iter().chain(&tail).copied().collect();
             for seq in [toks(&[3]), toks(&[2, 3]), toks(&[4, 1, 2])] {
                 assert_eq!(
-                    lm.entity_score_after(&[&head, &tail], &seq).to_bits(),
-                    lm.entity_score(&whole, &seq).to_bits()
+                    lm.entity_score_from(&lm.prefix(&[&head, &tail]), &seq)
+                        .to_bits(),
+                    lm.entity_score_from(&lm.context(&whole), &seq).to_bits()
                 );
             }
         }
@@ -957,23 +1164,30 @@ mod tests {
     }
 
     #[test]
-    fn logprob_seq_adds_stepwise_logs() {
+    fn advance_adds_stepwise_logs() {
         let lm = toy_lm(Smoothing::WittenBell);
-        let lp = lm.logprob_seq(&[t(1)], &[t(2), t(3)]);
+        let mut ctx = lm.context(&[t(1)]);
+        let lp = ctx.advance(t(2)).ln() + ctx.advance(t(3)).ln();
         let manual = lm.prob(&[t(1)], t(2)).ln() + lm.prob(&[t(1), t(2)], t(3)).ln();
         assert!((lp - manual).abs() < 1e-12);
     }
 
     #[test]
-    fn tokens_seen_counts_training_volume() {
+    fn the_unigram_level_counts_training_volume() {
         let lm = toy_lm(Smoothing::WittenBell);
-        assert_eq!(lm.tokens_seen(), 9);
+        assert_eq!(lm.context(&[]).unigram.total, 9.0);
     }
 
     #[test]
     #[should_panic(expected = "order must be")]
     fn zero_order_is_rejected() {
         NgramLm::new(0, Smoothing::WittenBell, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "vocabulary must be")]
+    fn a_vocabulary_past_max_vocab_is_rejected() {
+        NgramLm::new(2, Smoothing::WittenBell, MAX_VOCAB + 1);
     }
 
     #[test]
@@ -992,7 +1206,11 @@ mod tests {
                     );
                 }
             }
-            assert_eq!(back.tokens_seen(), lm.tokens_seen());
+            // The load pass builds the links and the index training builds.
+            assert_eq!(back.unigram_index, lm.unigram_index);
+            for (a, b) in back.tables.iter().zip(&lm.tables) {
+                assert_eq!((&a.starts, &a.next), (&b.starts, &b.next));
+            }
         }
     }
 
@@ -1017,49 +1235,33 @@ mod tests {
         let mut bad_discount = toy_lm(Smoothing::AbsoluteDiscount(0.75)).to_bytes();
         bad_discount[5..13].copy_from_slice(&1.5f64.to_bits().to_le_bytes());
         assert!(NgramLm::from_bytes(&bad_discount).is_err());
+        // A vocabulary past `MAX_VOCAB` is rejected before the index for it
+        // is allocated.
+        let mut huge_vocab = bytes.clone();
+        huge_vocab[13..21].copy_from_slice(&(MAX_VOCAB as u64 + 1).to_le_bytes());
+        assert!(matches!(
+            NgramLm::from_bytes(&huge_vocab),
+            Err(UltraError::Corrupt(_))
+        ));
     }
 
     #[test]
     fn a_longer_suffix_without_its_shorter_one_still_counts() {
         // Training always records a context's shorter suffixes too, but a
         // snapshot need not: table 2 holds [5, 6] while table 1 lacks [6].
-        // The recursion skips the missing level and still applies [5, 6];
-        // the resolved chain must do the same.
-        let mut w = ByteWriter::new();
-        w.u32(3);
-        w.u8(1);
-        w.f64(0.5);
-        w.u64(8);
-        // Table 0: the empty context, continuations 1×2, 3×1.
-        w.u64(1);
-        w.u32(0);
-        w.u64(3);
-        w.u32(2);
-        for (tok, n) in [(1u32, 2u32), (3, 1)] {
-            w.u32(tok);
-            w.u32(n);
-        }
-        // Table 1: only [2].
-        w.u64(1);
-        w.u32(1);
-        w.u32(2);
-        w.u64(1);
-        w.u32(1);
-        w.u32(3);
-        w.u32(1);
-        // Table 2: only [5, 6].
-        w.u64(1);
-        w.u32(2);
-        w.u32(5);
-        w.u32(6);
-        w.u64(4);
-        w.u32(1);
-        w.u32(1);
-        w.u32(4);
-        let lm = NgramLm::from_bytes(&w.finish()).expect("valid payload");
+        // The payload is prefix-closed ([5] → 6 and [] → 5 are entries), so
+        // the loader accepts it. The recursion skips the missing level and
+        // still applies [5, 6]; the stepped chain must do the same.
+        let lm = NgramLm::from_bytes(&payload(&[
+            &[(&[], &[(1, 2), (2, 1), (3, 1), (5, 1)])],
+            &[(&[2], &[(3, 1)]), (&[5], &[(6, 1)])],
+            &[(&[5, 6], &[(1, 4)])],
+        ]))
+        .expect("valid payload");
         let ctx = toks(&[5, 6]);
         let resolved = lm.context(&ctx);
         assert_eq!(resolved.depth, 1);
+        assert_eq!(level_ids(&resolved), level_ids(&lm.resolve_reference(&ctx)));
         for tok in 0..8 {
             assert_eq!(
                 lm.prob(&ctx, t(tok)).to_bits(),
@@ -1067,6 +1269,38 @@ mod tests {
             );
         }
         assert!(lm.prob(&ctx, t(1)) > lm.prob(&[t(6)], t(1)));
+    }
+
+    #[test]
+    fn a_context_without_its_prefix_is_a_typed_error() {
+        for broken in [
+            // Table 2 holds [5, 6], but table 1 lacks [5] (and table 0 lacks
+            // the entry 2 of [2]).
+            payload(&[
+                &[(&[], &[(1, 2), (3, 1)])],
+                &[(&[2], &[(3, 1)])],
+                &[(&[5, 6], &[(1, 4)])],
+            ]),
+            // Only [5, 6] lacks its prefix.
+            payload(&[
+                &[(&[], &[(1, 2), (2, 1), (3, 1), (5, 1)])],
+                &[(&[2], &[(3, 1)])],
+                &[(&[5, 6], &[(1, 4)])],
+            ]),
+            // [5] is stored, but 6 is not in its run.
+            payload(&[
+                &[(&[], &[(1, 2), (2, 1), (3, 1), (5, 1)])],
+                &[(&[2], &[(3, 1)]), (&[5], &[(7, 1)])],
+                &[(&[5, 6], &[(1, 4)])],
+            ]),
+            // A unigram context without a unigram table entry.
+            payload(&[&[], &[(&[2], &[(3, 1)])]]),
+        ] {
+            assert!(matches!(
+                NgramLm::from_bytes(&broken),
+                Err(UltraError::Corrupt(_))
+            ));
+        }
     }
 
     proptest! {
@@ -1145,7 +1379,47 @@ mod tests {
             for seq in &seqs {
                 let want = lm.entity_score_reference(&whole, seq).to_bits();
                 prop_assert_eq!(lm.entity_score_from(&prefix, seq).to_bits(), want);
-                prop_assert_eq!(lm.entity_score_after(&slices, seq).to_bits(), want);
+                prop_assert_eq!(
+                    lm.entity_score_from(&lm.context(&whole), seq).to_bits(),
+                    want
+                );
+            }
+        }
+
+        #[test]
+        fn stepping_finds_the_suffixes_a_search_finds(
+            docs in prop::collection::vec(prop::collection::vec(0u32..24, 0..14), 0..10),
+            order in 1usize..7,
+            family in 0u8..2,
+            discount in 0.05f64..0.95,
+            seq in prop::collection::vec(0u32..32, 0..12),
+            seq_doc in 0usize..16,
+            reload in 0u8..2,
+        ) {
+            // As above: tokens 24..32 are unseen, and no documents leave the
+            // LM untrained. Half the time the sequence is a training
+            // document, so long suffixes are observed; sequences run past
+            // `order - 1` tokens. Half the time the model is reloaded, so
+            // the links are the ones the load pass builds.
+            let mut lm = NgramLm::new(order, smoothing_of(family, discount), 32);
+            let docs: Vec<Vec<TokenId>> = docs.iter().map(|d| toks(d)).collect();
+            lm.train(docs.iter().map(Vec::as_slice));
+            if reload == 1 {
+                lm = NgramLm::from_bytes(&lm.to_bytes()).expect("round trip");
+            }
+            let seq = match docs.get(seq_doc) {
+                Some(doc) => doc.clone(),
+                None => toks(&seq),
+            };
+            let mut stepped = lm.context(&[]);
+            for i in 0..=seq.len() {
+                let want = level_ids(&lm.resolve_reference(&seq[..i]));
+                prop_assert_eq!(level_ids(&lm.context(&seq[..i])), want.clone());
+                prop_assert_eq!(level_ids(&stepped), want);
+                if let Some(&w) = seq.get(i) {
+                    let p = stepped.advance(w);
+                    prop_assert_eq!(p.to_bits(), lm.prob_reference(&seq[..i], w).to_bits());
+                }
             }
         }
     }

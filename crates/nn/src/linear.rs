@@ -42,15 +42,19 @@ impl Activation {
     }
 }
 
-/// Fully-connected layer `y = act(W x + b)` with gradient accumulation.
+/// Bias-free fully-connected layer `y = act(W x)` with gradient
+/// accumulation.
+///
+/// The one layer built is the contrastive projection head's, and there a
+/// bias would hurt: under an l2-normalized similarity loss a trainable
+/// output bias is a flat direction — growing it raises *every* pairwise
+/// cosine equally, so the optimizer can drift into representation
+/// collapse without resistance from the loss.
 #[derive(Clone, Debug)]
 pub struct Linear {
     w: Matrix,
-    b: Vec<f32>,
     gw: Matrix,
-    gb: Vec<f32>,
     act: Activation,
-    use_bias: bool,
 }
 
 impl Linear {
@@ -58,23 +62,9 @@ impl Linear {
     pub fn new(in_dim: usize, out_dim: usize, act: Activation, rng: &mut UltraRng) -> Self {
         Self {
             w: Matrix::xavier(out_dim, in_dim, rng),
-            b: vec![0.0; out_dim],
             gw: Matrix::zeros(out_dim, in_dim),
-            gb: vec![0.0; out_dim],
             act,
-            use_bias: true,
         }
-    }
-
-    /// Bias-free layer. Contrastive projection heads use this: under an
-    /// l2-normalized similarity loss a trainable output bias is a flat
-    /// direction — growing it raises *every* pairwise cosine equally, so
-    /// the optimizer can drift into representation collapse without
-    /// resistance from the loss.
-    pub fn new_no_bias(in_dim: usize, out_dim: usize, act: Activation, rng: &mut UltraRng) -> Self {
-        let mut l = Self::new(in_dim, out_dim, act, rng);
-        l.use_bias = false;
-        l
     }
 
     /// Input dimensionality.
@@ -92,27 +82,21 @@ impl Linear {
     /// Forward pass.
     pub fn forward(&self, x: &[f32]) -> Vec<f32> {
         let mut y = self.w.matvec(x);
-        self.bias_and_activate(&mut y);
+        self.activate(&mut y);
         y
     }
 
     /// The forward epilogue, in place on one row of pre-activations:
-    /// `y = act(y + b)`, or `act(y)` without a bias.
+    /// `y = act(y)`.
     #[inline]
-    fn bias_and_activate(&self, y: &mut [f32]) {
-        if self.use_bias {
-            for (yi, bi) in y.iter_mut().zip(&self.b) {
-                *yi = self.act.forward(*yi + bi);
-            }
-        } else {
-            for yi in y.iter_mut() {
-                *yi = self.act.forward(*yi);
-            }
+    fn activate(&self, y: &mut [f32]) {
+        for yi in y.iter_mut() {
+            *yi = self.act.forward(*yi);
         }
     }
 
     /// Backward pass into an external gradient buffer: accumulates
-    /// weight/bias gradients into `g` and returns the gradient w.r.t. the
+    /// weight gradients into `g` and returns the gradient w.r.t. the
     /// input. `x` is the input given to [`forward`](Self::forward), `y` its
     /// output, `dy` the loss gradient w.r.t. `y`.
     ///
@@ -129,11 +113,6 @@ impl Linear {
             .map(|(&d, &yv)| d * self.act.backward_from_output(yv))
             .collect();
         g.gw.add_outer(1.0, &dz, x);
-        if self.use_bias {
-            for (gb, d) in g.gb.iter_mut().zip(&dz) {
-                *gb += d;
-            }
-        }
         self.w.matvec_t(&dz)
     }
 
@@ -143,8 +122,8 @@ impl Linear {
     /// throughput-bound sweep form ([`Matrix::matmat_nt_pret_into`]) with
     /// `lanes` as the sweep's partial-sum scratch; the sweep reproduces
     /// `dot_unrolled`'s exact summand grouping, so every row is
-    /// bit-identical to the per-row `matvec`, and the bias/activation
-    /// epilogue is the same loop. `y` must be pre-shaped
+    /// bit-identical to the per-row `matvec`, and the activation epilogue
+    /// is the same loop. `y` must be pre-shaped
     /// `(x.rows × out_dim)`.
     // ultra-lint: hot
     pub fn forward_batch_pret(&self, x: &Matrix, wt: &Matrix, y: &mut Matrix, lanes: &mut Matrix) {
@@ -152,7 +131,7 @@ impl Linear {
         debug_assert_eq!(wt.cols(), self.w.rows(), "forward_batch_pret: stale wt");
         x.matmat_nt_pret_into(wt, y, lanes);
         for r in 0..y.rows() {
-            self.bias_and_activate(y.row_mut(r));
+            self.activate(y.row_mut(r));
         }
     }
 
@@ -165,7 +144,7 @@ impl Linear {
     /// four-row block cuts that traffic ~4×.
     ///
     /// Bit-compatibility is structural, not approximate: every
-    /// `gw[i][j]` (and `gb[i]`) receives exactly the summands of the
+    /// `gw[i][j]` receives exactly the summands of the
     /// per-row kernel in ascending-`r` order, every `dx[r][j]` its
     /// summands in ascending-`i` order, and the zero-skips mirror
     /// [`Matrix::add_outer`] / [`Matrix::matvec_t`] — so a block is
@@ -189,16 +168,13 @@ impl Linear {
                 *dzi = d * self.act.backward_from_output(yv);
             }
         }
-        // `gw += dzᵀ·x` / `gb += Σ dz`: stream each `gw` row once for the
+        // `gw += dzᵀ·x`: stream each `gw` row once for the
         // whole block; per element the `r` fold order matches `add_outer`
         // called row by row.
         for i in 0..self.w.rows() {
             let gwrow = g.gw.row_mut(i);
             for r in r0..r1 {
                 let c = dz.row(r)[i];
-                if self.use_bias {
-                    g.gb[i] += c;
-                }
                 if c == 0.0 {
                     continue; // the `add_outer` zero-skip
                 }
@@ -230,9 +206,6 @@ impl Linear {
     /// internal one, readying an optimizer step.
     pub fn accumulate(&mut self, g: &LinearGrad) {
         self.gw.add_assign(&g.gw);
-        for (a, &b) in self.gb.iter_mut().zip(&g.gb) {
-            *a += b;
-        }
     }
 
     /// Direct read access to the weight matrix (used by read-out heads).
@@ -246,7 +219,6 @@ impl Linear {
 #[derive(Clone, Debug)]
 pub struct LinearGrad {
     gw: Matrix,
-    gb: Vec<f32>,
 }
 
 impl LinearGrad {
@@ -254,7 +226,6 @@ impl LinearGrad {
     pub fn zeros_like(layer: &Linear) -> Self {
         Self {
             gw: Matrix::zeros(layer.out_dim(), layer.in_dim()),
-            gb: vec![0.0; layer.out_dim()],
         }
     }
 
@@ -264,7 +235,6 @@ impl LinearGrad {
     pub fn empty() -> Self {
         Self {
             gw: Matrix::zeros(0, 0),
-            gb: Vec::new(),
         }
     }
 
@@ -274,14 +244,12 @@ impl LinearGrad {
     pub fn ensure_like(&mut self, layer: &Linear) {
         if self.gw.rows() != layer.out_dim() || self.gw.cols() != layer.in_dim() {
             self.gw = Matrix::zeros(layer.out_dim(), layer.in_dim());
-            self.gb = vec![0.0; layer.out_dim()];
         }
     }
 
     /// Zeroes the buffer in place for reuse across steps.
     pub fn reset(&mut self) {
         self.gw.fill_zero();
-        self.gb.iter_mut().for_each(|g| *g = 0.0);
     }
 
     /// Elementwise merge (`self += other`). Merge order is the caller's
@@ -289,21 +257,16 @@ impl LinearGrad {
     /// order.
     pub fn add_assign(&mut self, other: &LinearGrad) {
         self.gw.add_assign(&other.gw);
-        for (a, &b) in self.gb.iter_mut().zip(&other.gb) {
-            *a += b;
-        }
     }
 }
 
 impl GradApply for Linear {
     fn visit(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
         f(self.w.as_mut_slice(), self.gw.as_mut_slice());
-        f(&mut self.b, &mut self.gb);
     }
 
     fn zero_grads(&mut self) {
         self.gw.fill_zero();
-        self.gb.iter_mut().for_each(|g| *g = 0.0);
     }
 }
 
@@ -318,9 +281,10 @@ pub struct Mlp {
 }
 
 impl Mlp {
-    /// Builds `in_dim → hidden_dim → out_dim` with the given hidden
-    /// activation.
-    pub fn new(
+    /// The projection head `in_dim → hidden_dim → out_dim` with the given
+    /// hidden activation, bias-free throughout (see [`Linear`]) so the
+    /// l2-normalized contrastive space has no loss-flat collapse direction.
+    pub fn new_projection(
         in_dim: usize,
         hidden_dim: usize,
         out_dim: usize,
@@ -330,22 +294,6 @@ impl Mlp {
         Self {
             hidden: Linear::new(in_dim, hidden_dim, act, rng),
             out: Linear::new(hidden_dim, out_dim, Activation::None, rng),
-        }
-    }
-
-    /// Projection-head variant: bias-free throughout (see
-    /// [`Linear::new_no_bias`]) so the l2-normalized contrastive space has
-    /// no loss-flat collapse direction.
-    pub fn new_projection(
-        in_dim: usize,
-        hidden_dim: usize,
-        out_dim: usize,
-        act: Activation,
-        rng: &mut UltraRng,
-    ) -> Self {
-        Self {
-            hidden: Linear::new_no_bias(in_dim, hidden_dim, act, rng),
-            out: Linear::new_no_bias(hidden_dim, out_dim, Activation::None, rng),
         }
     }
 
@@ -565,17 +513,13 @@ mod tests {
     }
 
     /// The block-of-rows backward must be bit-identical to per-row
-    /// `backward_into` calls — for every block size, for a biased tanh
-    /// layer and a bias-free identity layer, across `gw`, `gb` and `dx`.
+    /// `backward_into` calls — for every block size, for a tanh layer and
+    /// an identity layer, across `gw` and `dx`.
     #[test]
     fn backward_rows_into_buf_is_bit_identical_to_per_row_calls() {
         let mut rng = derive_rng(11, 0);
-        for (use_bias, act) in [(true, Activation::Tanh), (false, Activation::None)] {
-            let layer = if use_bias {
-                Linear::new(5, 4, act, &mut rng)
-            } else {
-                Linear::new_no_bias(5, 4, act, &mut rng)
-            };
+        for act in [Activation::Tanh, Activation::None] {
+            let layer = Linear::new(5, 4, act, &mut rng);
             let rows = 7usize;
             let mut x = Matrix::zeros(rows, 5);
             for r in 0..rows {
@@ -621,7 +565,6 @@ mod tests {
                     bits(g_ref.gw.as_slice()),
                     "gw, block={block}"
                 );
-                assert_eq!(bits(&g.gb), bits(&g_ref.gb), "gb, block={block}");
                 assert_eq!(
                     bits(dx.as_slice()),
                     bits(dx_ref.as_slice()),
@@ -632,14 +575,13 @@ mod tests {
     }
 
     /// The sweep-form batched forward through a transposed snapshot must
-    /// be bit-identical to the per-row `forward` — for a biased tanh MLP
-    /// (the projection head is bias-free, so only this test exercises the
-    /// bias epilogue of the batched path) and the bias-free projection.
+    /// be bit-identical to the per-row `forward` — for a tanh and a relu
+    /// projection head.
     #[test]
     fn forward_batch_pret_matches_per_row_forward_bitwise() {
         let mut rng = derive_rng(21, 0);
         for mlp in [
-            Mlp::new(6, 9, 5, Activation::Tanh, &mut rng),
+            Mlp::new_projection(6, 9, 5, Activation::Tanh, &mut rng),
             Mlp::new_projection(6, 9, 5, Activation::Relu, &mut rng),
         ] {
             let mut t = MlpT::new();
@@ -685,7 +627,7 @@ mod tests {
     #[test]
     fn mlp_shapes_compose() {
         let mut rng = derive_rng(5, 0);
-        let mlp = Mlp::new(4, 8, 3, Activation::Relu, &mut rng);
+        let mlp = Mlp::new_projection(4, 8, 3, Activation::Relu, &mut rng);
         let (h, y) = mlp.forward(&[0.1, 0.2, 0.3, 0.4]);
         assert_eq!(h.len(), 8);
         assert_eq!(y.len(), 3);

@@ -267,6 +267,76 @@ fn trailing_garbage_is_a_typed_error() {
     }
 }
 
+/// An order-3 NGLM payload that breaks prefix closure: table 2 holds
+/// `[5, 6]` while table 1 lacks `[5]` (and the unigram run lacks the entry
+/// 2 of table 1's `[2]`). Every count and total is consistent.
+fn nglm_without_prefix_closure() -> Vec<u8> {
+    let mut w = ultrawiki::core::ByteWriter::new();
+    w.u32(3);
+    w.u8(1);
+    w.f64(0.5);
+    w.u64(8);
+    // Table 0: the empty context, continuations 1×2, 3×1.
+    w.u64(1);
+    w.u32(0);
+    w.u64(3);
+    w.u32(2);
+    for (tok, n) in [(1u32, 2u32), (3, 1)] {
+        w.u32(tok);
+        w.u32(n);
+    }
+    // Table 1: only [2] → 3×1.
+    w.u64(1);
+    w.u32(1);
+    w.u32(2);
+    w.u64(1);
+    w.u32(1);
+    w.u32(3);
+    w.u32(1);
+    // Table 2: only [5, 6] → 1×4.
+    w.u64(1);
+    w.u32(2);
+    w.u32(5);
+    w.u32(6);
+    w.u64(4);
+    w.u32(1);
+    w.u32(1);
+    w.u32(4);
+    w.finish()
+}
+
+#[test]
+fn an_nglm_context_without_its_prefix_never_reaches_serving() {
+    let bytes = pristine();
+    let spans = section_spans(bytes).expect("scans");
+    let nglm = spans
+        .iter()
+        .find(|s| &s.tag == b"NGLM")
+        .expect("fixture has an NGLM section");
+    // Splice the broken payload in place of the NGLM section and reseal,
+    // so every checksum passes and only the LM's load rule can reject it.
+    let payload = nglm_without_prefix_closure();
+    let mut corrupted = bytes[..nglm.start].to_vec();
+    corrupted.extend_from_slice(b"NGLM");
+    corrupted.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    corrupted.extend_from_slice(&payload);
+    corrupted.extend_from_slice(&[0u8; 8]);
+    corrupted.extend_from_slice(&bytes[nglm.end..]);
+    reseal(&mut corrupted).expect("spliced file reseals");
+    let err = assert_typed_error(&corrupted, "NGLM without prefix closure");
+    assert!(
+        matches!(&err, SnapError::Decode(tag, msg) if tag == "NGLM" && msg.contains("no entry")),
+        "expected an NGLM decode error, got {err:?}"
+    );
+    let outcome = std::panic::catch_unwind(|| {
+        ExpansionEngine::from_snapshot_bytes(&corrupted, SnapshotRuntime::default()).map(|_| ())
+    });
+    assert!(
+        matches!(outcome, Ok(Err(ServeError::Snapshot(_)))),
+        "a snapshot with a broken NGLM section must fail to load"
+    );
+}
+
 #[test]
 fn checksum_valid_but_semantically_tampered_payloads_never_reach_serving() {
     let bytes = pristine();
