@@ -33,7 +33,7 @@
 //! `(score desc, id asc)` regardless of input order — so identical
 //! candidate *sets* produce byte-identical ranked lists.
 
-use ultra_core::{mix_seed, EntityId};
+use ultra_core::{mix_seed, top_k, EntityId};
 use ultra_embed::EntityEmbeddings;
 use ultra_nn::dot_unrolled;
 use ultra_par::Pool;
@@ -250,13 +250,8 @@ impl IvfIndex {
         let nlist = self.nlist();
         let mut scores = vec![0.0f32; nlist];
         score_centroids(query, &self.centroids, self.dim, &mut scores);
-        let mut order: Vec<u32> = (0..nlist as u32).collect();
-        order.sort_by(|&a, &b| {
-            scores[b as usize]
-                .total_cmp(&scores[a as usize])
-                .then(a.cmp(&b))
-        });
-        order
+        let scored: Vec<(u32, f32)> = (0..nlist as u32).zip(scores).collect();
+        top_k(scored, nlist).into_iter().map(|(l, _)| l).collect()
     }
 
     /// Concatenated members of the top-`nprobe` lists for `query`

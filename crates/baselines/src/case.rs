@@ -83,7 +83,7 @@ impl CaSE {
                 (e.id, self.alpha * lex + (1.0 - self.alpha) * dense)
             })
             .collect();
-        RankedList::from_scores(entries).truncated(self.top_k)
+        RankedList::top_k(entries, self.top_k)
     }
 }
 

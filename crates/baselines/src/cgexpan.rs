@@ -9,7 +9,7 @@
 //! for Ultra-ESE.
 
 use crate::profiles::ContextProfiles;
-use ultra_core::{EntityId, Query, RankedList, TokenId};
+use ultra_core::{top_k, EntityId, Query, RankedList, TokenId};
 use ultra_data::World;
 
 /// CGExpan baseline.
@@ -47,14 +47,12 @@ impl CgExpan {
             }
         }
         let quorum = query.pos_seeds.len().max(1);
-        let mut feats: Vec<(TokenId, f32)> = merged
+        let feats: Vec<(TokenId, f32)> = merged
             .into_iter()
             .filter(|(_, (_, n))| *n >= quorum) // shared by every seed
             .map(|(t, (w, _))| (TokenId::new(t), w))
             .collect();
-        feats.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        feats.truncate(self.class_features);
-        feats
+        top_k(feats, self.class_features)
     }
 
     /// Expands one query.
@@ -70,7 +68,7 @@ impl CgExpan {
                 (e.id, sim + self.beta * guidance)
             })
             .collect();
-        RankedList::from_scores(entries).truncated(self.top_k)
+        RankedList::top_k(entries, self.top_k)
     }
 }
 

@@ -10,7 +10,7 @@
 //! on top ("thanks to the high scalability, it was also integrated into
 //! ProbExpan").
 
-use ultra_core::{segmented_rerank, EntityId, Query, RankedList};
+use ultra_core::{rerank_by_negatives, EntityId, Query, RankedList};
 use ultra_data::World;
 use ultra_embed::{EncoderConfig, EntityEncoder};
 
@@ -87,13 +87,15 @@ impl ProbExpan {
             .filter(|e| !query.is_seed(e.id))
             .map(|e| (e.id, self.seed_score(e.id, &query.pos_seeds)))
             .collect();
-        let l0 = RankedList::from_scores(entries).truncated(self.top_k);
+        let l0 = RankedList::top_k(entries, self.top_k);
         if !self.neg_rerank || query.neg_seeds.is_empty() {
             return l0;
         }
-        segmented_rerank(&l0, self.segment_len, |e| {
-            self.seed_score(e, &query.neg_seeds)
-        })
+        let neg: Vec<f32> = l0
+            .entities()
+            .map(|e| self.seed_score(e, &query.neg_seeds))
+            .collect();
+        rerank_by_negatives(&l0, self.segment_len, &neg)
     }
 }
 

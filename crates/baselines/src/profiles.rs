@@ -2,7 +2,7 @@
 //! representation the probability-based baselines operate on.
 
 use std::collections::HashMap;
-use ultra_core::{EntityId, TokenId};
+use ultra_core::{top_k, EntityId, TokenId};
 use ultra_data::World;
 
 /// Per-entity sparse tf-idf vectors over co-occurring context tokens.
@@ -89,13 +89,11 @@ impl ContextProfiles {
 
     /// The `k` strongest features (tokens) of an entity.
     pub fn top_features(&self, e: EntityId, k: usize) -> Vec<(TokenId, f32)> {
-        let mut v: Vec<(TokenId, f32)> = self.vectors[e.index()]
+        let v: Vec<(TokenId, f32)> = self.vectors[e.index()]
             .iter()
             .map(|&(t, w)| (TokenId::new(t), w))
             .collect();
-        v.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        v.truncate(k);
-        v
+        top_k(v, k)
     }
 
     /// Weighted overlap between an entity's profile and a feature set.

@@ -11,7 +11,7 @@
 use crate::profiles::ContextProfiles;
 use rand::seq::SliceRandom;
 use ultra_core::rng::{derive_rng, mix_seed};
-use ultra_core::{EntityId, Query, RankedList, TokenId};
+use ultra_core::{top_k, EntityId, Query, RankedList, TokenId};
 use ultra_data::World;
 
 /// SetExpan configuration + prebuilt profiles.
@@ -52,13 +52,11 @@ impl SetExpan {
                 *merged.entry(t.0).or_insert(0.0) += w;
             }
         }
-        let mut feats: Vec<(TokenId, f32)> = merged
+        let feats: Vec<(TokenId, f32)> = merged
             .into_iter()
             .map(|(t, w)| (TokenId::new(t), w))
             .collect();
-        feats.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        feats.truncate(self.selected_features);
-        feats
+        top_k(feats, self.selected_features)
     }
 
     /// Expands one query (negative seeds ignored by design).
@@ -74,14 +72,13 @@ impl SetExpan {
             sampled.shuffle(&mut rng);
             sampled.truncate(((features.len() as f64) * self.feature_frac).ceil() as usize);
             // Rank candidates by overlap with the sampled feature set.
-            let mut scores: Vec<(EntityId, f32)> = world
+            let scores: Vec<(EntityId, f32)> = world
                 .entities
                 .iter()
                 .filter(|e| !query.is_seed(e.id))
                 .map(|e| (e.id, self.profiles.feature_overlap(e.id, &sampled)))
                 .collect();
-            scores.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-            for (rank, (e, s)) in scores.into_iter().take(self.top_k * 2).enumerate() {
+            for (rank, (e, s)) in top_k(scores, self.top_k * 2).into_iter().enumerate() {
                 if s > 0.0 {
                     mrr[e.index()] += 1.0 / (rank as f32 + 10.0);
                 }
@@ -93,7 +90,7 @@ impl SetExpan {
             .filter(|(_, s)| *s > 0.0)
             .map(|(i, s)| (EntityId::from_index(i), s))
             .collect();
-        RankedList::from_scores(entries).truncated(self.top_k)
+        RankedList::top_k(entries, self.top_k)
     }
 }
 

@@ -25,6 +25,7 @@ pub mod ranking;
 pub mod rerank;
 pub mod rng;
 pub mod stable;
+pub mod topk;
 
 pub use attr::{AttrConstraint, AttributeSchema, AttributeValueId};
 pub use bytes::{ByteReader, ByteWriter};
@@ -38,3 +39,4 @@ pub use ranking::RankedList;
 pub use rerank::{rerank_by_negatives, segmented_rerank};
 pub use rng::{derive_rng, mix_seed};
 pub use stable::{stable_hash64, StableBuildHasher, StableHasher};
+pub use topk::{top_k, Score};

@@ -1,6 +1,7 @@
 //! Ranked expansion results.
 
 use crate::ids::EntityId;
+use crate::topk::top_k;
 use serde::{Deserialize, Serialize};
 
 /// A ranked list of candidate entities with scores, best first.
@@ -44,15 +45,18 @@ impl std::hash::Hash for RankedList {
 }
 
 impl RankedList {
-    /// Builds a ranked list from unsorted `(entity, score)` pairs.
-    ///
-    /// Sorts by descending score with entity id as a deterministic
-    /// tie-breaker, and keeps only the first occurrence of each entity.
-    pub fn from_scores(mut scores: Vec<(EntityId, f32)>) -> Self {
-        scores.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        let mut seen = std::collections::HashSet::with_capacity(scores.len());
-        scores.retain(|(e, _)| seen.insert(*e));
-        Self { entries: scores }
+    /// Every entity of unsorted `(entity, score)` pairs once, at its best
+    /// score: [`Self::top_k`] with no cut.
+    pub fn from_scores(scores: Vec<(EntityId, f32)>) -> Self {
+        Self::top_k(scores, usize::MAX)
+    }
+
+    /// The best `k` entities of unsorted `(entity, score)` pairs, ranked by
+    /// [`top_k`]: the list `from_scores(scores).truncated(k)` gives.
+    pub fn top_k(scores: Vec<(EntityId, f32)>, k: usize) -> Self {
+        Self {
+            entries: top_k(scores, k),
+        }
     }
 
     /// Builds a ranked list from pairs already sorted best-first.
@@ -180,6 +184,15 @@ mod tests {
         let w = l.without(&[eid(2)]);
         let got: Vec<_> = w.entities().collect();
         assert_eq!(got, vec![eid(1), eid(3)]);
+    }
+
+    #[test]
+    fn top_k_is_the_truncated_full_list() {
+        let scores = vec![(eid(4), 0.5), (eid(1), 0.9), (eid(2), 0.5), (eid(4), 0.7)];
+        for k in 0..5 {
+            let want = RankedList::from_scores(scores.clone()).truncated(k);
+            assert_eq!(RankedList::top_k(scores.clone(), k), want);
+        }
     }
 
     #[test]

@@ -45,6 +45,8 @@ pub fn rerank_by_negatives(list: &RankedList, segment_len: usize, neg: &[f32]) -
 }
 
 /// [`rerank_by_negatives`] with `sco^neg` given per entity.
+///
+/// No library code calls it; it stays because `servebench` imports it.
 pub fn segmented_rerank<F>(list: &RankedList, segment_len: usize, neg_score: F) -> RankedList
 where
     F: Fn(EntityId) -> f32,

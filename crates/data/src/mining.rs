@@ -10,7 +10,7 @@
 
 use crate::world::World;
 use std::collections::BTreeMap;
-use ultra_core::{ClassId, EntityId, TokenId};
+use ultra_core::{top_k, ClassId, EntityId, TokenId};
 use ultra_text::{Bm25Index, Bm25Params};
 
 /// A BM25 view of the corpus: one pseudo-document per entity
@@ -78,10 +78,7 @@ impl EntityBm25 {
                 }
             }
         }
-        let mut out: Vec<(EntityId, f32)> = scores.into_iter().collect();
-        out.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        out.truncate(k);
-        out
+        top_k(scores.into_iter().collect(), k)
     }
 
     /// Audit: what fraction of the generator's planted hard negatives for

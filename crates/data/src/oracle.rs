@@ -20,7 +20,7 @@ use crate::world::World;
 use rand::Rng;
 use std::collections::{BTreeMap, HashSet};
 use ultra_core::rng::{derive_rng, stream_label, UltraRng};
-use ultra_core::{AttributeId, AttributeValueId, ClassId, EntityId};
+use ultra_core::{top_k, AttributeId, AttributeValueId, ClassId, EntityId};
 
 /// Oracle noise parameters.
 #[derive(Clone, Copy, Debug)]
@@ -247,7 +247,7 @@ impl KnowledgeOracle {
         };
         let pos_shared = self.infer_shared_values(pos_seeds);
         let neg_shared = self.infer_shared_values(neg_seeds);
-        let mut scored: Vec<(EntityId, f64)> = self.class_members[class.index()]
+        let scored: Vec<(EntityId, f64)> = self.class_members[class.index()]
             .iter()
             .filter(|e| !pos_seeds.contains(e) && !neg_seeds.contains(e))
             .map(|&e| {
@@ -266,27 +266,21 @@ impl KnowledgeOracle {
                 (e, score)
             })
             .collect();
-        scored.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         let mut factory = NameFactory::new();
-        let mut out = Vec::with_capacity(k);
-        let mut iter = scored.into_iter();
-        while out.len() < k {
-            if rng.gen_bool(self.cfg.hallucination_rate) {
-                out.push(OracleEntry::Hallucinated(
-                    self.fresh_fake_name(&mut factory, rng),
-                ));
-                continue;
-            }
-            match iter.next() {
-                Some((e, _)) => out.push(OracleEntry::Known(e)),
-                None => {
-                    out.push(OracleEntry::Hallucinated(
-                        self.fresh_fake_name(&mut factory, rng),
-                    ));
+        let mut known = top_k(scored, k).into_iter();
+        (0..k)
+            .map(|_| {
+                let drawn = if rng.gen_bool(self.cfg.hallucination_rate) {
+                    None
+                } else {
+                    known.next()
+                };
+                match drawn {
+                    Some((e, _)) => OracleEntry::Known(e),
+                    None => OracleEntry::Hallucinated(self.fresh_fake_name(&mut factory, rng)),
                 }
-            }
-        }
-        out
+            })
+            .collect()
     }
 
     fn hallucination_filler(&self, k: usize, rng: &mut UltraRng) -> Vec<OracleEntry> {

@@ -634,10 +634,9 @@ impl EntityEncoder {
         for (_, e) in exps.iter_mut() {
             *e /= sum;
         }
-        exps.sort_unstable_by(|a, b| b.1.total_cmp(&a.1));
-        exps.truncate(top_k);
-        exps.sort_unstable_by_key(|(i, _)| *i);
-        exps
+        let mut dist = ultra_core::top_k(exps, top_k);
+        dist.sort_unstable_by_key(|(i, _)| *i);
+        dist
     }
 }
 

@@ -8,7 +8,7 @@
 //! conditioning both score through it.
 
 use std::collections::HashMap;
-use ultra_core::{EntityId, TokenId};
+use ultra_core::{top_k, EntityId, TokenId};
 use ultra_data::World;
 
 /// Smoothed per-entity token co-occurrence probabilities.
@@ -119,13 +119,12 @@ impl CoocIndex {
         }
         seen.sort_unstable();
         seen.dedup();
-        let mut scored: Vec<(TokenId, f64)> = seen
+        let scored: Vec<(TokenId, f64)> = seen
             .into_iter()
             .filter(|t| !exclude.contains(t) && world.entity_of_mention(*t).is_none())
             .map(|t| (t, self.pmi(entities, t)))
             .collect();
-        scored.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        scored.into_iter().take(k).map(|(t, _)| t).collect()
+        top_k(scored, k).into_iter().map(|(t, _)| t).collect()
     }
 }
 

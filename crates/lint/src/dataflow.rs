@@ -933,7 +933,9 @@ fn source_of(call: &Call, fn_name: &str, hash_locals: &BTreeSet<String>) -> Opti
 fn sink_of(call: &Call) -> Option<String> {
     let name = call.name.as_str();
     match name {
-        "from_scores" | "from_sorted" if call.qualifier.as_deref() == Some("RankedList") => {
+        "from_scores" | "from_sorted" | "top_k"
+            if call.qualifier.as_deref() == Some("RankedList") =>
+        {
             Some(format!("RankedList construction (`RankedList::{name}`)"))
         }
         "write_json_response" => Some("serve response body (`write_json_response`)".into()),

@@ -12,7 +12,8 @@
 //! * **L2 `no-hash-iteration-order`** — `HashMap`/`HashSet` iteration in
 //!   crates whose output ordering matters.
 //! * **L3 `no-nan-unwrap-sort`** — `partial_cmp` + unwrap/default inside
-//!   sort comparators.
+//!   sort comparators, and unstable sorts/selects on one float key with no
+//!   tie-break.
 //! * **L4 `no-panic-in-lib`** — `unwrap`/`expect`/panic macros in non-test
 //!   library code.
 //! * **L5 `no-wallclock-in-scoring`** — `Instant::now`/`SystemTime` in

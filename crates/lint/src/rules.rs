@@ -22,7 +22,8 @@ pub enum Rule {
     NoUnseededRng,
     /// L2: iteration over `HashMap`/`HashSet` in ranked-output crates.
     NoHashIterationOrder,
-    /// L3: `partial_cmp().unwrap()` inside sort/min/max comparators.
+    /// L3: `partial_cmp().unwrap()` inside sort/min/max comparators, or an
+    /// unstable sort/select on one float key with no tie-break.
     NoNanUnwrapSort,
     /// L4: `unwrap`/`expect`/panic macros in non-test library code.
     NoPanicInLib,
@@ -125,7 +126,9 @@ impl Rule {
         match self {
             Rule::NoUnseededRng => "thread_rng()/from_entropy() outside tests",
             Rule::NoHashIterationOrder => "HashMap/HashSet iteration in ranked-output crates",
-            Rule::NoNanUnwrapSort => "partial_cmp + unwrap/default inside sort comparators",
+            Rule::NoNanUnwrapSort => {
+                "partial_cmp + unwrap/default in comparators; unstable sorts on one float key"
+            }
             Rule::NoPanicInLib => "unwrap/expect/panic macros in non-test library code",
             Rule::NoWallclockInScoring => "Instant::now/SystemTime reads in library code",
             Rule::NoRawThreadSpawn => "raw std::thread use outside the execution layer",
@@ -520,6 +523,13 @@ const COMPARATOR_METHODS: [&str; 7] = [
 /// L3 — `partial_cmp().unwrap()` in a comparator panics on NaN and, worse,
 /// `unwrap_or(Equal)` silently produces non-total orderings that make sort
 /// output depend on input order. `f64::total_cmp` is total and portable.
+///
+/// An unstable sort or select whose comparator makes one float comparison
+/// of a projection (`b.1.total_cmp(&a.1)`) and breaks no tie is a partial
+/// order too: equal scores land wherever the algorithm leaves them, so
+/// output moves with the toolchain's sort. Comparing whole floats
+/// (`f64::total_cmp`, `|a, b| b.total_cmp(a)`) stays quiet: equal floats
+/// are the same bits.
 fn rule_no_nan_unwrap_sort(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
     for (i, tok) in ctx.tokens.iter().enumerate() {
         let Some(name) = tok.ident() else { continue };
@@ -535,6 +545,9 @@ fn rule_no_nan_unwrap_sort(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
         let mut j = i + 1;
         let mut saw_partial: Option<u32> = None;
         let mut saw_unwrap = false;
+        // (line, compares a projection) per float comparison.
+        let mut float_cmps: Vec<(u32, bool)> = Vec::new();
+        let mut tie_break = false;
         while j < ctx.tokens.len() {
             match &ctx.tokens[j].kind {
                 TokKind::Punct('(') => depth += 1,
@@ -548,8 +561,14 @@ fn rule_no_nan_unwrap_sort(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
                     if id == "partial_cmp" {
                         saw_partial.get_or_insert(ctx.tokens[j].line);
                     }
+                    if id == "partial_cmp" || id == "total_cmp" {
+                        float_cmps.push((ctx.tokens[j].line, compares_a_projection(ctx.tokens, j)));
+                    }
                     if id == "unwrap" || id == "expect" || id == "unwrap_or" {
                         saw_unwrap = true;
+                    }
+                    if id == "then" || id == "then_with" {
+                        tie_break = true;
                     }
                 }
                 _ => {}
@@ -564,8 +583,29 @@ fn rule_no_nan_unwrap_sort(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
                 format!("`partial_cmp` + unwrap/default inside `{name}` comparator"),
                 "use `f64::total_cmp` (total order, NaN-safe, no panic)",
             ));
+        } else if let ([(line, true)], false, "sort_unstable_by" | "select_nth_unstable_by") =
+            (float_cmps.as_slice(), tie_break, name)
+        {
+            out.push(diag(
+                ctx,
+                Rule::NoNanUnwrapSort,
+                *line,
+                format!("`{name}` on one float key: ties fall in the sort algorithm's order"),
+                "rank through `ultra_core::top_k` (score descending, then key)",
+            ));
         }
     }
+}
+
+/// Whether the comparison method at `j` compares a projection of the
+/// element (`a.1`, `a.logp`, `s[a]`) rather than the element itself (`a`)
+/// or names a path (`f64::total_cmp`).
+fn compares_a_projection(tokens: &[Tok], j: usize) -> bool {
+    if j < 3 || !tokens[j - 1].is_punct('.') {
+        return false;
+    }
+    let bare_receiver = tokens[j - 2].ident().is_some() && !tokens[j - 3].is_punct('.');
+    !bare_receiver
 }
 
 /// Panicking macro names L4 flags (with a following `!`).
@@ -781,6 +821,32 @@ mod tests {
     }
 
     #[test]
+    fn l3_flags_an_unstable_sort_on_one_float_key_without_a_tie_break() {
+        let flagged = [
+            "v.sort_unstable_by(|a, b| b.1.total_cmp(&a.1));",
+            "v.select_nth_unstable_by(k, |a, b| b.logp.total_cmp(&a.logp));",
+            "o.sort_unstable_by(|&a, &b| s[b].total_cmp(&s[a]));",
+        ];
+        for call in flagged {
+            let diags = check(&format!("fn f() {{ {call} }}"), true, false);
+            assert_eq!(rules_of(&diags), vec![Rule::NoNanUnwrapSort], "{call}");
+        }
+        let quiet = [
+            "v.sort_by(|a, b| b.1.total_cmp(&a.1));",
+            "v.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));",
+            "v.sort_unstable_by(f64::total_cmp);",
+            "v.sort_unstable_by(|a, b| b.total_cmp(a));",
+            "v.sort_unstable_by(|a, b| b.1.cmp(&a.1));",
+        ];
+        for call in quiet {
+            assert!(
+                check(&format!("fn f() {{ {call} }}"), true, false).is_empty(),
+                "{call}"
+            );
+        }
+    }
+
+    #[test]
     fn l4_flags_unwrap_expect_and_panic_macros_in_lib_only() {
         let src = "fn f(x: Option<u32>) -> u32 { let y = x.unwrap(); if y > 3 { panic!(\"no\"); } x.expect(\"msg\") }";
         let diags = check(src, true, false);
@@ -824,7 +890,7 @@ mod tests {
         assert!(check_at("crates/par/src/lib.rs", src, true, false).is_empty());
         assert!(check_at("crates/serve/src/pool.rs", src, true, true).is_empty());
         // Bench/CLI binaries and tests are outside lib scope.
-        assert!(check_at("crates/bench/src/bin/loadgen.rs", src, false, false).is_empty());
+        assert!(check_at("crates/bench/src/bin/perf.rs", src, false, false).is_empty());
         // Test code inside a lib file is exempt too.
         let in_test = "#[cfg(test)]\nmod tests { fn t() { std::thread::spawn(|| {}); } }";
         assert!(check(in_test, true, false).is_empty());

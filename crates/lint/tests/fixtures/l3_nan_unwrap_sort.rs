@@ -21,6 +21,16 @@ fn total_cmp_is_fine(v: &mut Vec<f64>) {
     v.sort_by(|a, b| b.total_cmp(a));
 }
 
+fn unstable_sort_on_one_float_key(v: &mut [(u32, f64)], k: usize) {
+    v.sort_unstable_by(|a, b| b.1.total_cmp(&a.1)); // <- violation
+    v.select_nth_unstable_by(k, |a, b| b.1.total_cmp(&a.1)); // <- violation
+}
+
+fn ties_broken_or_stable_is_fine(v: &mut [(u32, f64)]) {
+    v.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    v.sort_by(|a, b| b.1.total_cmp(&a.1));
+}
+
 fn partial_cmp_outside_comparators_is_fine(a: f64, b: f64) -> bool {
     a.partial_cmp(&b) == Some(std::cmp::Ordering::Less)
 }

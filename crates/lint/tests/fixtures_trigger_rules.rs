@@ -59,7 +59,11 @@ fn l3_fixture_fires_on_each_comparator() {
         .filter(|(r, _)| *r == Rule::NoNanUnwrapSort)
         .map(|&(_, l)| l)
         .collect();
-    assert_eq!(l3, vec![5, 10, 16], "sort_by, sort_unstable_by, max_by");
+    assert_eq!(
+        l3,
+        vec![5, 10, 16, 25, 26],
+        "sort_by, sort_unstable_by, max_by, then unstable sort and select on one float key"
+    );
 }
 
 #[test]

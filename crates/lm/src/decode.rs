@@ -2,7 +2,7 @@
 //! unconstrained (the "- Prefix constrain" ablation of Table 3).
 
 use crate::ngram::{LmContext, NgramLm};
-use ultra_core::{EntityId, TokenId};
+use ultra_core::{top_k, EntityId, TokenId};
 use ultra_text::{PrefixTrie, TrieNode};
 
 /// Beam-search parameters.
@@ -89,11 +89,9 @@ pub fn constrained_entity_beam(
             break;
         }
         // All hypotheses at this step share the same length: raw log-prob
-        // pruning is fair. Among equal log-probs the unstable sort's result
-        // depends on the input order — beam order, then ascending token —
-        // so that order is part of the output.
-        next.sort_unstable_by(|a, b| b.logp.total_cmp(&a.logp));
-        next.truncate(params.beam_size);
+        // pruning is fair. Equal log-probs keep input order (beam order,
+        // then ascending token).
+        let next = prune(&next, |hyp| hyp.logp, params.beam_size);
         contexts = next
             .iter()
             .map(|hyp| {
@@ -105,7 +103,7 @@ pub fn constrained_entity_beam(
         beam = next;
     }
 
-    dedup_best(completed, params.beam_size)
+    top_k(completed, params.beam_size)
 }
 
 /// One unconstrained generation: a token sequence that may or may not name
@@ -183,8 +181,7 @@ pub fn unconstrained_beam(
         if next.is_empty() {
             break;
         }
-        next.sort_unstable_by(|a, b| b.logp.total_cmp(&a.logp));
-        next.truncate(params.beam_size);
+        let next = prune(&next, |hyp| hyp.logp, params.beam_size);
         contexts = next
             .iter()
             .map(|hyp| {
@@ -207,40 +204,20 @@ pub fn unconstrained_beam(
             });
         }
     }
-    done.sort_unstable_by(|a, b| b.score.total_cmp(&a.score));
-    // Deduplicate identical token sequences, keeping the best-scored.
+    // Best first, ties in emission order; then identical token sequences
+    // keep their best-scored copy.
+    let mut done = prune(&done, |g| g.score, usize::MAX);
     let mut seen = std::collections::HashSet::new();
     done.retain(|g| seen.insert(g.tokens.clone()));
     done.truncate(params.beam_size);
     done
 }
 
-/// Keeps the best score per entity, sorted descending (ties by entity),
-/// truncated to `k`: the first `k` distinct entities of `scored` in
-/// `(score desc, entity asc)` order. That order is total, so selecting the
-/// best remaining block, sorting only it, and repeating while duplicates
-/// leave the list short gives exactly the list a full sort would.
-fn dedup_best(mut scored: Vec<(EntityId, f64)>, k: usize) -> Vec<(EntityId, f64)> {
-    let order =
-        |a: &(EntityId, f64), b: &(EntityId, f64)| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0));
-    let mut out: Vec<(EntityId, f64)> = Vec::with_capacity(k.min(scored.len()));
-    let mut rest = scored.as_mut_slice();
-    while out.len() < k && !rest.is_empty() {
-        let need = k - out.len();
-        if rest.len() > need {
-            rest.select_nth_unstable_by(need - 1, order);
-        }
-        let n = need.min(rest.len());
-        let (best, tail) = std::mem::take(&mut rest).split_at_mut(n);
-        best.sort_unstable_by(order);
-        for &(e, s) in best.iter() {
-            if out.iter().all(|&(o, _)| o != e) {
-                out.push((e, s));
-            }
-        }
-        rest = tail;
-    }
-    out
+/// The `k` best of `items` by `score`, best first; equal scores keep input
+/// order.
+fn prune<T: Clone>(items: &[T], score: impl Fn(&T) -> f64, k: usize) -> Vec<T> {
+    let best = top_k(items.iter().map(score).enumerate().collect(), k);
+    best.into_iter().map(|(i, _)| items[i].clone()).collect()
 }
 
 #[cfg(test)]
@@ -257,7 +234,8 @@ mod tests {
     }
 
     /// Reference constrained beam: one trie walk, one prefix clone and one
-    /// back-off recursion per candidate token.
+    /// back-off recursion per candidate token. Its full stable sorts keep
+    /// equal log-probs in input order (beam order, then ascending token).
     fn reference_constrained_entity_beam(
         lm: &NgramLm,
         prompt: &[TokenId],
@@ -290,11 +268,11 @@ mod tests {
             if next.is_empty() {
                 break;
             }
-            next.sort_unstable_by(|a, b| b.logp.total_cmp(&a.logp));
+            next.sort_by(|a, b| b.logp.total_cmp(&a.logp));
             next.truncate(params.beam_size);
             beams = next;
         }
-        completed.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        completed.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         let mut seen = std::collections::HashSet::new();
         completed.retain(|(e, _)| seen.insert(*e));
         completed.truncate(params.beam_size);
@@ -302,7 +280,8 @@ mod tests {
     }
 
     /// Reference unconstrained beam: the back-off recursion per token and
-    /// the reference continuation ranking per hypothesis.
+    /// the reference continuation ranking per hypothesis. Ties keep input
+    /// order through full stable sorts, as in the constrained reference.
     fn reference_unconstrained_beam(
         lm: &NgramLm,
         prompt: &[TokenId],
@@ -343,7 +322,7 @@ mod tests {
             if next.is_empty() {
                 break;
             }
-            next.sort_unstable_by(|a, b| b.logp.total_cmp(&a.logp));
+            next.sort_by(|a, b| b.logp.total_cmp(&a.logp));
             next.truncate(params.beam_size);
             beams = next;
         }
@@ -356,7 +335,7 @@ mod tests {
                 });
             }
         }
-        done.sort_unstable_by(|a, b| b.score.total_cmp(&a.score));
+        done.sort_by(|a, b| b.score.total_cmp(&a.score));
         let mut seen = std::collections::HashSet::new();
         done.retain(|g| seen.insert(g.tokens.clone()));
         done.truncate(params.beam_size);

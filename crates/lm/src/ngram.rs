@@ -11,7 +11,7 @@
 //! per back-off level (DESIGN.md §6, "GenExpan decode kernel").
 
 use std::cmp::Ordering;
-use ultra_core::{ByteReader, ByteWriter, TokenId, UltraError};
+use ultra_core::{top_k, ByteReader, ByteWriter, TokenId, UltraError};
 
 /// Largest supported model order; the NGLM section rejects larger ones.
 pub const MAX_ORDER: usize = 16;
@@ -744,8 +744,6 @@ impl<'a> LmContext<'a> {
     /// invalid generations come from. Within a level, tokens sort by count
     /// (ties by id).
     pub fn observed_continuations(&self, limit: usize) -> Vec<(TokenId, u32)> {
-        let by_count =
-            |a: &(TokenId, u32), b: &(TokenId, u32)| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0));
         let levels = self.suffixes[..self.depth]
             .iter()
             .rev()
@@ -758,7 +756,7 @@ impl<'a> LmContext<'a> {
             // Every earlier (longer) level was emitted whole: had the limit
             // cut one short, the loop would have stopped.
             let longer = &self.suffixes[self.depth - i..self.depth];
-            let mut fresh: Vec<(TokenId, u32)> = level
+            let fresh: Vec<(TokenId, u32)> = level
                 .run
                 .iter()
                 .filter(|&&(w, _)| {
@@ -768,13 +766,7 @@ impl<'a> LmContext<'a> {
                 })
                 .map(|&(w, n)| (TokenId::new(w), n))
                 .collect();
-            let need = limit - out.len();
-            if fresh.len() > need {
-                fresh.select_nth_unstable_by(need, by_count);
-                fresh.truncate(need);
-            }
-            fresh.sort_unstable_by(by_count);
-            out.extend(fresh);
+            out.extend(top_k(fresh, limit - out.len()));
         }
         out
     }

@@ -15,7 +15,7 @@
 
 use crate::pipeline::RetExpan;
 use std::collections::HashMap;
-use ultra_core::{rerank_by_negatives, EntityId, Query, RankedList, TokenId};
+use ultra_core::{rerank_by_negatives, top_k, EntityId, Query, RankedList, TokenId};
 use ultra_data::World;
 use ultra_par::Pool;
 
@@ -70,7 +70,7 @@ impl DynamicRaRetExpan {
         };
         let (seed_counts, seed_total) = count_tokens(seeds);
         let (bg_counts, bg_total) = count_tokens(background);
-        let mut scored: Vec<(TokenId, f64)> = seed_counts
+        let scored: Vec<(TokenId, f64)> = seed_counts
             .into_iter()
             // Tokens seen fewer than 3 times around the seeds are sampling
             // noise, not query semantics.
@@ -81,10 +81,8 @@ impl DynamicRaRetExpan {
                 (t, (p_seed / p_bg).ln())
             })
             .collect();
-        scored.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        scored
+        top_k(scored, self.query_tokens)
             .into_iter()
-            .take(self.query_tokens)
             .map(|(t, _)| t)
             .collect()
     }

@@ -151,7 +151,7 @@ impl RetExpan {
                     .collect()
             }
         };
-        RankedList::from_scores(scores).truncated(self.config.top_k)
+        RankedList::top_k(scores, self.config.top_k)
     }
 
     /// Full pipeline: expansion then (optionally) segmented re-ranking by
@@ -220,7 +220,7 @@ mod tests {
                     (e.id, (h >> 40) as f32)
                 })
                 .collect();
-            RankedList::from_scores(scores).truncated(ret.config.top_k)
+            RankedList::top_k(scores, ret.config.top_k)
         });
         assert!(
             report.pos_map[0] > 10.0,

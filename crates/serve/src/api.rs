@@ -39,7 +39,7 @@ impl Method {
 /// Body of `POST /expand`.
 ///
 /// The query is given either by `query_index` (replaying one of the world's
-/// generated queries — the loadgen path) or as an explicit [`Query`]
+/// generated queries) or as an explicit [`Query`]
 /// (`{"ultra": N, "pos_seeds": [...], "neg_seeds": [...]}`); exactly one of
 /// the two must be present.
 #[derive(Clone, Debug, Serialize, Deserialize)]

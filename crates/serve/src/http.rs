@@ -3,8 +3,8 @@
 //! Hand-rolled on purpose: the build environment vendors no HTTP crate, and
 //! the API surface the server needs is tiny — parse one request (line +
 //! headers + `Content-Length` body), write one response, `Connection:
-//! close`. The same module provides the client-side response reader used by
-//! the `loadgen` bench binary and the integration tests.
+//! close`. The same module provides the client-side request writer and
+//! response reader the integration tests use.
 
 use std::io::{BufRead, Write};
 

@@ -9,7 +9,7 @@
 //!   documents for an entity.
 
 use std::collections::HashMap;
-use ultra_core::{ByteReader, ByteWriter, TokenId, UltraError};
+use ultra_core::{top_k, ByteReader, ByteWriter, TokenId, UltraError};
 
 /// BM25 free parameters.
 #[derive(Clone, Copy, Debug)]
@@ -114,10 +114,10 @@ impl Bm25Index {
                 *scores.entry(p.doc).or_insert(0.0) += idf * tf * (self.params.k1 + 1.0) / denom;
             }
         }
-        let mut out: Vec<(usize, f32)> = scores.into_iter().map(|(d, s)| (d as usize, s)).collect();
-        out.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        out.truncate(k);
-        out
+        top_k(
+            scores.into_iter().map(|(d, s)| (d as usize, s)).collect(),
+            k,
+        )
     }
 
     /// Serializes the index in canonical form: parameters, document

@@ -11,8 +11,9 @@
 //!   for RetExpan, GenExpan and ProbExpan;
 //! * the GenExpan decode paths the tiny default run does not reach: the
 //!   default pipeline over every small-world query (with its window memo
-//!   cold, warm, and shared by four workers), a Witten-Bell backbone and
-//!   unconstrained decoding;
+//!   cold, warm, and shared by four workers), the same queries without
+//!   further pre-training, a Witten-Bell backbone and unconstrained
+//!   decoding;
 //! * contrastive training (Section 5.1.2) on lists mined from the tiny
 //!   RetExpan, as the `retexpan-contrast` row runs it: the loss curve's
 //!   bits, the trained encoder's parameter fingerprint and the ranked
@@ -202,10 +203,16 @@ fn contrastive_training_matches_the_pinned_fingerprints() {
 }
 
 /// The pinned fingerprint of every GenExpan decode path below.
-const GENEXPAN_DECODE_GOLDEN: [(&str, u64); 3] = [
+///
+/// `genexpan-unconstrained` and `genexpan-small-no-further-pretrain` hold
+/// only while the beam prunes keep equal log-probs in input order (beam
+/// order, then ascending token, through `ultra_core::top_k`): on those
+/// backbones the ties decide which hypotheses survive.
+const GENEXPAN_DECODE_GOLDEN: [(&str, u64); 4] = [
     ("genexpan-small", 0x246e_3b08_ff30_d75b),
+    ("genexpan-small-no-further-pretrain", 0x698d_da4f_d0d7_c911),
     ("genexpan-bloom-1b7", 0xce20_2a0a_f82e_a709),
-    ("genexpan-unconstrained", 0x0cd8_66a9_4eb0_3ed3),
+    ("genexpan-unconstrained", 0x8bda_4c55_62b8_838b),
 ];
 
 #[test]
@@ -251,6 +258,13 @@ fn genexpan_decode_paths_match_the_pinned_fingerprints() {
     );
     let pooled: Vec<RankedList> =
         Pool::new(4).map_ordered_each(&queries, |&(u, q)| shared.expand(&small, u, q));
+    let no_further_pretrain = GenExpan::train(
+        &small,
+        GenExpanConfig {
+            further_pretrain: false,
+            ..GenExpanConfig::default()
+        },
+    );
     // (run, pinned constant it must match, fingerprint)
     let got = [
         ("genexpan-small", "genexpan-small", cold),
@@ -259,6 +273,11 @@ fn genexpan_decode_paths_match_the_pinned_fingerprints() {
             "genexpan-small (4 workers, one memo)",
             "genexpan-small",
             stable_hash64(&pooled),
+        ),
+        (
+            "genexpan-small-no-further-pretrain",
+            "genexpan-small-no-further-pretrain",
+            stable_hash64(&expand_all(&no_further_pretrain)),
         ),
         (
             "genexpan-bloom-1b7",
