@@ -1,9 +1,10 @@
 //! Criterion micro-benchmarks of the performance-critical kernels:
 //! context encoding, BM25 search, trie-constrained beam steps, segmented
-//! re-ranking, and end-to-end per-query expansion of both frameworks.
+//! negative-seed re-ranking, and end-to-end per-query expansion of both
+//! frameworks.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use ultra_core::segmented_rerank;
+use ultra_core::rerank_by_negatives;
 use ultra_data::{World, WorldConfig};
 use ultra_embed::{EncoderConfig, EntityEncoder};
 use ultra_genexpan::{GenExpan, GenExpanConfig};
@@ -85,12 +86,15 @@ fn bench_beam(c: &mut Criterion) {
     });
 }
 
+/// The re-rank every method runs: `sco^neg` batch-scored in list order,
+/// then sorted within segments of 20.
 fn bench_rerank(c: &mut Criterion) {
     let list: ultra_core::RankedList = (0..200u32)
         .map(|i| (ultra_core::EntityId::new(i), 200.0 - i as f32))
         .collect();
-    c.bench_function("segmented_rerank_200", |b| {
-        b.iter(|| std::hint::black_box(segmented_rerank(&list, 20, |e| (e.0 % 17) as f32)))
+    let neg: Vec<f32> = list.entities().map(|e| (e.0 % 17) as f32).collect();
+    c.bench_function("rerank_by_negatives_200", |b| {
+        b.iter(|| std::hint::black_box(rerank_by_negatives(&list, 20, &neg)))
     });
 }
 

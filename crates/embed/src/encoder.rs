@@ -506,7 +506,7 @@ impl EntityEncoder {
     /// ([`contrastive_batch_step_pooled`](crate::contrastive_batch_step_pooled)):
     /// identical chunk boundaries and reduction order, but gradients
     /// computed one example at a time through the allocating path
-    /// ([`contrastive_grads_into`](Self::contrastive_grads_into)) into the
+    /// (`contrastive_grads_into`) into the
     /// [`SparseGrad`] map. Exists to pin the fused kernel — the determinism
     /// proptest asserts both paths produce bit-identical losses and
     /// parameters.

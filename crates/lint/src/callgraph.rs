@@ -14,7 +14,7 @@
 //! `name` resolves to (1) every non-test `fn name` in `F` itself, else (2)
 //! every one in `C`, else (3) every one in a workspace crate that `F`
 //! imports (`use ultra_<k>::…` / `use ultrawiki::…`). Anything else is
-//! *unresolved*: counted in [`CrossAnalysis::unresolved_calls`] and never
+//! *unresolved*: counted in [`crate::Report::unresolved_calls`] and never
 //! traversed, so the graph over-approximates within the workspace and is
 //! explicit about what it cannot see (std / vendored deps). Multiple
 //! same-name matches all become edges — reachability may report a chain
@@ -55,21 +55,12 @@ pub(crate) enum Resolution {
     Unresolved,
 }
 
-/// Result of the cross-file analysis.
-pub struct CrossAnalysis {
-    /// L7, L9, L13 and L14 findings.
-    pub diagnostics: Vec<Diagnostic>,
-    /// Call sites (in non-test library functions) that resolved to no
-    /// workspace function — std, vendored deps, methods on foreign types.
-    /// Reported so the over-approximation boundary stays visible.
-    pub unresolved_calls: usize,
-}
-
 /// A function's global identity: (file index, fn index within the file).
 pub(crate) type FnId = (usize, usize);
 
-/// The heuristic workspace call graph. Shared with [`crate::dataflow`],
-/// whose taint propagation follows the same resolution layering.
+/// The heuristic workspace call graph, built once per run and shared by
+/// this module's rules, [`crate::guards`] and [`crate::dataflow`], whose
+/// taint propagation follows the same resolution layering.
 pub(crate) struct Graph<'a> {
     pub(crate) models: &'a [FileModel],
     /// (crate key, fn name) → definitions, in (file, fn) order.
@@ -124,10 +115,9 @@ impl<'a> Graph<'a> {
         if let Some((_, t)) = f.local_types.iter().find(|(n, _)| n == recv) {
             return Some(t);
         }
-        m.field_types
+        m.fields
             .iter()
-            .find(|(n, _)| n == recv)
-            .map(|(_, t)| t.as_str())
+            .find_map(|fd| fd.ty.as_deref().filter(|_| fd.name == recv))
     }
 
     /// Full resolution of one call site: typed-receiver impl lookup first,
@@ -198,6 +188,23 @@ impl<'a> Graph<'a> {
             .unwrap_or_default()
     }
 
+    /// Call sites (in non-test library functions) that resolve to no
+    /// workspace function — std, vendored deps, methods on foreign types.
+    /// Reported so the over-approximation boundary stays visible.
+    pub(crate) fn unresolved_calls(&self) -> usize {
+        let mut unresolved = 0;
+        for (fi, m) in self.models.iter().enumerate() {
+            for (fj, f) in m.fns.iter().enumerate().filter(|(_, f)| !f.in_test) {
+                unresolved += f
+                    .calls
+                    .iter()
+                    .filter(|c| matches!(self.resolve_site(fi, fj, c), Resolution::Unresolved))
+                    .count();
+            }
+        }
+        unresolved
+    }
+
     /// One chain frame: a function's name and definition site.
     pub(crate) fn frame(&self, id: FnId) -> ChainFrame {
         let m = &self.models[id.0];
@@ -228,32 +235,13 @@ impl<'a> Graph<'a> {
     }
 }
 
-/// Runs L7, L9, L13, and L14 over the per-file models of every library
-/// file.
-pub fn check_cross(models: &[FileModel]) -> CrossAnalysis {
-    let graph = Graph::build(models);
+/// Runs L7, L9 and L13 over the call graph of every library file.
+pub(crate) fn check_cross(graph: &Graph<'_>) -> Vec<Diagnostic> {
     let mut diagnostics = Vec::new();
-    check_panic_reachability(&graph, &mut diagnostics);
-    check_hot_loops(models, &mut diagnostics);
-    crate::guards::check_guards(&graph, &mut diagnostics);
-
-    let mut unresolved = 0usize;
-    for (fi, m) in models.iter().enumerate() {
-        for (fj, f) in m.fns.iter().enumerate() {
-            if f.in_test {
-                continue;
-            }
-            unresolved += f
-                .calls
-                .iter()
-                .filter(|c| matches!(graph.resolve_site(fi, fj, c), Resolution::Unresolved))
-                .count();
-        }
-    }
-    CrossAnalysis {
-        diagnostics,
-        unresolved_calls: unresolved,
-    }
+    check_panic_reachability(graph, &mut diagnostics);
+    check_hot_loops(graph.models, &mut diagnostics);
+    crate::guards::check_guards(graph, &mut diagnostics);
+    diagnostics
 }
 
 /// Whether a function is an L7 entry point: a request handler or the worker
@@ -387,8 +375,8 @@ mod tests {
             .collect()
     }
 
-    fn run(files: &[(&str, &str)]) -> CrossAnalysis {
-        check_cross(&models(files))
+    fn run(files: &[(&str, &str)]) -> Vec<Diagnostic> {
+        check_cross(&Graph::build(&models(files)))
     }
 
     #[test]
@@ -398,16 +386,15 @@ mod tests {
                       fn parse_request(b: &[u8]) -> u32 { decode(b) }";
         let core = "pub fn decode(b: &[u8]) -> u32 { inner(b) }\n\
                     fn inner(b: &[u8]) -> u32 { b.first().copied().map(u32::from).unwrap() }";
-        let analysis = run(&[
+        let diags = run(&[
             ("crates/serve/src/server.rs", server),
             ("crates/core/src/lib.rs", core),
         ]);
-        let l7: Vec<&Diagnostic> = analysis
-            .diagnostics
+        let l7: Vec<&Diagnostic> = diags
             .iter()
             .filter(|d| d.rule == Rule::NoPanicReachableFromServe)
             .collect();
-        assert_eq!(l7.len(), 1, "{:?}", analysis.diagnostics);
+        assert_eq!(l7.len(), 1, "{:?}", diags);
         let d = l7[0];
         assert_eq!(d.path, "crates/core/src/lib.rs");
         assert_eq!(d.line, 2);
@@ -429,30 +416,26 @@ mod tests {
                       fn safe(v: &[u32]) -> u32 { crunch(v) }\n\
                       fn crunch(v: &[u32]) -> u32 { v.iter().sum() }\n\
                       #[cfg(test)]\nmod t { fn handle_fake() { x.unwrap(); } }";
-        let analysis = run(&[("crates/serve/src/server.rs", server)]);
-        assert!(
-            analysis.diagnostics.is_empty(),
-            "{:?}",
-            analysis.diagnostics
-        );
+        let diags = run(&[("crates/serve/src/server.rs", server)]);
+        assert!(diags.is_empty(), "{:?}", diags);
         // The same indexing that is exempt outside serve fires inside it.
         let nn = "pub fn kernel(v: &[u32]) -> u32 { v[0] }";
         let serve_calls_nn = "use ultra_nn::kernel;\n\
                               pub fn handle_y(v: &[u32]) -> u32 { kernel(v) }";
-        let analysis = run(&[
+        let diags = run(&[
             ("crates/serve/src/api.rs", serve_calls_nn),
             ("crates/nn/src/lib.rs", nn),
         ]);
         assert!(
-            analysis.diagnostics.is_empty(),
+            diags.is_empty(),
             "indexing outside crates/serve is not an L7 finding: {:?}",
-            analysis.diagnostics
+            diags
         );
         let serve_indexing = "pub fn handle_z(v: &[u32]) -> u32 { pick(v) }\n\
                               fn pick(v: &[u32]) -> u32 { v[0] }";
-        let analysis = run(&[("crates/serve/src/server.rs", serve_indexing)]);
-        assert_eq!(analysis.diagnostics.len(), 1);
-        assert_eq!(analysis.diagnostics[0].line, 2);
+        let diags = run(&[("crates/serve/src/server.rs", serve_indexing)]);
+        assert_eq!(diags.len(), 1);
+        assert_eq!(diags[0].line, 2);
     }
 
     #[test]
@@ -460,9 +443,8 @@ mod tests {
         let server = "pub fn handle_a(x: Option<u32>) -> u32 { shared(x) }\n\
                       pub fn handle_b(x: Option<u32>) -> u32 { shared(x) }\n\
                       fn shared(x: Option<u32>) -> u32 { x.unwrap() }";
-        let analysis = run(&[("crates/serve/src/server.rs", server)]);
-        let l7: Vec<&Diagnostic> = analysis
-            .diagnostics
+        let diags = run(&[("crates/serve/src/server.rs", server)]);
+        let l7: Vec<&Diagnostic> = diags
             .iter()
             .filter(|d| d.rule == Rule::NoPanicReachableFromServe)
             .collect();
@@ -477,9 +459,8 @@ mod tests {
                    for x in v { out.push(*x); }\n\
                    }\n\
                    fn cold(v: &[u32], out: &mut Vec<u32>) { for x in v { out.push(*x); } }";
-        let analysis = run(&[("crates/nn/src/ops.rs", src)]);
-        let l9: Vec<(&str, u32)> = analysis
-            .diagnostics
+        let diags = run(&[("crates/nn/src/ops.rs", src)]);
+        let l9: Vec<(&str, u32)> = diags
             .iter()
             .filter(|d| d.rule == Rule::NoAllocInHotLoop)
             .map(|d| (d.path.as_str(), d.line))
@@ -490,9 +471,10 @@ mod tests {
     #[test]
     fn unresolved_calls_are_counted_not_dropped() {
         let src = "pub fn f() { std::fs::read(\"x\").ok(); mystery(); }";
-        let analysis = run(&[("crates/core/src/lib.rs", src)]);
+        let models = models(&[("crates/core/src/lib.rs", src)]);
+        let graph = Graph::build(&models);
         // `read`, `ok`, and `mystery` all resolve to nothing here.
-        assert!(analysis.unresolved_calls >= 2);
-        assert!(analysis.diagnostics.is_empty());
+        assert!(graph.unresolved_calls() >= 2);
+        assert!(check_cross(&graph).is_empty());
     }
 }

@@ -1,6 +1,6 @@
-//! Determinism-taint dataflow: the machinery behind **L10
-//! `no-tainted-ranking`**, **L11 `seeded-rng-only`**, and **L12
-//! `ordered-float-reduction`**.
+//! Determinism-taint dataflow: the machinery behind **L2
+//! `no-hash-iteration-order`**, **L10 `no-tainted-ranking`**, **L11
+//! `seeded-rng-only`**, and **L12 `ordered-float-reduction`**.
 //!
 //! The pass works in two layers:
 //!
@@ -16,7 +16,7 @@
 //!    which gives branchy expressions *union* semantics — taint from any
 //!    branch taints the binding.
 //!
-//! 2. **Evaluation** ([`check_taint`], run by [`crate::check_sources`])
+//! 2. **Evaluation** (`check_taint`, run by [`crate::check_sources`])
 //!    interprets the IR per function over an abstract state mapping locals
 //!    to taint values, and iterates function *summaries* (returned taint,
 //!    param→return flows, param→sink flows) to a fixpoint over the
@@ -37,6 +37,10 @@
 //!    accumulation — L10 fires with the source site and the full
 //!    source→sink call chain, exactly like L7 prints panic chains.
 //!
+//! L2 reads the same IR without evaluating it: in ranked-output crates,
+//! every hash-ordered iteration site (the order sources above) is a
+//! finding wherever it occurs, sink or not.
+//!
 //! Everything is heuristic: locals are tracked by name, fields are not
 //! tracked, and unresolved calls pass taint through from receiver and
 //! arguments (erring toward reporting; the observer sanitizers keep that
@@ -45,7 +49,7 @@
 use crate::callgraph::{FnId, Graph};
 use crate::lexer::{Tok, TokKind};
 use crate::parser::{FileModel, FnDef, NON_CALL_KEYWORDS};
-use crate::rules::{ChainFrame, Diagnostic, Rule, TaintOrigin, HASH_ITER_METHODS};
+use crate::rules::{ChainFrame, Diagnostic, Rule, TaintOrigin};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
@@ -117,9 +121,6 @@ pub struct Stmt {
     /// `let` with a `BTreeMap`/`BTreeSet` type ascription — sanitizes
     /// order-taint like a `collect::<BTreeMap<…>>()` turbofish.
     pub btree_let: bool,
-    /// Whether the statement sits inside any `for`/`while`/`loop` body —
-    /// L15 uses this to distinguish repeated from one-shot width ops.
-    pub in_loop: bool,
 }
 
 /// A flattened expression: the identifiers it reads and the calls it makes.
@@ -129,6 +130,9 @@ pub struct Expr {
     pub idents: Vec<String>,
     /// Calls, in source order.
     pub calls: Vec<Call>,
+    /// `for` loops nested in the expression (a closure body, or a block the
+    /// statement absorbed): each head's line and iterable.
+    pub fors: Vec<(u32, Expr)>,
 }
 
 /// One call inside an expression.
@@ -160,7 +164,8 @@ const CONTROL_KEYWORDS: [&str; 7] = ["for", "while", "loop", "if", "else", "matc
 /// (`x: HashMap<…>`, struct fields and params included) and constructor
 /// bindings (`let x = HashMap::new()`). Tracking is by name, so a hash
 /// binding anywhere in the file taints same-named locals everywhere — an
-/// over-approximation that matches L2's heuristic.
+/// over-approximation that [`extract_flow`] narrows per function, where a
+/// parameter's declared type shadows the file-wide name.
 pub fn file_hash_idents(toks: &[Tok]) -> BTreeSet<String> {
     let mut out = BTreeSet::new();
     for i in 0..toks.len() {
@@ -246,9 +251,9 @@ pub fn extract_flow(
         return flow;
     }
 
-    // One frame per open control block: the hash-`for` line (L12) and
-    // whether the frame is a loop at all (L15's `in_loop`).
-    let mut loop_stack: Vec<(Option<u32>, bool)> = Vec::new();
+    // One frame per open control block: the hash-`for` line, if the block
+    // is a `for` over a hash-ordered collection (L12).
+    let mut loop_stack: Vec<Option<u32>> = Vec::new();
     let mut seg: Vec<usize> = Vec::new();
     let mut depth = 0i32; // paren/bracket depth within the current segment
     let mut i = body.start + 1;
@@ -269,9 +274,8 @@ pub fn extract_flow(
             TokKind::Punct('{') if depth == 0 => {
                 let head = seg.first().and_then(|&k| toks[k].ident());
                 if seg.is_empty() || head.is_some_and(|h| CONTROL_KEYWORDS.contains(&h)) {
-                    let is_loop = head.is_some_and(|h| matches!(h, "for" | "while" | "loop"));
                     let hash_for = flush_control_head(toks, &mut seg, &loop_stack, &mut flow);
-                    loop_stack.push((hash_for, is_loop));
+                    loop_stack.push(hash_for);
                 } else {
                     // Expression brace (struct literal, `let x = if … {…}`,
                     // match-in-let): absorb the balanced group — union
@@ -362,13 +366,8 @@ fn parse_params(toks: &[Tok], sig: &Range<usize>) -> Vec<Param> {
 }
 
 /// Innermost enclosing hash-ordered `for` line, if any.
-fn cur_hash_loop(loop_stack: &[(Option<u32>, bool)]) -> Option<u32> {
-    loop_stack.iter().rev().find_map(|x| x.0)
-}
-
-/// Whether any enclosing control frame is a loop.
-fn cur_in_loop(loop_stack: &[(Option<u32>, bool)]) -> bool {
-    loop_stack.iter().any(|x| x.1)
+fn cur_hash_loop(loop_stack: &[Option<u32>]) -> Option<u32> {
+    loop_stack.iter().rev().find_map(|x| *x)
 }
 
 /// Pattern identifiers (excluding `mut`/`ref`/`_` and path-like segments).
@@ -396,6 +395,10 @@ fn top_level_assign(toks: &[Tok], seg: &[usize]) -> Option<(usize, Option<char>)
                     }
                 }
                 match s.checked_sub(1).map(|p| &toks[seg[p]].kind) {
+                    // `let v: Vec<u8> = …`: the `>` closes the ascribed type.
+                    Some(TokKind::Punct('>')) if closes_ascription(toks, &seg[..s]) => {
+                        return Some((s, None))
+                    }
                     // Second half of `==`/`!=`/`<=`/`>=` (or `<<=`/`>>=`).
                     Some(TokKind::Punct(c)) if "=!<>".contains(*c) => continue,
                     Some(TokKind::Punct(c)) if "+-*/%&|^".contains(*c) => {
@@ -408,6 +411,25 @@ fn top_level_assign(toks: &[Tok], seg: &[usize]) -> Option<(usize, Option<char>)
         }
     }
     None
+}
+
+/// Whether `head` (a segment up to an `=`) ends in a type ascription whose
+/// angle brackets balance: a top-level `:` precedes, and every `<` after it
+/// is closed (`->`'s `>` is not a bracket). Then the final `>` closes a
+/// generic type rather than starting `>=`.
+fn closes_ascription(toks: &[Tok], head: &[usize]) -> bool {
+    let Some(colon) = top_level_colon(toks, head, head.len()) else {
+        return false;
+    };
+    let mut angle = 0i32;
+    for (s, &k) in head.iter().enumerate().skip(colon + 1) {
+        if toks[k].is_punct('<') {
+            angle += 1;
+        } else if toks[k].is_punct('>') && !toks[head[s - 1]].is_punct('-') {
+            angle -= 1;
+        }
+    }
+    angle == 0
 }
 
 /// Position in `seg` of the top-level type-ascription `:` (not `::`).
@@ -434,7 +456,7 @@ fn top_level_colon(toks: &[Tok], seg: &[usize], before: usize) -> Option<usize> 
 fn flush_stmt(
     toks: &[Tok],
     seg: &mut Vec<usize>,
-    loop_stack: &[(Option<u32>, bool)],
+    loop_stack: &[Option<u32>],
     flow: &mut FnFlow,
     is_tail: bool,
 ) {
@@ -443,7 +465,6 @@ fn flush_stmt(
     }
     let line = toks[seg[0]].line;
     let hash_loop = cur_hash_loop(loop_stack);
-    let in_loop = cur_in_loop(loop_stack);
     let head = toks[seg[0]].ident().unwrap_or("");
     let stmt = if head == "let" {
         let eq = top_level_assign(toks, seg).map(|(s, _)| s);
@@ -475,7 +496,6 @@ fn flush_stmt(
             expr,
             compound_float_op: false,
             hash_loop,
-            in_loop,
             btree_let,
         }
     } else if head == "return" {
@@ -486,7 +506,6 @@ fn flush_stmt(
             expr: parse_expr(toks, &seg[1..]),
             compound_float_op: false,
             hash_loop,
-            in_loop,
             btree_let: false,
         }
     } else if let Some((pos, op)) = top_level_assign(toks, seg) {
@@ -519,7 +538,6 @@ fn flush_stmt(
             expr,
             compound_float_op,
             hash_loop,
-            in_loop,
             btree_let: false,
         }
     } else {
@@ -534,7 +552,6 @@ fn flush_stmt(
             expr: parse_expr(toks, seg),
             compound_float_op: false,
             hash_loop,
-            in_loop,
             btree_let: false,
         }
     };
@@ -548,7 +565,7 @@ fn flush_stmt(
 fn flush_control_head(
     toks: &[Tok],
     seg: &mut Vec<usize>,
-    loop_stack: &[(Option<u32>, bool)],
+    loop_stack: &[Option<u32>],
     flow: &mut FnFlow,
 ) -> Option<u32> {
     if seg.is_empty() {
@@ -556,7 +573,6 @@ fn flush_control_head(
     }
     let line = toks[seg[0]].line;
     let hash_loop = cur_hash_loop(loop_stack);
-    let in_loop = cur_in_loop(loop_stack);
     let head = toks[seg[0]].ident().unwrap_or("");
     let mut hash_for = None;
     match head {
@@ -567,15 +583,11 @@ fn flush_control_head(
                 .unwrap_or(seg.len());
             let bound = binder_idents(toks, &seg[1..in_pos]);
             let expr = parse_expr(toks, &seg[(in_pos + 1).min(seg.len())..]);
-            let direct =
-                expr.calls.is_empty() && expr.idents.iter().any(|id| flow.hash_locals.contains(id));
-            let via_method = expr.calls.iter().any(|c| {
-                HASH_ITER_METHODS.contains(&c.name.as_str())
-                    && c.receiver
-                        .as_ref()
-                        .is_some_and(|r| flow.hash_locals.contains(r))
-            });
-            if direct || via_method {
+            let via_method = expr
+                .calls
+                .iter()
+                .any(|c| hash_iter_receiver(c, &flow.hash_locals).is_some());
+            if iterates_directly(&expr, &flow.hash_locals) || via_method {
                 hash_for = Some(line);
             }
             flow.stmts.push(Stmt {
@@ -585,7 +597,6 @@ fn flush_control_head(
                 expr,
                 compound_float_op: false,
                 hash_loop,
-                in_loop,
                 btree_let: false,
             });
         }
@@ -601,7 +612,6 @@ fn flush_control_head(
                     expr: parse_expr(toks, &seg[eq + 1..]),
                     compound_float_op: false,
                     hash_loop,
-                    in_loop,
                     btree_let: false,
                 },
                 _ => Stmt {
@@ -611,7 +621,6 @@ fn flush_control_head(
                     expr: parse_expr(toks, &seg[1..]),
                     compound_float_op: false,
                     hash_loop,
-                    in_loop,
                     btree_let: false,
                 },
             };
@@ -624,7 +633,6 @@ fn flush_control_head(
             expr: parse_expr(toks, &seg[1..]),
             compound_float_op: false,
             hash_loop,
-            in_loop,
             btree_let: false,
         }),
         // `loop` / `unsafe` heads carry no expression.
@@ -632,6 +640,52 @@ fn flush_control_head(
     }
     seg.clear();
     hash_for
+}
+
+/// Iteration adapters whose order reflects the hash map's internal layout:
+/// on a hash-typed receiver, an order source (L10–L12) and an L2 site.
+const HASH_ITER_METHODS: [&str; 8] = [
+    "iter",
+    "iter_mut",
+    "keys",
+    "values",
+    "values_mut",
+    "into_iter",
+    "drain",
+    "retain",
+];
+
+/// The hash-typed receiver a call iterates (`m.keys()` with `m` hash-typed:
+/// `m`), if the call is a hash-ordered iteration.
+fn hash_iter_receiver<'c>(c: &'c Call, hash_locals: &BTreeSet<String>) -> Option<&'c str> {
+    c.receiver
+        .as_deref()
+        .filter(|r| HASH_ITER_METHODS.contains(&c.name.as_str()) && hash_locals.contains(*r))
+}
+
+/// Whether a `for` head's iterable is a hash-typed binding itself, with no
+/// call in between (`for x in &m`).
+fn iterates_directly(iterable: &Expr, hash_locals: &BTreeSet<String>) -> bool {
+    iterable.calls.is_empty() && iterable.idents.iter().any(|id| hash_locals.contains(id))
+}
+
+/// The iterable of a `for` head inside a flattened expression (`rest`
+/// starts after the `for`): the tokens between `in` and the body's `{`.
+fn nested_for_iterable<'s>(toks: &[Tok], rest: &'s [usize]) -> Option<&'s [usize]> {
+    if rest.first().is_some_and(|&k| toks[k].is_punct('<')) {
+        return None; // `for<'a>`: a higher-ranked bound, not a loop
+    }
+    let start = rest.iter().position(|&k| toks[k].is_ident("in"))? + 1;
+    let mut depth = 0i32;
+    for (j, &k) in rest.iter().enumerate().skip(start) {
+        match &toks[k].kind {
+            TokKind::Punct('(') | TokKind::Punct('[') => depth += 1,
+            TokKind::Punct(')') | TokKind::Punct(']') => depth -= 1,
+            TokKind::Punct('{') if depth == 0 => return Some(&rest[start..j]),
+            _ => {}
+        }
+    }
+    None
 }
 
 /// If `seg[s]` starts a call — `name (` or `name ::<…> (` — returns the
@@ -672,6 +726,11 @@ fn parse_expr(toks: &[Tok], seg: &[usize]) -> Expr {
             s += 1;
             continue;
         };
+        if name == "for" {
+            if let Some(iterable) = nested_for_iterable(toks, &seg[s + 1..]) {
+                e.fors.push((toks[k].line, parse_expr(toks, iterable)));
+            }
+        }
         if NON_CALL_KEYWORDS.contains(&name) {
             s += 1;
             continue;
@@ -899,10 +958,8 @@ fn collect_order_sanitizers<'e>(expr: &'e Expr, out: &mut Vec<&'e Call>) {
 fn source_of(call: &Call, fn_name: &str, hash_locals: &BTreeSet<String>) -> Option<(u8, String)> {
     let name = call.name.as_str();
     let qual = call.qualifier.as_deref();
-    if HASH_ITER_METHODS.contains(&name) {
-        if let Some(r) = call.receiver.as_ref().filter(|r| hash_locals.contains(*r)) {
-            return Some((ORDER, format!("iteration over hash-ordered `{r}`")));
-        }
+    if let Some(r) = hash_iter_receiver(call, hash_locals) {
+        return Some((ORDER, format!("iteration over hash-ordered `{r}`")));
     }
     if name == "current" && qual == Some("thread") {
         return Some((VALUE, "thread-id observation (`thread::current()`)".into()));
@@ -1277,16 +1334,16 @@ fn push_param_sink(summary: &mut Summary, pi: usize, kind: u8, sink: SinkInfo) {
 // Entry points
 // ---------------------------------------------------------------------------
 
-/// Runs L10/L11/L12 over the library-file models.
-pub fn check_taint(models: &[FileModel]) -> Vec<Diagnostic> {
-    let graph = Graph::build(models);
+/// Runs L2, L10, L11 and L12 over the library-file models in `graph`.
+pub(crate) fn check_taint(graph: &Graph<'_>) -> Vec<Diagnostic> {
+    let models = graph.models;
     let mut summaries: BTreeMap<FnId, Summary> = BTreeMap::new();
 
     // Summaries to a fixpoint (capped: each round deepens visible chains by
     // one call level; ten covers any realistic workspace depth).
     for _round in 0..10 {
         let ctx = Ctx {
-            graph: &graph,
+            graph,
             summaries: &summaries,
         };
         let mut next: BTreeMap<FnId, Summary> = BTreeMap::new();
@@ -1303,7 +1360,7 @@ pub fn check_taint(models: &[FileModel]) -> Vec<Diagnostic> {
 
     // Final emitting pass against the stable summaries.
     let ctx = Ctx {
-        graph: &graph,
+        graph,
         summaries: &summaries,
     };
     let mut findings = Vec::new();
@@ -1321,9 +1378,53 @@ pub fn check_taint(models: &[FileModel]) -> Vec<Diagnostic> {
         None => true,
     });
 
+    check_hash_iteration(models, &mut findings);
     check_seeded_rng(models, &mut findings);
     check_ordered_float(models, &mut findings);
     findings
+}
+
+/// L2 — `HashMap`/`HashSet` iteration order varies run to run (and with
+/// the hasher's DoS-resistance seed), so in a ranked-output crate every
+/// hash-ordered iteration the IR records is a finding: a
+/// `HASH_ITER_METHODS` call on a hash-typed receiver, or a `for` over a
+/// hash-typed binding (a loop statement, or a loop nested in a closure or
+/// an absorbed block), in a non-test function. One finding per line.
+fn check_hash_iteration(models: &[FileModel], out: &mut Vec<Diagnostic>) {
+    for m in models.iter().filter(|m| crate::classify_ranked(&m.path)) {
+        let mut lines = BTreeSet::new();
+        for f in m.fns.iter().filter(|f| !f.in_test) {
+            let hash = &f.flow.hash_locals;
+            for stmt in &f.flow.stmts {
+                if stmt.kind == StmtKind::For && iterates_directly(&stmt.expr, hash) {
+                    lines.insert(stmt.line);
+                }
+                expr_any(&stmt.expr, &mut |e| {
+                    for c in &e.calls {
+                        if hash_iter_receiver(c, hash).is_some() {
+                            lines.insert(c.line);
+                        }
+                    }
+                    for (line, iterable) in &e.fors {
+                        if iterates_directly(iterable, hash) {
+                            lines.insert(*line);
+                        }
+                    }
+                });
+            }
+        }
+        out.extend(lines.into_iter().map(|line| Diagnostic {
+            rule: Rule::NoHashIterationOrder,
+            severity: Rule::NoHashIterationOrder.severity(),
+            path: m.path.clone(),
+            line,
+            message: "iteration over a HashMap/HashSet: order depends on hasher state".to_string(),
+            suggestion: "use BTreeMap/BTreeSet, or collect and sort by a stable key",
+            chain: Vec::new(),
+            origin: None,
+            region: None,
+        }));
+    }
 }
 
 fn for_each_fn(models: &[FileModel], mut f: impl FnMut(usize, usize, &FileModel, &FnDef)) {

@@ -1,5 +1,4 @@
-//! Guard-region concurrency analysis: **L13 `no-blocking-under-lock`** and
-//! **L14 `no-guard-across-hot-loop`**.
+//! Guard-region concurrency analysis: **L13 `no-blocking-under-lock`**.
 //!
 //! [`crate::parser`] computes a live range for every lock acquisition (see
 //! `GuardRegion` there for the let/`if let`/temporary rules). This module
@@ -29,10 +28,6 @@
 //! bare `read`/`write` only count when the receiver types to a known I/O
 //! struct, so untyped socket reads are missed rather than spamming every
 //! `RwLock` acquisition.
-//!
-//! **L14** flags a guard whose live range strictly contains an entire loop
-//! body inside a `// ultra-lint: hot` function — the parallel region the
-//! marker promises is serialized by the lock for every iteration.
 
 use crate::callgraph::{FnId, Graph, Resolution};
 use crate::parser::{CallSite, FileModel, GuardRegion, LockKind};
@@ -82,12 +77,14 @@ struct LiveGuard<'a> {
 fn crate_lock_fields(models: &[FileModel]) -> BTreeMap<&str, BTreeMap<&str, LockKind>> {
     let mut fields: BTreeMap<&str, BTreeMap<&str, LockKind>> = BTreeMap::new();
     for m in models {
-        for lf in &m.lock_fields {
-            fields
-                .entry(m.krate.as_str())
-                .or_default()
-                .entry(lf.name.as_str())
-                .or_insert(lf.kind);
+        for fd in &m.fields {
+            if let Some(kind) = fd.lock {
+                fields
+                    .entry(m.krate.as_str())
+                    .or_default()
+                    .entry(fd.name.as_str())
+                    .or_insert(kind);
+            }
         }
     }
     fields
@@ -186,7 +183,7 @@ fn blocking_at(
     None
 }
 
-/// Runs L13 and L14 over every validated guard region.
+/// Runs L13 over every validated guard region.
 pub(crate) fn check_guards(graph: &Graph<'_>, out: &mut Vec<Diagnostic>) {
     let fields = crate_lock_fields(graph.models);
     let mut guards: Vec<LiveGuard<'_>> = Vec::new();
@@ -217,7 +214,6 @@ pub(crate) fn check_guards(graph: &Graph<'_>, out: &mut Vec<Diagnostic>) {
     let mut reported: BTreeSet<(String, u32, String, u32)> = BTreeSet::new();
     for lg in &guards {
         check_one_guard_l13(graph, &fields, lg, &mut reported, out);
-        check_one_guard_l14(graph, lg, out);
     }
 }
 
@@ -390,45 +386,6 @@ fn check_one_guard_l13(
     }
 }
 
-/// L14 for one guard: fires when the live range contains an entire loop
-/// body of a hot function, with the loop span named.
-fn check_one_guard_l14(graph: &Graph<'_>, lg: &LiveGuard<'_>, out: &mut Vec<Diagnostic>) {
-    let m = &graph.models[lg.file];
-    let f = &m.fns[lg.fnidx];
-    if !f.hot {
-        return;
-    }
-    let g = lg.region;
-    for lp in &f.loops {
-        if lp.span.is_empty() || lp.span.start < g.span.start || lp.span.end > g.span.end {
-            continue;
-        }
-        out.push(Diagnostic {
-            rule: Rule::NoGuardAcrossHotLoop,
-            severity: Rule::NoGuardAcrossHotLoop.severity(),
-            path: m.path.clone(),
-            line: g.line,
-            message: format!(
-                "guard `{}` is held across the entire hot loop at lines {}-{} of `{}` — \
-                 the parallel region is serialized for every iteration",
-                lg.lock_name, lp.line, lp.end_line, f.name
-            ),
-            suggestion: "acquire the lock inside the loop for the shortest window, or take \
-                         a snapshot/clone of the shared state before entering the loop",
-            chain: Vec::new(),
-            origin: None,
-            region: Some(RegionSpan {
-                label: format!("hot loop spanned by guard `{}`", lg.lock_name),
-                path: m.path.clone(),
-                start_line: lp.line,
-                end_line: lp.end_line,
-            }),
-        });
-        // One finding per guard: the outermost spanned loop names the span.
-        break;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -584,42 +541,5 @@ mod tests {
                    }";
         let out = diags(&[("crates/serve/src/x.rs", src)]);
         assert!(out.is_empty(), "{out:?}");
-    }
-
-    #[test]
-    fn l14_fires_when_guard_spans_a_hot_loop() {
-        let src = "struct S { q: Mutex<Vec<u32>> }\n\
-                   impl S {\n\
-                   // ultra-lint: hot\n\
-                   fn f(&self, v: &[u32]) {\n\
-                   let g = self.q.lock().unwrap_or_default();\n\
-                   for x in v { observe(*x); }\n\
-                   }\n\
-                   fn observe(x: u32) {}\n\
-                   }";
-        let out = diags(&[("crates/serve/src/x.rs", src)]);
-        let l14: Vec<&Diagnostic> = out
-            .iter()
-            .filter(|d| d.rule == Rule::NoGuardAcrossHotLoop)
-            .collect();
-        assert_eq!(l14.len(), 1, "{out:?}");
-        assert_eq!(l14[0].line, 5);
-        assert!(l14[0].region.is_some());
-    }
-
-    #[test]
-    fn l14_is_quiet_when_guard_lives_inside_the_loop() {
-        let src = "struct S { q: Mutex<Vec<u32>> }\n\
-                   impl S {\n\
-                   // ultra-lint: hot\n\
-                   fn f(&self, v: &[u32]) {\n\
-                   for x in v { let g = self.q.lock().unwrap_or_default(); }\n\
-                   }\n\
-                   }";
-        let out = diags(&[("crates/serve/src/x.rs", src)]);
-        assert!(
-            out.iter().all(|d| d.rule != Rule::NoGuardAcrossHotLoop),
-            "{out:?}"
-        );
     }
 }

@@ -5,12 +5,11 @@
 //! Those properties erode one innocuous line at a time — an unseeded RNG in
 //! a helper, a `HashMap` iteration feeding a ranking, a `partial_cmp()
 //! .unwrap()` that panics the first time a score goes NaN. `ultra-lint`
-//! enforces them mechanically over every `.rs` file in the workspace:
+//! enforces them mechanically over every `.rs` file in the workspace, with
+//! twelve rules. Five are token scans, one file at a time:
 //!
 //! * **L1 `no-unseeded-rng`** — `thread_rng()` / `from_entropy()` outside
 //!   tests.
-//! * **L2 `no-hash-iteration-order`** — `HashMap`/`HashSet` iteration in
-//!   crates whose output ordering matters.
 //! * **L3 `no-nan-unwrap-sort`** — `partial_cmp` + unwrap/default inside
 //!   sort comparators, and unstable sorts/selects on one float key with no
 //!   tie-break.
@@ -22,25 +21,18 @@
 //!   outside `crates/par` (the deterministic execution layer) and
 //!   `crates/serve` (long-lived request workers).
 //!
-//! Two further rules are *interprocedural*: they run over a heuristic
-//! whole-workspace call graph (see [`parser`] and [`callgraph`]) instead of
-//! one file at a time:
+//! The other seven run over per-file models ([`parser`]) linked into one
+//! heuristic whole-workspace call graph ([`callgraph`]), built once per run:
 //!
+//! * **L2 `no-hash-iteration-order`** — `HashMap`/`HashSet` iteration in
+//!   crates whose output ordering matters: the hash-ordered sources of the
+//!   taint dataflow ([`dataflow`]), wherever they occur.
 //! * **L7 `no-panic-reachable-from-serve`** — no `unwrap`/`expect`/panic
 //!   macro/slice-indexing panic source transitively reachable from a serve
 //!   entry point (`handle_*`, the pool worker loop); findings carry the
 //!   full entry→panic call chain.
 //! * **L9 `no-alloc-in-hot-loop`** — no `push`/`collect`/`to_vec`/`clone`/
 //!   `format!` inside loops of functions marked `// ultra-lint: hot`.
-//!
-//! L8 (`lock-order`) is retired: L13 flags both acquisitions of each
-//! inversion as held-while-acquiring pairs, and skips L8's false positives
-//! where the first guard was dropped before the second lock. The id stays
-//! unused so L9–L15 keep theirs.
-//!
-//! Three determinism-taint rules run over an interprocedural dataflow built
-//! on the same call graph (see [`dataflow`]):
-//!
 //! * **L10 `no-tainted-ranking`** — no nondeterminism source (hash-ordered
 //!   iteration, wall-clock, thread id, OS entropy, `env::var`, pointer
 //!   address) may flow — through locals, call arguments, and return
@@ -51,24 +43,15 @@
 //!   seed derived from config/query state.
 //! * **L12 `ordered-float-reduction`** — no float accumulation inside a
 //!   loop over a hash-ordered collection.
-//!
-//! Two guard-region rules model lock-guard live ranges and walk the call
-//! graph from statements inside them (see [`guards`]):
-//!
 //! * **L13 `no-blocking-under-lock`** — no blocking operation (socket
 //!   I/O, channel `recv`, `join`, `sleep`, file reads) and no *other* lock
-//!   acquisition reachable while a guard is live (the lock-order check);
-//!   findings carry the guard's live range and the guard→blocking-site
-//!   chain.
-//! * **L14 `no-guard-across-hot-loop`** — no guard held across an entire
-//!   `// ultra-lint: hot` loop.
+//!   acquisition reachable while a guard is live (the lock-order check;
+//!   see [`guards`]); findings carry the guard's live range and the
+//!   guard→blocking-site chain.
 //!
-//! One format rule diffs paired serializers (see [`symmetry`]):
-//!
-//! * **L15 `serde-symmetry`** — a writer/reader pair
-//!   (`to_bytes`/`from_bytes` or `write_X`/`read_X`) whose primitive-width
-//!   byte sequences diverge — width drift, reordered fields,
-//!   written-but-never-read — is flagged with both sites.
+//! Retired ids stay unused so every live rule keeps its number: L8
+//! (`lock-order`, folded into L13), L14 (`no-guard-across-hot-loop`) and L15
+//! (`serde-symmetry`; the formats' byte round-trip tests guard its ground).
 //!
 //! Findings carry `file:line` locations, severities, and fix suggestions.
 //! Audited exceptions live in the workspace-root `lint.toml` (each with a
@@ -89,7 +72,6 @@ pub mod guards;
 pub mod lexer;
 pub mod parser;
 pub mod rules;
-pub mod symmetry;
 
 use config::Allowlist;
 use rules::{Diagnostic, FileContext};
@@ -124,7 +106,7 @@ const SKIP_DIRS: [&str; 4] = ["target", "vendor", ".git", "fixtures"];
 pub struct PhaseTimings {
     /// Per-file lex + parse + intraprocedural rules (the parallel phase).
     pub lex_parse_ms: u64,
-    /// Cross-file analysis: call graph, taint, guards, symmetry.
+    /// Cross-file analysis: call graph, taint, guards.
     pub analyze_ms: u64,
     /// Whole run, including file I/O and waiver matching.
     pub total_ms: u64,
@@ -181,7 +163,8 @@ impl std::error::Error for LintError {}
 /// Runs the analyzer over a workspace rooted at `root`.
 ///
 /// Reads `<root>/lint.toml` if present (a missing file means an empty
-/// allowlist). Scans every `.rs` file outside [`SKIP_DIRS`].
+/// allowlist). Scans every `.rs` file outside `target`, `vendor`,
+/// `fixtures` and dot-directories.
 pub fn run_workspace(root: &Path) -> Result<Report, LintError> {
     let run_start = Instant::now();
     let allowlist = match std::fs::read_to_string(root.join("lint.toml")) {
@@ -258,7 +241,7 @@ pub fn run_workspace(root: &Path) -> Result<Report, LintError> {
 /// Outcome of linting a batch of in-memory sources: diagnostics surviving
 /// inline waivers, plus the graph's unresolved-call count.
 pub struct BatchOutcome {
-    /// All findings (L1–L7, L9–L15), in per-file then cross-file order (callers
+    /// All findings (L1–L7, L9–L13), in per-file then cross-file order (callers
     /// that need a canonical order sort, as [`run_workspace`] does).
     pub diagnostics: Vec<Diagnostic>,
     /// See [`Report::unresolved_calls`].
@@ -280,11 +263,11 @@ struct FileAnalysis {
     inline_allow_errors: Vec<String>,
 }
 
-/// Lints a batch of sources as one workspace: every file gets the
-/// intraprocedural rules (L1–L6), and all library-classified files together
-/// feed the call graph for L7, L9 and L13–L14, the taint pass for L10–L12,
-/// and the symmetry pass for L15 (a panic three crates away from a serve
-/// handler is only visible with the whole batch in view). Inline
+/// Lints a batch of sources as one workspace: every file gets the token
+/// rules (L1, L3–L6), and all library-classified files together feed one
+/// call graph for L7, L9 and L13 and the taint pass for L2 and L10–L12 (a
+/// panic three crates away from a serve handler is only visible with the
+/// whole batch in view). Inline
 /// `ultra-lint: allow(...)` directives are applied here — each diagnostic
 /// against the directives of the file it landed in; `lint.toml` waivers are
 /// applied by [`run_workspace`]. The per-file phase runs on the `ultra-par`
@@ -307,7 +290,6 @@ pub fn check_sources(files: &[(&str, &str)]) -> BatchOutcome {
                 tokens: &lexed.tokens,
                 in_test: &mask,
                 is_lib: classify_lib(rel_path),
-                is_ranked_crate: classify_ranked(rel_path),
             };
             let diags = rules::check_file(&ctx);
             let model = ctx.is_lib.then(|| parser::build(rel_path, &lexed, &mask));
@@ -343,10 +325,9 @@ pub fn check_sources(files: &[(&str, &str)]) -> BatchOutcome {
         inline_allow_errors.extend(fa.inline_allow_errors);
         allows.push((rel_path, fa.allows));
     }
-    let cross = callgraph::check_cross(&models);
-    diags.extend(cross.diagnostics);
-    diags.extend(dataflow::check_taint(&models));
-    symmetry::check_symmetry(&models, &mut diags);
+    let graph = callgraph::Graph::build(&models);
+    diags.extend(callgraph::check_cross(&graph));
+    diags.extend(dataflow::check_taint(&graph));
     // An inline directive waives its rules on the comment's own line and the
     // line that follows it (so a directive can sit above the flagged line).
     diags.retain(|d| {
@@ -361,7 +342,7 @@ pub fn check_sources(files: &[(&str, &str)]) -> BatchOutcome {
     timings.analyze_ms = phase_start.elapsed().as_millis() as u64;
     BatchOutcome {
         diagnostics: diags,
-        unresolved_calls: cross.unresolved_calls,
+        unresolved_calls: graph.unresolved_calls(),
         inline_allow_errors,
         timings,
     }

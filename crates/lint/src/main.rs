@@ -47,13 +47,12 @@ fn main() {
                      USAGE: ultra-lint [--root <dir>] [--format json|text] [--list-rules]\n\n\
                      Scans every .rs file under the workspace root (default:\n\
                      the directory containing this crate's workspace) and\n\
-                     enforces rules L1-L7 and L9-L15 (L7 and L9 run over a\n\
-                     workspace call graph, L10-L12 over an interprocedural\n\
-                     taint dataflow, L13-L14 over lock-guard live ranges, L15\n\
-                     over paired serializer byte sequences); `--list-rules`\n\
-                     prints the rule table, README.md has the details and\n\
-                     lint.toml the audited allowlist. Any unwaived finding\n\
-                     fails the run.\n\n\
+                     enforces rules L1-L7 and L9-L13 (L7 and L9 run over a\n\
+                     workspace call graph, L2 and L10-L12 over an\n\
+                     interprocedural taint dataflow, L13 over lock-guard live\n\
+                     ranges); `--list-rules` prints the rule table, README.md\n\
+                     has the details and lint.toml the audited allowlist. Any\n\
+                     unwaived finding fails the run.\n\n\
                      `--format json` emits a stable machine-readable report\n\
                      on stdout."
                 );
@@ -145,13 +144,15 @@ fn render_text(report: &Report) {
 ///  "stale_allows":["..."]}
 /// ```
 ///
-/// v2 over v1: `origin` on every violation (the taint source for L10, null
-/// otherwise). v3 over v2: `region` (the guard live range for L13/L14, the
-/// reader fn span for L15) and the `timing` section — timing appears *only*
-/// here, never in the text report, which stays byte-identical across
-/// thread counts. v4 over v3: the differential-baseline fields (`new` on
-/// each violation, the top-level `baseline` summary) are gone, and rule
-/// `lock-order` no longer appears.
+/// v2 over v1: `origin` on every violation (the taint source for L10, the
+/// guard acquisition for L13, null otherwise). v3 over v2: `region` (the
+/// guard live range for L13, null otherwise) and the `timing` section —
+/// timing appears *only* here, never in the text report, which stays
+/// byte-identical across thread counts. v4 over v3: the
+/// differential-baseline fields (`new` on each violation, the top-level
+/// `baseline` summary) are gone, and rule `lock-order` no longer appears.
+/// The retired `no-guard-across-hot-loop` and `serde-symmetry` rules no
+/// longer appear either; no field changed, so the version stays 4.
 /// Hand-rolled (no crates.io in the build image); strings are escaped per
 /// RFC 8259.
 fn render_json(report: &Report) -> String {

@@ -1,17 +1,20 @@
-//! Per-file structural model for the interprocedural rules (L7–L9).
+//! Per-file structural model for the workspace-wide rules (L2, L7, L9–L13).
 //!
 //! The lexer gives a flat token stream; this module recovers just enough
 //! structure from it to build a call graph: function definitions with body
 //! spans, call sites (with `catch_unwind` guarding), panic sources
-//! (`unwrap`/`expect`/panic macros/slice indexing), `Mutex`/`RwLock` struct
-//! fields and their acquisition sites, loop spans with allocation sites,
-//! and `use`-imported workspace crates. Everything is heuristic and
+//! (`unwrap`/`expect`/panic macros/slice indexing), struct fields with
+//! their types (and lock kind, for `Mutex`/`RwLock` fields), lock
+//! acquisition sites and guard live ranges, allocation sites inside loops,
+//! `use`-imported workspace crates, and each function's dataflow IR (see
+//! [`crate::dataflow`]). Everything is heuristic and
 //! over-approximates: a call we cannot attribute stays in the model as
 //! *unresolved* (counted, never silently dropped), and closure bodies are
 //! attributed to the defining function (a closure may run elsewhere, but
 //! attributing it at its definition site errs toward reporting).
 
 use crate::lexer::{Lexed, Tok, TokKind};
+use crate::rules::PANIC_MACROS;
 use std::ops::Range;
 
 /// What kind of panic source a site is.
@@ -79,14 +82,20 @@ pub enum LockKind {
     RwLock,
 }
 
-/// A struct field of `Mutex`/`RwLock` type (directly or behind containers,
-/// e.g. `Vec<Mutex<Shard>>`).
+/// One named struct field.
 #[derive(Clone, Debug)]
-pub struct LockField {
+pub struct Field {
     /// Field name.
     pub name: String,
-    /// Which lock type.
-    pub kind: LockKind,
+    /// First identifier of the field's type (`shards: Vec<Mutex<Shard>>` →
+    /// `Vec`; references, `mut`, `dyn` and lifetimes skipped, paths followed
+    /// to their last segment) — receiver typing for call resolution. `None`
+    /// when the type starts with a tuple, array or other punctuation.
+    pub ty: Option<String>,
+    /// The lock kind when `Mutex`/`RwLock` appears at the type's top level,
+    /// directly or as a generic argument (`Vec<Mutex<Shard>>`), but not
+    /// inside a tuple or array.
+    pub lock: Option<LockKind>,
 }
 
 /// One `.lock()` / `.read()` / `.write()` site inside a function body.
@@ -105,8 +114,8 @@ pub struct LockSite {
     pub tok: usize,
 }
 
-/// The live range of one lock guard inside a function body (L13/L14's unit
-/// of analysis). The span covers the tokens over which the guard is held,
+/// The live range of one lock guard inside a function body (L13's unit of
+/// analysis). The span covers the tokens over which the guard is held,
 /// *excluding* the acquisition expression itself and its `unwrap*` adapter
 /// chain; for a let-bound guard that is the rest of the enclosing block
 /// (truncated at an explicit `drop(binding)`), for an `if let`/`while let`
@@ -129,18 +138,6 @@ pub struct GuardRegion {
     pub span: Range<usize>,
     /// 1-based line of the last token of the live range.
     pub end_line: u32,
-}
-
-/// One loop inside a function body, with its keyword line and body span
-/// (L14 checks whether a guard's live range swallows the whole span).
-#[derive(Clone, Debug)]
-pub struct LoopSpan {
-    /// 1-based line of the `for`/`while`/`loop` keyword.
-    pub line: u32,
-    /// 1-based line of the body's closing brace.
-    pub end_line: u32,
-    /// Token range of the body, braces included.
-    pub span: Range<usize>,
 }
 
 /// One allocation site inside a loop (L9's unit of reporting).
@@ -190,8 +187,6 @@ pub struct FnDef {
     pub field_refs: Vec<String>,
     /// Lock-guard live ranges, in token order.
     pub guards: Vec<GuardRegion>,
-    /// Loops whose body lies in this function, in token order.
-    pub loops: Vec<LoopSpan>,
     /// The `impl` block's target type, when the fn is a method.
     pub self_type: Option<String>,
     /// Local/parameter types recoverable syntactically, first binding wins:
@@ -213,12 +208,8 @@ pub struct FileModel {
     /// Workspace crate keys imported via `use ultra_<k>::…` /
     /// `use ultrawiki::…` (sorted, deduplicated).
     pub imports: Vec<String>,
-    /// `Mutex`/`RwLock` struct fields declared in this file.
-    pub lock_fields: Vec<LockField>,
-    /// Every named struct field with the first identifier of its type
-    /// (`shards: Vec<Mutex<Shard>>` → `("shards", "Vec")`) — receiver
-    /// typing for call resolution.
-    pub field_types: Vec<(String, String)>,
+    /// Every named struct field declared in this file, in source order.
+    pub fields: Vec<Field>,
     /// Type names this file defines (`struct`/`enum` declarations and
     /// `impl` targets), sorted and deduplicated.
     pub type_defs: Vec<String>,
@@ -241,17 +232,13 @@ pub(crate) const NON_CALL_KEYWORDS: [&str; 23] = [
     "pub", "use", "mod", "where", "unsafe", "break", "continue", "struct", "enum", "trait", "impl",
 ];
 
-/// Panicking macro names (kept in sync with L4's list).
-const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
-
 /// Builds the per-file model from lexed tokens plus the test-code mask.
 pub fn build(path: &str, lexed: &Lexed, mask: &[bool]) -> FileModel {
     let toks = &lexed.tokens;
     let guarded = guarded_mask(toks);
     let mut fns = find_fns(toks, mask, &lexed.hots);
     let owner = owner_map(toks.len(), &fns);
-    let loops_kw = loop_spans(toks, &owner);
-    let loops: Vec<Range<usize>> = loops_kw.iter().map(|(_, s)| s.clone()).collect();
+    let loops = loop_spans(toks, &owner);
 
     for (i, tok) in toks.iter().enumerate() {
         let Some(f) = owner[i] else { continue };
@@ -284,22 +271,11 @@ pub fn build(path: &str, lexed: &Lexed, mask: &[bool]) -> FileModel {
         }
     }
 
-    // Attach loops, impl types, local types, and guard live ranges per fn.
-    let mut fn_loops: Vec<Vec<LoopSpan>> = vec![Vec::new(); fns.len()];
-    for (kw, span) in &loops_kw {
-        if let (Some(fi), false) = (owner[*kw], span.is_empty()) {
-            fn_loops[fi].push(LoopSpan {
-                line: toks[*kw].line,
-                end_line: toks[span.end - 1].line,
-                span: span.clone(),
-            });
-        }
-    }
+    // Attach dataflow IR, impl types, local types, and guard live ranges.
     let impls = impl_spans(toks);
     let file_hash = crate::dataflow::file_hash_idents(toks);
-    for (fi, f) in fns.iter_mut().enumerate() {
+    for f in fns.iter_mut() {
         f.flow = crate::dataflow::extract_flow(toks, &f.sig, &f.body, &file_hash);
-        f.loops = std::mem::take(&mut fn_loops[fi]);
         f.self_type = impls
             .iter()
             .find(|(_, r)| r.contains(&f.body.start))
@@ -313,8 +289,7 @@ pub fn build(path: &str, lexed: &Lexed, mask: &[bool]) -> FileModel {
         krate: crate_key(path).unwrap_or_default(),
         fns,
         imports: find_imports(toks),
-        lock_fields: find_lock_fields(toks),
-        field_types: find_field_types(toks),
+        fields: find_fields(toks),
         type_defs: find_type_defs(toks, &impls),
     }
 }
@@ -608,7 +583,6 @@ fn find_fns(toks: &[Tok], mask: &[bool], hots: &[u32]) -> Vec<FnDef> {
             allocs_in_loops: Vec::new(),
             field_refs: Vec::new(),
             guards: Vec::new(),
-            loops: Vec::new(),
             self_type: None,
             local_types: Vec::new(),
         });
@@ -638,9 +612,9 @@ fn owner_map(len: usize, fns: &[FnDef]) -> Vec<Option<usize>> {
     owner
 }
 
-/// Token spans of loop bodies (`for`/`while`/`loop` … `{ … }`), paired
-/// with the index of the loop keyword.
-fn loop_spans(toks: &[Tok], owner: &[Option<usize>]) -> Vec<(usize, Range<usize>)> {
+/// Token spans of loop bodies (`for`/`while`/`loop` … `{ … }`), braces
+/// included (L9's "inside a loop").
+fn loop_spans(toks: &[Tok], owner: &[Option<usize>]) -> Vec<Range<usize>> {
     let mut spans = Vec::new();
     for i in 0..toks.len() {
         if owner[i].is_none() {
@@ -673,7 +647,7 @@ fn loop_spans(toks: &[Tok], owner: &[Option<usize>]) -> Vec<(usize, Range<usize>
             j += 1;
         }
         if open < toks.len() {
-            spans.push((i, open..(j + 1).min(toks.len())));
+            spans.push(open..(j + 1).min(toks.len()));
         }
     }
     spans
@@ -704,8 +678,9 @@ fn find_imports(toks: &[Tok]) -> Vec<String> {
     out
 }
 
-/// `Mutex`/`RwLock` fields of every `struct` in the file.
-fn find_lock_fields(toks: &[Tok]) -> Vec<LockField> {
+/// Every named field of every `struct` in the file: its name, the first
+/// identifier of its type, and its lock kind (see [`Field`]).
+fn find_fields(toks: &[Tok]) -> Vec<Field> {
     let mut out = Vec::new();
     let mut i = 0;
     while i < toks.len() {
@@ -727,94 +702,27 @@ fn find_lock_fields(toks: &[Tok]) -> Vec<LockField> {
             i = j.max(i + 1);
             continue;
         }
-        // Walk fields at brace depth 1, splitting on top-level commas.
-        let mut depth = 1i32;
-        let mut k = j + 1;
-        let mut field: Option<String> = None;
-        let mut field_kind: Option<LockKind> = None;
-        let flush =
-            |field: &mut Option<String>, kind: &mut Option<LockKind>, out: &mut Vec<LockField>| {
-                if let (Some(name), Some(k)) = (field.take(), kind.take()) {
-                    out.push(LockField { name, kind: k });
-                }
-                *field = None;
-                *kind = None;
-            };
-        while k < toks.len() && depth > 0 {
-            match &toks[k].kind {
-                TokKind::Punct('{') | TokKind::Punct('(') | TokKind::Punct('[') => depth += 1,
-                TokKind::Punct('}') | TokKind::Punct(')') | TokKind::Punct(']') => depth -= 1,
-                TokKind::Punct(',') if depth == 1 => {
-                    flush(&mut field, &mut field_kind, &mut out);
-                }
-                TokKind::Ident(id) if depth == 1 => {
-                    if toks.get(k + 1).is_some_and(|t| t.is_punct(':'))
-                        && !toks.get(k + 2).is_some_and(|t| t.is_punct(':'))
-                        && field.is_none()
-                    {
-                        field = Some(id.clone());
-                    } else if field.is_some() {
-                        if id == "Mutex" {
-                            field_kind.get_or_insert(LockKind::Mutex);
-                        } else if id == "RwLock" {
-                            field_kind.get_or_insert(LockKind::RwLock);
-                        }
-                    }
-                }
-                // `<`/`>` are plain puncts, so `Mutex` inside generics
-                // (`Vec<Mutex<Shard>>`) still sits at depth 1 and is
-                // recognised by the arm above.
-                _ => {}
-            }
-            k += 1;
-        }
-        flush(&mut field, &mut field_kind, &mut out);
-        i = k;
-    }
-    out
-}
-
-/// Every named struct field with the first identifier of its type
-/// (references, `mut`, `dyn`, and lifetimes skipped; `Vec<Mutex<Shard>>` →
-/// `Vec`). Used to type method receivers during call resolution.
-fn find_field_types(toks: &[Tok]) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < toks.len() {
-        if !toks[i].is_ident("struct") {
-            i += 1;
-            continue;
-        }
-        let mut j = i + 1;
-        while j < toks.len()
-            && !toks[j].is_punct('{')
-            && !toks[j].is_punct(';')
-            && !toks[j].is_punct('(')
-        {
-            j += 1;
-        }
-        if j >= toks.len() || !toks[j].is_punct('{') {
-            i = j.max(i + 1);
-            continue;
-        }
         let mut depth = 1i32;
         let mut k = j + 1;
         while k < toks.len() && depth > 0 {
             match &toks[k].kind {
                 TokKind::Punct('{') | TokKind::Punct('(') | TokKind::Punct('[') => depth += 1,
                 TokKind::Punct('}') | TokKind::Punct(')') | TokKind::Punct(']') => depth -= 1,
-                // `name :` (not `::`) at depth 1 opens a field; its type
-                // is the first identifier after the colon.
+                // `name :` (not `::`) at depth 1 opens a field.
                 TokKind::Ident(id)
                     if depth == 1
                         && toks.get(k + 1).is_some_and(|t| t.is_punct(':'))
                         && !toks.get(k + 2).is_some_and(|t| t.is_punct(':')) =>
                 {
-                    if let Some(ty) = first_type_ident(toks, k + 2) {
-                        out.push((id.clone(), ty));
-                    }
-                    // Skip to the end of the field (top-level comma) so
-                    // type-path segments are not mistaken for fields.
+                    let mut field = Field {
+                        name: id.clone(),
+                        ty: first_type_ident(toks, k + 2),
+                        lock: None,
+                    };
+                    // Walk the type to the field's end (top-level comma or
+                    // the struct's closing brace). `<`/`>` are plain
+                    // puncts, so `Mutex` inside generics still sits at the
+                    // top level.
                     let mut d2 = 0i32;
                     k += 2;
                     while k < toks.len() {
@@ -831,10 +739,18 @@ fn find_field_types(toks: &[Tok]) -> Vec<(String, String)> {
                                 d2 -= 1;
                             }
                             TokKind::Punct(',') if d2 == 0 => break,
+                            TokKind::Ident(t) if d2 == 0 && field.lock.is_none() => {
+                                field.lock = match t.as_str() {
+                                    "Mutex" => Some(LockKind::Mutex),
+                                    "RwLock" => Some(LockKind::RwLock),
+                                    _ => None,
+                                };
+                            }
                             _ => {}
                         }
                         k += 1;
                     }
+                    out.push(field);
                 }
                 _ => {}
             }
@@ -845,10 +761,9 @@ fn find_field_types(toks: &[Tok]) -> Vec<(String, String)> {
     out
 }
 
-/// First type identifier at or after `i`, skipping `&`, `mut`, `dyn`,
-/// lifetimes, and leading path-qualifier segments are *not* collapsed — the
-/// head segment is returned (`std::sync::Mutex<..>` → `std` is wrong, so
-/// path chains return their last segment before `<`/end).
+/// First type identifier at or after `i`: `&`, `*`, `mut`, `dyn` and
+/// lifetimes skipped, a path followed to its last segment (`std::sync::Mutex`
+/// → `Mutex`).
 fn first_type_ident(toks: &[Tok], mut i: usize) -> Option<String> {
     while i < toks.len() {
         match &toks[i].kind {
@@ -1391,17 +1306,18 @@ mod tests {
     fn lock_fields_and_direct_acquisitions_are_extracted() {
         let src = "struct S { queue: Mutex<Vec<u32>>, shards: Vec<Mutex<u32>>, state: RwLock<u32>, plain: u32 }\nimpl S {\n  fn f(&self) {\n    let a = self.queue.lock();\n    let b = self.shards[0].lock();\n    let c = self.state.read();\n    stream.read(&mut buf);\n  }\n}";
         let m = serve(src);
-        let fields: Vec<(&str, LockKind)> = m
-            .lock_fields
+        let fields: Vec<(&str, Option<&str>, Option<LockKind>)> = m
+            .fields
             .iter()
-            .map(|l| (l.name.as_str(), l.kind))
+            .map(|f| (f.name.as_str(), f.ty.as_deref(), f.lock))
             .collect();
         assert_eq!(
             fields,
             vec![
-                ("queue", LockKind::Mutex),
-                ("shards", LockKind::Mutex),
-                ("state", LockKind::RwLock),
+                ("queue", Some("Mutex"), Some(LockKind::Mutex)),
+                ("shards", Some("Vec"), Some(LockKind::Mutex)),
+                ("state", Some("RwLock"), Some(LockKind::RwLock)),
+                ("plain", Some("u32"), None),
             ]
         );
         let locks: Vec<(&str, &str, bool)> = m.fns[0]

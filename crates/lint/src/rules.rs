@@ -1,16 +1,16 @@
-//! The fourteen ultra-lint rules (L1–L15; L8 `lock-order` is retired and
-//! its id left unused, because L13 reports every pair it did).
+//! The twelve ultra-lint rules (L1–L7, L9–L13). Retired ids stay unused
+//! so every live rule keeps its number: L8 `lock-order` (L13 reports every
+//! pair it did), L14 `no-guard-across-hot-loop` and L15 `serde-symmetry`
+//! (neither ever reported a true positive).
 //!
-//! L1–L6 are pure functions over a single file's token stream (plus its
-//! test-code mask); L7 and L9 are interprocedural and live in
-//! [`crate::callgraph`]; L10–L12 run over the determinism-taint dataflow
-//! pass in [`crate::dataflow`]; L13/L14 run over lock-guard live ranges
-//! ([`crate::guards`]) and L15 over writer/reader byte-sequence pairs
-//! ([`crate::symmetry`]). All share the [`Rule`]/[`Diagnostic`]
-//! vocabulary defined here. Rules are heuristic by design: they
-//! over-approximate slightly and rely on the allowlist / inline directives
-//! for audited exceptions, which keeps every waiver visible and justified
-//! in the repo.
+//! L1 and L3–L6 are pure functions over a single file's token stream (plus
+//! its test-code mask); L7 and L9 are interprocedural and live in
+//! [`crate::callgraph`]; L2 and L10–L12 run over the determinism-taint
+//! dataflow IR in [`crate::dataflow`]; L13 runs over lock-guard live ranges
+//! ([`crate::guards`]). All share the [`Rule`]/[`Diagnostic`] vocabulary
+//! defined here. Rules are heuristic by design: they over-approximate
+//! slightly and rely on the allowlist / inline directives for audited
+//! exceptions, which keeps every waiver visible and justified in the repo.
 
 use crate::lexer::{Tok, TokKind};
 use std::fmt;
@@ -47,17 +47,11 @@ pub enum Rule {
     /// L13: a blocking operation (or another lock acquisition) reachable
     /// from inside a lock-guard live range.
     NoBlockingUnderLock,
-    /// L14: a guard whose live range spans an entire hot-marked loop,
-    /// serializing the parallel region.
-    NoGuardAcrossHotLoop,
-    /// L15: a writer/reader serialization pair whose primitive byte
-    /// sequences diverge (width mismatch, reorder, unread field).
-    SerdeSymmetry,
 }
 
 impl Rule {
     /// Every rule, in documentation order.
-    pub const ALL: [Rule; 14] = [
+    pub const ALL: [Rule; 12] = [
         Rule::NoUnseededRng,
         Rule::NoHashIterationOrder,
         Rule::NoNanUnwrapSort,
@@ -70,8 +64,6 @@ impl Rule {
         Rule::SeededRngOnly,
         Rule::OrderedFloatReduction,
         Rule::NoBlockingUnderLock,
-        Rule::NoGuardAcrossHotLoop,
-        Rule::SerdeSymmetry,
     ];
 
     /// The kebab-case name used in configuration and output.
@@ -89,8 +81,6 @@ impl Rule {
             Rule::SeededRngOnly => "seeded-rng-only",
             Rule::OrderedFloatReduction => "ordered-float-reduction",
             Rule::NoBlockingUnderLock => "no-blocking-under-lock",
-            Rule::NoGuardAcrossHotLoop => "no-guard-across-hot-loop",
-            Rule::SerdeSymmetry => "serde-symmetry",
         }
     }
 
@@ -99,7 +89,7 @@ impl Rule {
         Rule::ALL.into_iter().find(|r| r.name() == name)
     }
 
-    /// Stable short id (`L1`…`L15`, skipping the retired `L8`), used by
+    /// Stable short id (`L1`…`L13`, skipping the retired `L8`), used by
     /// `--list-rules` and the docs.
     pub fn id(self) -> &'static str {
         match self {
@@ -115,13 +105,11 @@ impl Rule {
             Rule::SeededRngOnly => "L11",
             Rule::OrderedFloatReduction => "L12",
             Rule::NoBlockingUnderLock => "L13",
-            Rule::NoGuardAcrossHotLoop => "L14",
-            Rule::SerdeSymmetry => "L15",
         }
     }
 
-    /// One-line description, used by `--list-rules` and kept in sync with
-    /// README's rule table by `crates/lint/tests` assertions.
+    /// One-line description, used by `--list-rules` (README's rule table
+    /// says the same at more length).
     pub fn describe(self) -> &'static str {
         match self {
             Rule::NoUnseededRng => "thread_rng()/from_entropy() outside tests",
@@ -144,8 +132,6 @@ impl Rule {
             Rule::NoBlockingUnderLock => {
                 "blocking call or nested lock reachable while a guard is held"
             }
-            Rule::NoGuardAcrossHotLoop => "lock guard held across an entire `hot` loop",
-            Rule::SerdeSymmetry => "writer/reader byte sequences of a serialization pair diverge",
         }
     }
 
@@ -153,7 +139,7 @@ impl Rule {
     pub fn scope(self) -> &'static str {
         match self {
             Rule::NoUnseededRng | Rule::NoNanUnwrapSort => "all files",
-            Rule::NoHashIterationOrder => "ranked-output crates",
+            Rule::NoHashIterationOrder => "ranked-output library crates",
             Rule::NoPanicInLib
             | Rule::NoWallclockInScoring
             | Rule::NoPanicReachableFromServe
@@ -161,25 +147,21 @@ impl Rule {
             | Rule::NoTaintedRanking
             | Rule::SeededRngOnly
             | Rule::OrderedFloatReduction
-            | Rule::NoBlockingUnderLock
-            | Rule::NoGuardAcrossHotLoop
-            | Rule::SerdeSymmetry => "library crates",
+            | Rule::NoBlockingUnderLock => "library crates",
             Rule::NoRawThreadSpawn => "library crates except par/serve",
         }
     }
 
-    /// Default severity. Everything is an error except L4, L7, L10, and
-    /// L14, whose violations in practice include audited boundary cases
-    /// (e.g. modulo-bounded indexing, intentionally time-derived metrics,
-    /// deliberately serialized hot sections). Severity orders and labels
-    /// the report; a finding of either severity fails the run unless
-    /// waived.
+    /// Default severity. Everything is an error except L4, L7 and L10,
+    /// whose violations in practice include audited boundary cases (e.g.
+    /// modulo-bounded indexing, intentionally time-derived metrics).
+    /// Severity orders and labels the report; a finding of either severity
+    /// fails the run unless waived.
     pub fn severity(self) -> Severity {
         match self {
-            Rule::NoPanicInLib
-            | Rule::NoPanicReachableFromServe
-            | Rule::NoTaintedRanking
-            | Rule::NoGuardAcrossHotLoop => Severity::Warn,
+            Rule::NoPanicInLib | Rule::NoPanicReachableFromServe | Rule::NoTaintedRanking => {
+                Severity::Warn
+            }
             _ => Severity::Error,
         }
     }
@@ -229,11 +211,11 @@ pub struct TaintOrigin {
 }
 
 /// A contiguous source region attached to a finding: the live range of the
-/// offending guard (L13/L14) or the span of the paired counterpart function
-/// (L15). The diagnostic itself points at one line; this names the extent.
+/// offending guard (L13). The diagnostic itself points at one line; this
+/// names the extent.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RegionSpan {
-    /// Human label ("guard `queue`", "reader `from_bytes`").
+    /// Human label ("guard `queue` live").
     pub label: String,
     /// Workspace-relative path of the region.
     pub path: String,
@@ -263,11 +245,9 @@ pub struct Diagnostic {
     /// site. Empty for every other rule.
     pub chain: Vec<ChainFrame>,
     /// For L10: the nondeterminism source feeding the sink. For L13: the
-    /// guard acquisition site. For L15: the counterpart (reader) op site.
-    /// `None` for every other rule.
+    /// guard acquisition site. `None` for every other rule.
     pub origin: Option<TaintOrigin>,
-    /// For L13/L14: the guard live range (L14: the spanned loop). For L15:
-    /// the counterpart function's span. `None` for every other rule.
+    /// For L13: the guard live range. `None` for every other rule.
     pub region: Option<RegionSpan>,
 }
 
@@ -316,22 +296,17 @@ pub struct FileContext<'a> {
     pub tokens: &'a [Tok],
     /// Parallel mask from [`crate::lexer::test_code_mask`].
     pub in_test: &'a [bool],
-    /// Whether the file is library code (see [`crate::walk`] for the
-    /// classification: `crates/*/src/**` minus bins, not tests/benches/
-    /// examples).
+    /// Whether the file is library code (`crates/*/src/**` minus bins, and
+    /// the root `src/**`; not tests/benches/examples).
     pub is_lib: bool,
-    /// Whether the file belongs to a crate whose output ranking must be
-    /// deterministic (L2's scope).
-    pub is_ranked_crate: bool,
 }
 
-/// Runs every intraprocedural rule (L1–L6) over one file. The graph rules
-/// (L7–L9) need the whole workspace and run in
-/// [`crate::callgraph::check_cross`].
+/// Runs every token-level rule (L1, L3–L6) over one file. The rules that
+/// need the whole workspace run over its call graph after every file is
+/// parsed (see [`crate::check_sources`]).
 pub fn check_file(ctx: &FileContext<'_>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     rule_no_unseeded_rng(ctx, &mut out);
-    rule_no_hash_iteration_order(ctx, &mut out);
     rule_no_nan_unwrap_sort(ctx, &mut out);
     rule_no_panic_in_lib(ctx, &mut out);
     rule_no_wallclock(ctx, &mut out);
@@ -387,126 +362,6 @@ fn is_rand_random(tokens: &[Tok], i: usize) -> bool {
         && tokens[i - 1].is_punct(':')
         && tokens[i - 2].is_punct(':')
         && tokens[i - 3].is_ident("rand")
-}
-
-/// Iteration adapters whose order reflects the hash map's internal layout.
-/// Shared with [`crate::dataflow`], which treats them as taint sources.
-pub(crate) const HASH_ITER_METHODS: [&str; 8] = [
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "into_iter",
-    "drain",
-    "retain",
-];
-
-/// L2 — `HashMap`/`HashSet` iteration order varies run-to-run (and with the
-/// hasher's DoS-resistance seed), so anything order-sensitive downstream of
-/// a ranked-output crate must iterate a `BTreeMap`/`BTreeSet` or sort after
-/// collecting.
-fn rule_no_hash_iteration_order(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
-    if !ctx.is_ranked_crate {
-        return;
-    }
-    // Pass 1: identifiers bound to hash-ordered collections, from type
-    // ascriptions (`x: HashMap<…>`, struct fields included) and constructor
-    // bindings (`let x = HashMap::new()` / `HashMap::from(...)` /
-    // `…collect::<HashMap<_,_>>()` within the same `let`).
-    let mut hash_idents: Vec<&str> = Vec::new();
-    for (i, tok) in ctx.tokens.iter().enumerate() {
-        let Some(name) = tok.ident() else { continue };
-        if name != "HashMap" && name != "HashSet" {
-            continue;
-        }
-        // Walk back over a qualified path (`std :: collections ::`) so both
-        // bare and fully-qualified spellings anchor at the path start.
-        let mut start = i;
-        while start >= 3
-            && ctx.tokens[start - 1].is_punct(':')
-            && ctx.tokens[start - 2].is_punct(':')
-            && ctx.tokens[start - 3].ident().is_some()
-        {
-            start -= 3;
-        }
-        // `ident : [path::]HashMap` — type ascription / struct field / fn
-        // param.
-        if start >= 2 && ctx.tokens[start - 1].is_punct(':') && !ctx.tokens[start - 2].is_punct(':')
-        {
-            if let Some(id) = ctx.tokens[start - 2].ident() {
-                hash_idents.push(id);
-            }
-        }
-        // `let (mut)? ident = [path::]HashMap::…` constructor binding. The
-        // `=` must directly precede the constructor so that container types
-        // like `Vec<HashMap<…>>` (whose own iteration order is
-        // deterministic) do not bind the outer identifier.
-        if start >= 1 && ctx.tokens[start - 1].is_punct('=') {
-            for back in 2..=6usize {
-                let Some(j) = start.checked_sub(back) else {
-                    break;
-                };
-                if ctx.tokens[j].is_punct(';') || ctx.tokens[j].is_punct('{') {
-                    break;
-                }
-                if ctx.tokens[j].is_ident("let") {
-                    let mut k = j + 1;
-                    if ctx.tokens.get(k).is_some_and(|t| t.is_ident("mut")) {
-                        k += 1;
-                    }
-                    if let Some(id) = ctx.tokens.get(k).and_then(|t| t.ident()) {
-                        hash_idents.push(id);
-                    }
-                    break;
-                }
-            }
-        }
-    }
-    hash_idents.sort_unstable();
-    hash_idents.dedup();
-
-    // Pass 2: flag order-sensitive iteration over those identifiers.
-    for (i, tok) in ctx.tokens.iter().enumerate() {
-        if ctx.in_test[i] {
-            continue;
-        }
-        let Some(name) = tok.ident() else { continue };
-        let flagged = if HASH_ITER_METHODS.contains(&name) {
-            // `x . iter ( )` — receiver ident two tokens back.
-            i >= 2
-                && ctx.tokens[i - 1].is_punct('.')
-                && ctx.tokens[i - 2]
-                    .ident()
-                    .is_some_and(|id| hash_idents.binary_search(&id).is_ok())
-        } else if name == "in" {
-            // `for pat in (&(mut)?)? x {` or `for pat in x.…`.
-            let mut k = i + 1;
-            while ctx
-                .tokens
-                .get(k)
-                .is_some_and(|t| t.is_punct('&') || t.is_ident("mut"))
-            {
-                k += 1;
-            }
-            ctx.tokens
-                .get(k)
-                .and_then(|t| t.ident())
-                .is_some_and(|id| hash_idents.binary_search(&id).is_ok())
-                && ctx.tokens.get(k + 1).is_some_and(|t| t.is_punct('{'))
-        } else {
-            false
-        };
-        if flagged {
-            out.push(diag(
-                ctx,
-                Rule::NoHashIterationOrder,
-                tok.line,
-                "iteration over a HashMap/HashSet: order depends on hasher state".to_string(),
-                "use BTreeMap/BTreeSet, or collect and sort by a stable key",
-            ));
-        }
-    }
 }
 
 /// Comparator-taking methods L3 inspects.
@@ -608,8 +463,9 @@ fn compares_a_projection(tokens: &[Tok], j: usize) -> bool {
     !bare_receiver
 }
 
-/// Panicking macro names L4 flags (with a following `!`).
-const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
+/// Panicking macro names (with a following `!`): L4's token scan and the
+/// parser's panic sites (L7).
+pub(crate) const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
 
 /// L4 — panics in library code abort callers that could have handled an
 /// `UltraError`. Tests may panic freely (that's what assertions are).
@@ -736,11 +592,11 @@ mod tests {
     use super::*;
     use crate::lexer::{lex, test_code_mask};
 
-    fn check(src: &str, is_lib: bool, is_ranked: bool) -> Vec<Diagnostic> {
-        check_at("crates/x/src/lib.rs", src, is_lib, is_ranked)
+    fn check(src: &str, is_lib: bool) -> Vec<Diagnostic> {
+        check_at("crates/x/src/lib.rs", src, is_lib)
     }
 
-    fn check_at(path: &str, src: &str, is_lib: bool, is_ranked: bool) -> Vec<Diagnostic> {
+    fn check_at(path: &str, src: &str, is_lib: bool) -> Vec<Diagnostic> {
         let lexed = lex(src);
         let mask = test_code_mask(&lexed.tokens);
         check_file(&FileContext {
@@ -748,7 +604,6 @@ mod tests {
             tokens: &lexed.tokens,
             in_test: &mask,
             is_lib,
-            is_ranked_crate: is_ranked,
         })
     }
 
@@ -756,10 +611,23 @@ mod tests {
         diags.iter().map(|d| d.rule).collect()
     }
 
+    /// L2 lines for `src` linted whole at `path` (L2 reads the taint IR,
+    /// so it runs in `check_source`, not in `check_file`).
+    fn l2_lines(path: &str, src: &str) -> Vec<u32> {
+        crate::check_source(path, src)
+            .iter()
+            .filter(|d| d.rule == Rule::NoHashIterationOrder)
+            .map(|d| d.line)
+            .collect()
+    }
+
+    /// A library file of a ranked-output crate (L2's scope).
+    const RANKED: &str = "crates/core/src/x.rs";
+
     #[test]
     fn l1_flags_thread_rng_outside_tests_only() {
         let src = "fn f() { let r = thread_rng(); }\n#[cfg(test)]\nmod tests { fn t() { let r = thread_rng(); } }";
-        let diags = check(src, true, false);
+        let diags = check(src, true);
         assert_eq!(rules_of(&diags), vec![Rule::NoUnseededRng]);
         assert_eq!(diags[0].line, 1);
     }
@@ -767,40 +635,39 @@ mod tests {
     #[test]
     fn l2_flags_hash_iteration_in_ranked_crates() {
         let src = "fn f(m: HashMap<u32, f64>) { for (k, v) in &m { use_it(k, v); }\n let s: HashSet<u32> = HashSet::new();\n for x in s.iter() { g(x); } }";
-        let diags = check(src, true, true);
-        assert_eq!(
-            rules_of(&diags),
-            vec![Rule::NoHashIterationOrder, Rule::NoHashIterationOrder]
-        );
+        assert_eq!(l2_lines(RANKED, src), vec![1, 3]);
         // Not flagged outside ranked crates.
-        assert!(check(src, true, false).is_empty());
+        assert!(l2_lines("crates/lm/src/x.rs", src).is_empty());
     }
 
     #[test]
     fn l2_catches_qualified_path_declarations() {
         let src = "fn f() { let mut m: std::collections::HashMap<u32, f32> = std::collections::HashMap::new();\n let v: Vec<(u32, f32)> = m.into_iter().collect(); }";
-        assert_eq!(
-            rules_of(&check(src, true, true)),
-            vec![Rule::NoHashIterationOrder]
-        );
+        assert_eq!(l2_lines(RANKED, src), vec![2]);
     }
 
     #[test]
     fn l2_does_not_bind_vec_of_hashmaps() {
         let src = "fn f() { let mut counts: Vec<HashMap<u32, u32>> = vec![HashMap::new(); 4];\n for slot in &counts { g(slot); } }";
-        assert!(check(src, true, true).is_empty());
+        assert!(l2_lines(RANKED, src).is_empty());
+    }
+
+    #[test]
+    fn l2_sees_loops_in_match_arms_after_labels_and_in_closures() {
+        let src = "fn f(m: &HashMap<u32, f32>, k: u8) {\n match k { 0 => { for x in m { g(x); } } _ => {} }\n 'outer: for x in &m { g(x); }\n let h = || { for x in m { g(x); } };\n}";
+        assert_eq!(l2_lines(RANKED, src), vec![2, 3, 4]);
     }
 
     #[test]
     fn l2_ignores_point_lookups() {
         let src = "fn f(m: HashMap<u32, f64>) -> Option<f64> { m.get(&3).copied() }";
-        assert!(check(src, true, true).is_empty());
+        assert!(l2_lines(RANKED, src).is_empty());
     }
 
     #[test]
     fn l3_flags_partial_cmp_unwrap_in_sort() {
         let src = "fn f(v: &mut Vec<f64>) { v.sort_by(|a, b| a.partial_cmp(b).unwrap()); }";
-        let diags = check(src, true, false);
+        let diags = check(src, true);
         assert_eq!(
             rules_of(&diags),
             vec![Rule::NoNanUnwrapSort, Rule::NoPanicInLib]
@@ -810,14 +677,14 @@ mod tests {
     #[test]
     fn l3_flags_unwrap_or_equal_too() {
         let src = "fn f(v: &mut Vec<f64>) { v.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal)); }";
-        let diags = check(src, true, false);
+        let diags = check(src, true);
         assert_eq!(rules_of(&diags), vec![Rule::NoNanUnwrapSort]);
     }
 
     #[test]
     fn l3_accepts_total_cmp() {
         let src = "fn f(v: &mut Vec<f64>) { v.sort_by(|a, b| a.total_cmp(b)); }";
-        assert!(check(src, true, false).is_empty());
+        assert!(check(src, true).is_empty());
     }
 
     #[test]
@@ -828,7 +695,7 @@ mod tests {
             "o.sort_unstable_by(|&a, &b| s[b].total_cmp(&s[a]));",
         ];
         for call in flagged {
-            let diags = check(&format!("fn f() {{ {call} }}"), true, false);
+            let diags = check(&format!("fn f() {{ {call} }}"), true);
             assert_eq!(rules_of(&diags), vec![Rule::NoNanUnwrapSort], "{call}");
         }
         let quiet = [
@@ -840,7 +707,7 @@ mod tests {
         ];
         for call in quiet {
             assert!(
-                check(&format!("fn f() {{ {call} }}"), true, false).is_empty(),
+                check(&format!("fn f() {{ {call} }}"), true).is_empty(),
                 "{call}"
             );
         }
@@ -849,33 +716,30 @@ mod tests {
     #[test]
     fn l4_flags_unwrap_expect_and_panic_macros_in_lib_only() {
         let src = "fn f(x: Option<u32>) -> u32 { let y = x.unwrap(); if y > 3 { panic!(\"no\"); } x.expect(\"msg\") }";
-        let diags = check(src, true, false);
+        let diags = check(src, true);
         assert_eq!(diags.len(), 3);
         assert!(diags.iter().all(|d| d.rule == Rule::NoPanicInLib));
-        assert!(
-            check(src, false, false).is_empty(),
-            "non-lib code is exempt"
-        );
+        assert!(check(src, false).is_empty(), "non-lib code is exempt");
     }
 
     #[test]
     fn l4_does_not_flag_unwrap_or_variants() {
         let src = "fn f(x: Option<u32>) -> u32 { x.unwrap_or(0) + x.unwrap_or_else(|| 1) + x.unwrap_or_default() }";
-        assert!(check(src, true, false).is_empty());
+        assert!(check(src, true).is_empty());
     }
 
     #[test]
     fn l5_flags_wallclock_in_lib() {
         let src =
             "fn f() -> u64 { let t = std::time::Instant::now(); t.elapsed().as_nanos() as u64 }";
-        let diags = check(src, true, false);
+        let diags = check(src, true);
         assert_eq!(rules_of(&diags), vec![Rule::NoWallclockInScoring]);
     }
 
     #[test]
     fn l6_flags_raw_thread_spawn_in_lib_code() {
         let src = "fn f() { std::thread::spawn(|| work()); }\nfn g() { thread::scope(|s| { s.spawn(|| {}); }); }\nfn h() { let b = std::thread::Builder::new(); }";
-        let diags = check(src, true, false);
+        let diags = check(src, true);
         let l6: Vec<u32> = diags
             .iter()
             .filter(|d| d.rule == Rule::NoRawThreadSpawn)
@@ -887,19 +751,19 @@ mod tests {
     #[test]
     fn l6_exempts_execution_layer_serve_and_non_lib_code() {
         let src = "fn f() { std::thread::spawn(|| work()); }";
-        assert!(check_at("crates/par/src/lib.rs", src, true, false).is_empty());
-        assert!(check_at("crates/serve/src/pool.rs", src, true, true).is_empty());
+        assert!(check_at("crates/par/src/lib.rs", src, true).is_empty());
+        assert!(check_at("crates/serve/src/pool.rs", src, true).is_empty());
         // Bench/CLI binaries and tests are outside lib scope.
-        assert!(check_at("crates/bench/src/bin/perf.rs", src, false, false).is_empty());
+        assert!(check_at("crates/bench/src/bin/perf.rs", src, false).is_empty());
         // Test code inside a lib file is exempt too.
         let in_test = "#[cfg(test)]\nmod tests { fn t() { std::thread::spawn(|| {}); } }";
-        assert!(check(in_test, true, false).is_empty());
+        assert!(check(in_test, true).is_empty());
     }
 
     #[test]
     fn l6_ignores_non_spawning_thread_mentions() {
         let src = "fn f() { std::thread::sleep(d); let n = std::thread::available_parallelism(); }";
-        assert!(check(src, true, false)
+        assert!(check(src, true)
             .iter()
             .all(|d| d.rule != Rule::NoRawThreadSpawn));
     }

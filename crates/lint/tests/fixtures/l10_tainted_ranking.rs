@@ -24,3 +24,9 @@ fn rank_sorted(m: &HashMap<u64, f32>) -> RankedList {
     pairs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
     RankedList::from_sorted(pairs)
 }
+
+// The flow passes through a `let` whose type ascription ends in `>`.
+fn rank_ascribed(m: &HashMap<u64, f32>) -> RankedList {
+    let v: Vec<(u64, f32)> = m.iter().map(|(k, s)| (*k, *s)).collect();
+    RankedList::from_scores(v)
+}

@@ -32,3 +32,13 @@ fn point_lookups_are_fine(counts: &HashMap<u32, f64>) -> Option<f64> {
 fn btree_is_fine(m: std::collections::BTreeMap<u32, f64>) -> Vec<u32> {
     m.keys().copied().collect()
 }
+
+fn iterate_borrowed(m: &HashMap<u32, f64>) -> Vec<u32> {
+    let mut out = Vec::new();
+    for (k, _) in m {
+        // <- violation: for-loop over a borrowed HashMap parameter
+        out.push(*k);
+    }
+    out.extend(m.keys().copied()); // <- violation: .keys() behind `&`
+    out
+}

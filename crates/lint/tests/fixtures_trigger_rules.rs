@@ -46,8 +46,9 @@ fn l2_fixture_fires_on_each_iteration_site() {
         .collect();
     assert_eq!(
         l2,
-        vec![12, 21, 25],
-        "for-loop, .iter() on a set, .keys() on a field"
+        vec![12, 21, 25, 38, 42],
+        "for-loop, .iter() on a set, .keys() on a field, then a for-loop and \
+         .keys() on a `&HashMap` parameter; the BTreeMap `m` stays quiet"
     );
 }
 
@@ -196,9 +197,13 @@ fn l10_fixture_reports_the_three_deep_taint_chain_and_spares_the_sorted_twin() {
         .iter()
         .filter(|d| d.rule == Rule::NoTaintedRanking)
         .collect();
-    assert_eq!(l10.len(), 1, "{diags:#?}");
+    let lines: Vec<u32> = l10.iter().map(|d| d.line).collect();
+    assert_eq!(
+        lines,
+        vec![19, 31],
+        "the chain and the ascribed `let`: {diags:#?}"
+    );
     let d = l10[0];
-    assert_eq!(d.line, 19, "fires at the RankedList construction");
     let names: Vec<&str> = d.chain.iter().map(|c| c.function.as_str()).collect();
     assert_eq!(
         names,
@@ -213,6 +218,12 @@ fn l10_fixture_reports_the_three_deep_taint_chain_and_spares_the_sorted_twin() {
     assert!(text.contains("source:"), "{text}");
     assert!(text.contains("collect_scores"), "{text}");
     assert!(text.contains("assemble"), "{text}");
+    // `let v: Vec<(u64, f32)> = m.iter()…collect();` keeps its right-hand
+    // side: the `>` before `=` closes the ascribed type, not a `>=`.
+    let ascribed = l10[1];
+    assert_eq!(ascribed.origin.as_ref().expect("origin").line, 30);
+    let names: Vec<&str> = ascribed.chain.iter().map(|c| c.function.as_str()).collect();
+    assert_eq!(names, vec!["rank_ascribed"]);
 }
 
 #[test]
@@ -275,89 +286,6 @@ fn l13_fixture_flags_blocking_and_nesting_but_not_the_dropped_guard() {
         nested.message.contains("`side`") && nested.message.contains("`state`"),
         "{}",
         nested.message
-    );
-}
-
-#[test]
-fn l14_fixture_flags_the_guard_spanning_the_hot_loop_only() {
-    let diags = check_source(
-        "crates/core/src/l14.rs",
-        &fixture("l14_guard_across_hot_loop.rs"),
-    );
-    let l14: Vec<_> = diags
-        .iter()
-        .filter(|d| d.rule == Rule::NoGuardAcrossHotLoop)
-        .collect();
-    assert_eq!(l14.len(), 1, "{diags:#?}");
-    let d = l14[0];
-    assert_eq!(d.line, 13, "fires at the guard acquisition");
-    let region = d.region.as_ref().expect("region is the spanned loop");
-    assert_eq!((region.start_line, region.end_line), (15, 17));
-    assert!(
-        d.message.contains("hot loop"),
-        "names the loop: {}",
-        d.message
-    );
-}
-
-#[test]
-fn l15_fixture_flags_the_drifted_pair_with_both_sites() {
-    let diags = check_source("crates/core/src/l15.rs", &fixture("l15_serde_drift.rs"));
-    let l15: Vec<_> = diags
-        .iter()
-        .filter(|d| d.rule == Rule::SerdeSymmetry)
-        .collect();
-    assert_eq!(l15.len(), 1, "only the Record pair drifts: {diags:#?}");
-    let d = l15[0];
-    assert_eq!(d.line, 11, "writer op site");
-    assert!(
-        d.message.contains("`u32`") && d.message.contains("`u64`"),
-        "{}",
-        d.message
-    );
-    assert_eq!(
-        d.origin.as_ref().expect("reader site").line,
-        16,
-        "origin is the mismatched reader op"
-    );
-    let region = d.region.as_ref().expect("region is the reader fn");
-    assert!(region.label.contains("from_bytes"), "{}", region.label);
-    assert_eq!((region.start_line, region.end_line), (15, 19));
-}
-
-/// L15 mutation self-test: flip one `read_u32` to `read_u64` in the clean
-/// header pair and rerun in-process — exactly that pair must light up, and
-/// nothing else may change.
-#[test]
-fn l15_mutation_flips_exactly_the_mutated_pair() {
-    let clean = fixture("l15_serde_drift.rs");
-    let baseline: Vec<_> = check_source("crates/core/src/l15.rs", &clean)
-        .into_iter()
-        .filter(|d| d.rule == Rule::SerdeSymmetry)
-        .collect();
-    assert_eq!(baseline.len(), 1, "the seeded Record drift only");
-
-    let mutated = clean.replacen("read_u32", "read_u64", 1);
-    assert_ne!(mutated, clean, "mutation must land");
-    let after: Vec<_> = check_source("crates/core/src/l15.rs", &mutated)
-        .into_iter()
-        .filter(|d| d.rule == Rule::SerdeSymmetry)
-        .collect();
-    assert_eq!(after.len(), 2, "one new finding: {after:#?}");
-    let new: Vec<_> = after
-        .iter()
-        .filter(|d| baseline.iter().all(|b| b.line != d.line))
-        .collect();
-    assert_eq!(new.len(), 1, "{after:#?}");
-    assert!(
-        new[0].message.contains("`write_header`") && new[0].message.contains("`read_header`"),
-        "the mutated pair, not any other: {}",
-        new[0].message
-    );
-    assert!(
-        new[0].message.contains("`u32`") && new[0].message.contains("`u64`"),
-        "width drift named: {}",
-        new[0].message
     );
 }
 

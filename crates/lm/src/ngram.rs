@@ -1,6 +1,6 @@
 //! Interpolated back-off n-gram language model.
 //!
-//! Counts live in one [`Table`] per context length: the observed contexts
+//! Counts live in one `Table` per context length: the observed contexts
 //! in lexicographic key order, each with its continuations as a
 //! token-sorted `(token, count)` run — the layout the NGLM snapshot section
 //! serializes. Every run entry also links to the one-token-longer context

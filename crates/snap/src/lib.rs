@@ -169,7 +169,7 @@ pub struct SnapshotMeta {
     pub profile: String,
     /// World seed.
     pub seed: u64,
-    /// [`World::fingerprint`](ultra_data::World::fingerprint) of the world
+    /// `ultra_data::World::fingerprint` of the world
     /// the artifacts were trained on; verified against the regenerated
     /// world at load time.
     pub world_fingerprint: u64,
