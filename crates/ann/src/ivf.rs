@@ -33,6 +33,7 @@
 //! `(score desc, id asc)` regardless of input order — so identical
 //! candidate *sets* produce byte-identical ranked lists.
 
+use ultra_core::stable::{fnv1a_from, FNV_OFFSET};
 use ultra_core::{mix_seed, top_k, EntityId};
 use ultra_embed::EntityEmbeddings;
 use ultra_nn::dot_unrolled;
@@ -393,12 +394,7 @@ impl IvfIndex {
     /// FNV-1a over [`to_bytes`](Self::to_bytes) — a compact reproducibility
     /// fingerprint for logs and CI.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &b in &self.to_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        fnv1a_from(FNV_OFFSET, &self.to_bytes())
     }
 }
 

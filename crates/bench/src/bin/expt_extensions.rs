@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use ultra_bench::{dump_json, fmt, methods, world_from_env, Suite};
 use ultra_embed::{Augmentation, PairConfig};
 use ultra_eval::{evaluate_method, MetricReport, TableWriter};
-use ultra_retexpan::{DecoupledRetExpan, DynamicRaRetExpan, RetExpan};
+use ultra_retexpan::{DecoupledRetExpan, DynamicRaRetExpan};
 
 fn main() {
     let mut suite = Suite::new(world_from_env());
@@ -42,11 +42,7 @@ fn main() {
     fmt::push_map_rows(&mut t, "RetExpan", &r);
     json.insert("RetExpan".into(), r);
     for w in [0.3f32, 0.5, 0.7] {
-        let mut dec = DecoupledRetExpan::new(RetExpan::from_encoder(
-            &suite.world,
-            base.encoder.clone(),
-            base.config.clone(),
-        ));
+        let mut dec = DecoupledRetExpan::new((*base).clone());
         dec.residual_weight = w;
         let r = evaluate_method(&suite.world, |_u, q| dec.expand(&suite.world, q));
         let label = format!("Decoupled (w={w})");
@@ -62,11 +58,7 @@ fn main() {
     let r = evaluate_method(&suite.world, |_u, q| static_ra.expand(&suite.world, q));
     fmt::push_map_rows(&mut t, "Static RA (paper)", &r);
     json.insert("Static RA".into(), r);
-    let dyn_ra = DynamicRaRetExpan::new(RetExpan::from_encoder(
-        &suite.world,
-        base.encoder.clone(),
-        base.config.clone(),
-    ));
+    let dyn_ra = DynamicRaRetExpan::new((*base).clone());
     let r = evaluate_method(&suite.world, |_u, q| dyn_ra.expand(&suite.world, q));
     fmt::push_map_rows(&mut t, "Dynamic RA (ext)", &r);
     json.insert("Dynamic RA".into(), r);

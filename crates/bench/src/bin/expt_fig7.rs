@@ -36,8 +36,7 @@ fn main() {
     let ret = suite.retexpan();
     let mut t = TableWriter::new(vec!["l", "PosMAP", "NegMAP", "CombMAP"]);
     for l in [5usize, 10, 20, 50, 100, 0] {
-        let mut model =
-            RetExpan::from_encoder(&suite.world, ret.encoder.clone(), ret.config.clone());
+        let mut model: RetExpan = (*ret).clone();
         model.config.segment_len = l;
         let r = evaluate_method(&suite.world, |_u, q| model.expand(&suite.world, q));
         let label = if l == 0 {

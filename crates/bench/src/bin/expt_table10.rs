@@ -5,8 +5,7 @@ use std::collections::BTreeMap;
 use ultra_bench::{dump_json, fmt, world_from_env, Suite};
 use ultra_core::EntityId;
 use ultra_eval::{evaluate_method, MetricReport, TableWriter};
-use ultra_genexpan::{GenExpan, GenExpanConfig};
-use ultra_retexpan::{RetExpan, RetExpanConfig};
+use ultra_genexpan::GenExpan;
 
 /// Recall budget handed from model A to model B (the paper uses 1000;
 /// scaled down with the small profile's vocabulary).
@@ -32,10 +31,9 @@ fn main() {
     json.insert("GenExpan".into(), r);
 
     // RetExpan + GenExpan: RetExpan recalls, a pooled GenExpan expands.
-    // (The candidate pool differs per query, so GenExpan's trie is rebuilt
-    // per query over the recalled entities.)
-    let mut wide_ret =
-        RetExpan::from_encoder(&suite.world, ret.encoder.clone(), RetExpanConfig::default());
+    // (The candidate pool differs per query, so the trained GenExpan is
+    // restricted per query: a trie over the recalled entities, same LM.)
+    let mut wide_ret = (*ret).clone();
     wide_ret.config.top_k = budget;
     wide_ret.config.rerank = false;
     let r = evaluate_method(&suite.world, |u, q| {
@@ -43,8 +41,8 @@ fn main() {
             .preliminary_list(&suite.world, q, None)
             .entities()
             .collect();
-        let pooled = GenExpan::train_with_pool(&suite.world, GenExpanConfig::default(), Some(pool));
-        pooled.expand(&suite.world, u, q)
+        gen.restricted_to(&suite.world, &pool)
+            .expand(&suite.world, u, q)
     });
     fmt::push_map_rows(&mut t, "RetExpan + GenExpan", &r);
     json.insert("RetExpan + GenExpan".into(), r);

@@ -15,8 +15,8 @@ fn main() {
     let mut json: BTreeMap<String, MetricReport> = BTreeMap::new();
 
     // ProbExpan: plain vs + neg rerank.
-    let ret = suite.retexpan();
-    let mut pe = ProbExpan::from_encoder(&suite.world, &ret.encoder);
+    let encoder = suite.encoder();
+    let mut pe = ProbExpan::from_encoder(&suite.world, &encoder);
     let plain = evaluate_method(&suite.world, |_u, q| pe.expand(&suite.world, q));
     pe.neg_rerank = true;
     let rr = evaluate_method(&suite.world, |_u, q| pe.expand(&suite.world, q));
@@ -27,8 +27,9 @@ fn main() {
     json.insert("ProbExpan + Neg Rerank".into(), rr);
 
     // RetExpan: with vs without rerank.
+    let ret = suite.retexpan();
     let with = evaluate_method(&suite.world, |_u, q| ret.expand(&suite.world, q));
-    let mut no_rr = RetExpan::from_encoder(&suite.world, ret.encoder.clone(), ret.config.clone());
+    let mut no_rr: RetExpan = (*ret).clone();
     no_rr.config.rerank = false;
     let without = evaluate_method(&suite.world, |_u, q| no_rr.expand(&suite.world, q));
     fmt::push_map_rows(&mut t, "RetExpan (Ours)", &with);

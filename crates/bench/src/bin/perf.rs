@@ -41,10 +41,11 @@ use std::sync::Arc;
 use std::time::Instant;
 use ultra_ann::{CandidateSource, Exhaustive, IvfConfig, IvfIndex, IvfSource};
 use ultra_bench::{dump_json, world_from_env};
+use ultra_core::stable::{fnv1a_from, FNV_OFFSET};
 use ultra_core::{EntityId, Query, RankedList};
 use ultra_data::{KnowledgeOracle, OracleConfig, World};
 use ultra_embed::contrastive::{train_contrastive, PairConfig};
-use ultra_embed::EncoderConfig;
+use ultra_embed::{EncoderConfig, EntityEncoder};
 use ultra_eval::evaluate_method_par;
 use ultra_nn::cosine;
 use ultra_par::{set_threads, Pool};
@@ -182,13 +183,8 @@ fn best_of_3(mut f: impl FnMut()) -> f64 {
 /// FNV-1a over a ranked list's `(entity, score-bits)` stream — the byte
 /// identity witness.
 fn fingerprint(lists: &[RankedList]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |x: u64| {
-        for b in x.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
+    let mut h = FNV_OFFSET;
+    let mut eat = |x: u64| h = fnv1a_from(h, &x.to_le_bytes());
     for l in lists {
         for &(e, s) in l.entries() {
             eat(e.index() as u64);
@@ -313,7 +309,9 @@ fn main() {
         EncoderConfig::default()
     };
     eprintln!("[perf] training RetExpan encoder…");
-    let ret = RetExpan::train(&world, encoder_cfg, RetExpanConfig::default());
+    let mut encoder = EntityEncoder::new(&world, encoder_cfg);
+    encoder.train_entity_prediction(&world);
+    let ret = RetExpan::from_encoder(&world, &encoder, RetExpanConfig::default());
 
     let all_queries: Vec<&Query> = world.queries().map(|(_u, q)| q).collect();
     // The thread-identity gate re-runs full expansions several times; cap
@@ -368,13 +366,13 @@ fn main() {
         let pair_cfg = PairConfig::default();
 
         set_threads(1);
-        let mut enc1 = ret.encoder.clone();
+        let mut enc1 = encoder.clone();
         let t = Instant::now();
         let losses_t1 = train_contrastive(&mut enc1, &world, &mined, &pair_cfg);
         let training_t1_ms = ms(t);
 
         set_threads(4);
-        let mut enc4 = ret.encoder.clone();
+        let mut enc4 = encoder.clone();
         let t = Instant::now();
         let losses_t4 = train_contrastive(&mut enc4, &world, &mined, &pair_cfg);
         let training_t4_ms = ms(t);

@@ -105,8 +105,8 @@ impl Method {
                 Box::new(move |w, _u, q| m.expand(w, q))
             }
             Method::ProbExpan => {
-                let ret = suite.retexpan();
-                let m = ProbExpan::from_encoder(&suite.world, &ret.encoder);
+                let encoder = suite.encoder();
+                let m = ProbExpan::from_encoder(&suite.world, &encoder);
                 Box::new(move |w, _u, q| m.expand(w, q))
             }
             Method::Gpt4 => {
@@ -148,9 +148,9 @@ impl Method {
     }
 }
 
-/// RetExpan + contrastive learning: clones the shared encoder, mines
-/// `L_pos`/`L_neg` with the GPT-4 oracle, runs InfoNCE training, refreshes
-/// representations.
+/// RetExpan + contrastive learning: mines `L_pos`/`L_neg` with the GPT-4
+/// oracle, runs InfoNCE training on a clone of the shared encoder, and
+/// expands from the trained clone's representations.
 pub fn retexpan_contrast(suite: &mut Suite, pair_cfg: &PairConfig) -> RetExpan {
     retexpan_contrast_sized(suite, pair_cfg, 10)
 }
@@ -165,9 +165,9 @@ pub fn retexpan_contrast_sized(
     let base = suite.retexpan();
     let oracle = suite.oracle();
     let mined = mine_lists(&suite.world, &base, &oracle, 3 * list_cap, list_cap);
-    let mut encoder = base.encoder.clone();
+    let mut encoder = (*suite.encoder()).clone();
     ultra_embed::contrastive::train_contrastive(&mut encoder, &suite.world, &mined, pair_cfg);
-    RetExpan::from_encoder(&suite.world, encoder, base.config.clone())
+    RetExpan::from_encoder(&suite.world, &encoder, base.config.clone())
 }
 
 /// RetExpan + retrieval augmentation: retrains the encoder with knowledge

@@ -4,7 +4,7 @@
 use std::io::Write;
 use std::sync::Arc;
 use ultra_data::{KnowledgeOracle, OracleConfig, World, WorldConfig};
-use ultra_embed::EncoderConfig;
+use ultra_embed::{EncoderConfig, EntityEncoder};
 use ultra_genexpan::{GenExpan, GenExpanConfig};
 use ultra_retexpan::{RetExpan, RetExpanConfig};
 
@@ -67,6 +67,7 @@ pub struct Suite {
     /// Pipeline configuration of every RetExpan the suite trains (the
     /// CLI's `--ann` lands here).
     pub retexpan_config: RetExpanConfig,
+    encoder: Option<Arc<EntityEncoder>>,
     retexpan: Option<Arc<RetExpan>>,
     genexpan: Option<Arc<GenExpan>>,
     oracle: Option<Arc<KnowledgeOracle>>,
@@ -78,22 +79,36 @@ impl Suite {
         Self {
             world,
             retexpan_config: RetExpanConfig::default(),
+            encoder: None,
             retexpan: None,
             genexpan: None,
             oracle: None,
         }
     }
 
-    /// The shared plain RetExpan (trained once on first use).
-    pub fn retexpan(&mut self) -> Arc<RetExpan> {
-        let (world, config) = (&self.world, &self.retexpan_config);
-        let ret = self.retexpan.get_or_insert_with(|| {
+    /// The shared entity encoder (entity prediction, trained once on first
+    /// use): it feeds the plain RetExpan, ProbExpan and contrastive
+    /// training.
+    pub fn encoder(&mut self) -> Arc<EntityEncoder> {
+        let world = &self.world;
+        let encoder = self.encoder.get_or_insert_with(|| {
             eprintln!("[suite] training shared RetExpan encoder…");
-            let ret = RetExpan::train(world, EncoderConfig::default(), config.clone());
-            eprintln!("[suite] candidate source: {}", ret.source_name());
-            Arc::new(ret)
+            let mut encoder = EntityEncoder::new(world, EncoderConfig::default());
+            encoder.train_entity_prediction(world);
+            Arc::new(encoder)
         });
-        ret.clone()
+        encoder.clone()
+    }
+
+    /// The shared plain RetExpan over the shared encoder.
+    pub fn retexpan(&mut self) -> Arc<RetExpan> {
+        if let Some(ret) = &self.retexpan {
+            return ret.clone();
+        }
+        let encoder = self.encoder();
+        let ret = RetExpan::from_encoder(&self.world, &encoder, self.retexpan_config.clone());
+        eprintln!("[suite] candidate source: {}", ret.source_name());
+        self.retexpan.insert(Arc::new(ret)).clone()
     }
 
     /// The shared plain GenExpan (LM trained once on first use).

@@ -31,14 +31,6 @@ impl Sentence {
         self.tokens.is_empty()
     }
 
-    /// Positions at which `entity` is mentioned.
-    pub fn mention_positions(&self, entity: EntityId) -> impl Iterator<Item = usize> + '_ {
-        self.mentions
-            .iter()
-            .filter(move |(_, e)| *e == entity)
-            .map(|(p, _)| *p)
-    }
-
     /// Returns a copy of the token sequence with every mention of `entity`
     /// replaced by `mask` — the `[MASK]` construction of Section 5.1.1.
     pub fn masked(&self, entity: EntityId, mask: TokenId) -> Vec<TokenId> {
@@ -176,12 +168,5 @@ mod tests {
         assert_eq!(c.mention_count(eid(0)), 2);
         assert_eq!(c.len(), 2);
         assert_eq!(c.total_tokens(), 2);
-    }
-
-    #[test]
-    fn mention_positions_filters_by_entity() {
-        let s = sample_sentence();
-        let got: Vec<_> = s.mention_positions(eid(0)).collect();
-        assert_eq!(got, vec![1, 3]);
     }
 }

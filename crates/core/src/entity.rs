@@ -27,12 +27,6 @@ pub struct Entity {
 }
 
 impl Entity {
-    /// Whether the entity belongs to a fine-grained class (not a distractor).
-    #[inline]
-    pub fn is_in_class(&self) -> bool {
-        self.class.is_some()
-    }
-
     /// Looks up this entity's value for one attribute.
     pub fn value_of(&self, attr: AttributeId) -> Option<AttributeValueId> {
         self.attrs.iter().find(|(a, _)| *a == attr).map(|(_, v)| *v)
@@ -77,7 +71,6 @@ mod tests {
     #[test]
     fn distractors_have_no_class() {
         let d = ent(0, None, vec![]);
-        assert!(!d.is_in_class());
         assert_eq!(d.value_of(AttributeId::new(0)), None);
     }
 

@@ -118,11 +118,6 @@ impl RankedList {
         self.entries.iter().position(|(x, _)| *x == e)
     }
 
-    /// Consumes the list, returning the underlying pairs.
-    pub fn into_entries(self) -> Vec<(EntityId, f32)> {
-        self.entries
-    }
-
     /// Debug-build invariant check for pipeline exit points: every score
     /// finite, scores non-increasing, no duplicate entity ids.
     ///

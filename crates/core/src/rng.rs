@@ -7,6 +7,7 @@
 //! (b) changing one component's consumption of random numbers does not
 //! perturb any other component.
 
+use crate::stable::{fnv1a_from, FNV_OFFSET};
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
@@ -41,15 +42,7 @@ pub fn derive_rng(seed: u64, stream: u64) -> UltraRng {
 
 /// Hashes a static component name into a stream label (FNV-1a).
 pub const fn stream_label(name: &str) -> u64 {
-    let bytes = name.as_bytes();
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut i = 0;
-    while i < bytes.len() {
-        hash ^= bytes[i] as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        i += 1;
-    }
-    hash
+    fnv1a_from(FNV_OFFSET, name.as_bytes())
 }
 
 #[cfg(test)]

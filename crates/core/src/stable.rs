@@ -10,10 +10,25 @@
 
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
-/// FNV-1a offset basis (64-bit).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a offset basis (64-bit): the state of a hash before any input.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a prime (64-bit).
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Byte-wise 64-bit FNV-1a over `bytes`, continuing from `state`: pass
+/// [`FNV_OFFSET`] to start a hash, or a previous result to extend it.
+/// Every byte-wise FNV-1a in the workspace (snapshot checksums and
+/// fingerprints, stream labels, [`StableHasher`]) is this function.
+pub const fn fnv1a_from(state: u64, bytes: &[u8]) -> u64 {
+    let mut h = state;
+    let mut i = 0;
+    while i < bytes.len() {
+        h ^= bytes[i] as u64;
+        h = h.wrapping_mul(FNV_PRIME);
+        i += 1;
+    }
+    h
+}
 
 /// A 64-bit FNV-1a [`Hasher`] with no per-process seed: the same bytes
 /// always produce the same hash, in every run, on every platform.
@@ -34,10 +49,7 @@ impl Hasher for StableHasher {
 
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
+        self.0 = fnv1a_from(self.0, bytes);
     }
 }
 
@@ -63,9 +75,17 @@ mod tests {
     }
 
     #[test]
-    fn known_fnv_vector() {
+    fn known_fnv_vectors() {
         // FNV-1a of the empty input is the offset basis.
         assert_eq!(StableHasher::default().finish(), 0xcbf2_9ce4_8422_2325);
+        // The published 64-bit FNV-1a test vectors.
+        assert_eq!(fnv1a_from(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a_from(FNV_OFFSET, b"foobar"), 0x8594_4171_f739_67e8);
+        // Continuing a hash equals hashing the concatenation.
+        assert_eq!(
+            fnv1a_from(fnv1a_from(FNV_OFFSET, b"foo"), b"bar"),
+            fnv1a_from(FNV_OFFSET, b"foobar")
+        );
     }
 
     #[test]

@@ -109,11 +109,6 @@ impl NameFactory {
             }
         }
     }
-
-    /// Number of names handed out so far.
-    pub fn issued(&self) -> usize {
-        self.used.len()
-    }
 }
 
 fn capitalize(w: &str) -> String {
@@ -138,7 +133,6 @@ mod tests {
             assert!(all.insert(f.unique_word(&mut rng)));
             assert!(all.insert(f.unique_entity_name(&mut rng).to_lowercase()));
         }
-        assert_eq!(f.issued(), 400);
     }
 
     #[test]

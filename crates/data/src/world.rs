@@ -374,11 +374,6 @@ impl World {
             .map(|e| e.id)
     }
 
-    /// Fine-grained class of an entity, if in-class.
-    pub fn fine_class_of(&self, e: EntityId) -> Option<ClassId> {
-        self.entity(e).class
-    }
-
     /// All `(ultra class, query)` pairs, class order then query order.
     pub fn queries(&self) -> impl Iterator<Item = (&UltraClass, &Query)> {
         self.ultra_classes

@@ -6,6 +6,7 @@ use crate::reps::EntityEmbeddings;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use ultra_core::rng::{derive_rng, stream_label, UltraRng};
+use ultra_core::stable::{FNV_OFFSET, FNV_PRIME};
 use ultra_core::{EntityId, Sentence, TokenId};
 use ultra_data::World;
 use ultra_nn::{
@@ -546,11 +547,11 @@ impl EntityEncoder {
     pub fn params_fingerprint(&self) -> u64 {
         fn eat(mut h: u64, s: &[f32]) -> u64 {
             for v in s {
-                h = (h ^ u64::from(v.to_bits())).wrapping_mul(0x0000_0100_0000_01B3);
+                h = (h ^ u64::from(v.to_bits())).wrapping_mul(FNV_PRIME);
             }
             h
         }
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = FNV_OFFSET;
         for t in 0..self.emb.vocab_size() {
             h = eat(h, self.emb.row(TokenId::new(t as u32)));
         }

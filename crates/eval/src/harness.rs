@@ -141,7 +141,7 @@ mod tests {
         let r = evaluate_method(&w, |u, q| {
             let l = oracle_expand(u, q);
             // Reverse: negative targets first.
-            let mut entries = l.into_entries();
+            let mut entries = l.entries().to_vec();
             entries.reverse();
             let n = entries.len() as f32;
             RankedList::from_sorted(

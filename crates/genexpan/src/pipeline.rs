@@ -8,6 +8,7 @@ use rand::Rng;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 use ultra_core::rng::{derive_rng, UltraRng};
+use ultra_core::stable::{FNV_OFFSET, FNV_PRIME};
 use ultra_core::{mix_seed, rerank_by_negatives, EntityId, Query, RankedList, TokenId, UltraClass};
 use ultra_data::World;
 use ultra_lm::{
@@ -127,17 +128,19 @@ struct SeedTemplate<'a> {
 
 /// A trained GenExpan instance.
 ///
-/// Clones share the window memo (DESIGN.md §6, "GenExpan round reuse"); its
-/// key covers every configuration field a round's candidates depend on.
+/// Clones share the trained LM, the co-occurrence index and the window
+/// memo (DESIGN.md §6, "GenExpan round reuse"); the memo's key covers every
+/// configuration field a round's candidates depend on, except the trie, so
+/// [`restricted_to`](Self::restricted_to) — the one way to change the
+/// trie — starts a fresh memo.
 #[derive(Clone)]
 pub struct GenExpan {
     /// Configuration.
     pub config: GenExpanConfig,
-    lm: NgramLm,
+    lm: Arc<NgramLm>,
     trie: PrefixTrie,
-    cooc: CoocIndex,
+    cooc: Arc<CoocIndex>,
     sep: TokenId,
-    pool: Option<Vec<EntityId>>,
     memo: Arc<WindowMemo>,
 }
 
@@ -145,17 +148,6 @@ impl GenExpan {
     /// Builds the LM (base pre-training + optional further pre-training on
     /// corpus `D`) and the candidate trie over the full vocabulary.
     pub fn train(world: &World, config: GenExpanConfig) -> Self {
-        Self::train_with_pool(world, config, None)
-    }
-
-    /// Like [`train`](Self::train) but restricting the candidate trie (and
-    /// expansion) to `pool` — the Table 10 paradigm-interaction setting
-    /// where another model's top-1000 forms the candidate set.
-    pub fn train_with_pool(
-        world: &World,
-        config: GenExpanConfig,
-        pool: Option<Vec<EntityId>>,
-    ) -> Self {
         let mut lm = NgramLm::new(
             config.model.order,
             config.model.smoothing,
@@ -167,35 +159,14 @@ impl GenExpan {
             let further = world.further_pretrain_docs();
             lm.train(further.iter().map(Vec::as_slice));
         }
-        let mut trie = PrefixTrie::new();
-        match &pool {
-            Some(pool) => {
-                for &e in pool {
-                    trie.insert(&world.name_tokens[e.index()], e);
-                }
-            }
-            None => {
-                for e in &world.entities {
-                    trie.insert(&world.name_tokens[e.id.index()], e.id);
-                }
-            }
-        }
-        Self {
-            config,
-            lm,
-            trie,
-            cooc: CoocIndex::build(world),
-            sep: world.list_sep,
-            pool,
-            memo: Arc::new(WindowMemo::new()),
-        }
+        let trie = name_trie(world, world.entities.iter().map(|e| e.id));
+        Self::from_parts(world, config, lm, trie)
     }
 
     /// Reassembles a pipeline from previously persisted parts (snapshot
     /// load): the trained LM and trie are supplied, while the co-occurrence
     /// index and the list separator — cheap, pure functions of the world —
-    /// are rebuilt in place. The restricted-pool setting is a transient
-    /// experiment configuration and is never persisted.
+    /// are rebuilt in place.
     pub fn from_parts(
         world: &World,
         config: GenExpanConfig,
@@ -204,11 +175,27 @@ impl GenExpan {
     ) -> Self {
         Self {
             config,
-            lm,
+            lm: Arc::new(lm),
             trie,
-            cooc: CoocIndex::build(world),
+            cooc: Arc::new(CoocIndex::build(world)),
             sep: world.list_sep,
-            pool: None,
+            memo: Arc::new(WindowMemo::new()),
+        }
+    }
+
+    /// The same trained model with its candidates restricted to `pool` —
+    /// the Table 10 paradigm-interaction setting, where another model's
+    /// recall forms the candidate set. Shares the LM and the co-occurrence
+    /// index; builds only a trie over the pool's names, and a fresh window
+    /// memo (the memo's key does not cover the trie, so this instance must
+    /// never read its parent's entries).
+    pub fn restricted_to(&self, world: &World, pool: &[EntityId]) -> GenExpan {
+        Self {
+            config: self.config.clone(),
+            lm: Arc::clone(&self.lm),
+            trie: name_trie(world, pool.iter().copied()),
+            cooc: Arc::clone(&self.cooc),
+            sep: self.sep,
             memo: Arc::new(WindowMemo::new()),
         }
     }
@@ -533,17 +520,12 @@ impl GenExpan {
         prompt
     }
 
-    /// The candidate pool restriction, if any (Table 10 composition).
-    pub fn pool(&self) -> Option<&[EntityId]> {
-        self.pool.as_deref()
-    }
-
     /// Per-query deterministic RNG (hash of the seed ids).
     fn query_rng(&self, query: &Query) -> UltraRng {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = FNV_OFFSET;
         for e in query.all_seeds() {
             h ^= e.0 as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+            h = h.wrapping_mul(FNV_PRIME);
         }
         derive_rng(self.config.seed, mix_seed(h, 17))
     }
@@ -600,6 +582,15 @@ impl GenExpan {
             }
         }
     }
+}
+
+/// The candidate trie over the names of `entities`.
+fn name_trie(world: &World, entities: impl Iterator<Item = EntityId>) -> PrefixTrie {
+    let mut trie = PrefixTrie::new();
+    for e in entities {
+        trie.insert(&world.name_tokens[e.index()], e);
+    }
+    trie
 }
 
 #[cfg(test)]
@@ -670,22 +661,47 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// The first query's positive and negative targets.
+    fn target_pool(w: &World) -> Vec<EntityId> {
+        let (u, _q) = w.queries().next().unwrap();
+        u.pos_targets
+            .iter()
+            .chain(&u.neg_targets)
+            .copied()
+            .collect()
+    }
+
     #[test]
     fn pool_restriction_is_respected() {
         let w = world();
         let (u, q) = w.queries().next().unwrap();
-        let pool: Vec<EntityId> = u
-            .pos_targets
-            .iter()
-            .chain(&u.neg_targets)
-            .copied()
-            .collect();
-        let gen = GenExpan::train_with_pool(&w, quick_cfg(), Some(pool.clone()));
+        let pool = target_pool(&w);
+        let gen = GenExpan::train(&w, quick_cfg()).restricted_to(&w, &pool);
         let out = gen.expand(&w, u, q);
+        assert!(!out.is_empty());
         for e in out.entities() {
             assert!(pool.contains(&e), "{e:?} outside the restricted pool");
         }
-        assert!(gen.pool.is_some());
+    }
+
+    #[test]
+    fn a_restricted_instance_never_reads_its_parents_memo() {
+        let w = world();
+        let warmed = GenExpan::train(&w, quick_cfg());
+        let full = lists(&warmed, &w, 8);
+        assert!(warmed.memo_stats().windows > 0);
+        let pool = target_pool(&w);
+        let restricted = warmed.restricted_to(&w, &pool);
+        let fresh = GenExpan::from_parts(
+            &w,
+            quick_cfg(),
+            (*warmed.lm).clone(),
+            name_trie(&w, pool.iter().copied()),
+        );
+        let want = lists(&fresh, &w, 8);
+        assert_ne!(want, full, "the restriction must matter");
+        assert_eq!(lists(&restricted, &w, 8), want);
+        assert!(Arc::ptr_eq(&restricted.lm, &warmed.lm), "the LM is shared");
     }
 
     /// The ranked lists of the world's first `n` queries.

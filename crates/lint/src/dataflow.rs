@@ -10,7 +10,8 @@
 //!    each carrying the identifiers it reads and the calls it makes
 //!    (receiver, `Path::` qualifier, turbofish types, and arguments,
 //!    recursively). Braces that open control blocks (`for`/`while`/`if`/
-//!    `match`/…) segment statements and maintain a loop stack; braces that
+//!    `match`/…, labelled loops, match-arm blocks) segment statements and
+//!    maintain a loop stack; braces that
 //!    appear in expression position (struct literals, `let x = if … {…}
 //!    else {…}`, closure bodies) are absorbed into the enclosing statement,
 //!    which gives branchy expressions *union* semantics — taint from any
@@ -156,8 +157,9 @@ pub struct Call {
 // Extraction
 // ---------------------------------------------------------------------------
 
-/// Brace-introducing keywords that segment statements (everything else in
-/// brace position is an expression brace and is absorbed).
+/// Brace-introducing keywords that segment statements (besides match-arm
+/// blocks, everything else in brace position is an expression brace and is
+/// absorbed).
 const CONTROL_KEYWORDS: [&str; 7] = ["for", "while", "loop", "if", "else", "match", "unsafe"];
 
 /// File-wide identifiers bound to `HashMap`/`HashSet`: type ascriptions
@@ -272,8 +274,24 @@ pub fn extract_flow(
                 flush_stmt(toks, &mut seg, &loop_stack, &mut flow, false);
             }
             TokKind::Punct('{') if depth == 0 => {
+                // A loop label (`'outer: for …`) reads nothing; the keyword
+                // after it decides the block.
+                if seg.len() >= 2
+                    && toks[seg[0]].kind == TokKind::Lifetime
+                    && toks[seg[1]].is_punct(':')
+                {
+                    seg.drain(..2);
+                }
                 let head = seg.first().and_then(|&k| toks[k].ident());
-                if seg.is_empty() || head.is_some_and(|h| CONTROL_KEYWORDS.contains(&h)) {
+                if ends_with_fat_arrow(toks, &seg) {
+                    // A match arm's block (`PAT => {`): the pattern (with
+                    // any brace-less arms before it) is read as one
+                    // statement, and the body lowers like any control
+                    // block, so its loops are loop statements.
+                    seg.truncate(seg.len() - 2);
+                    flush_stmt(toks, &mut seg, &loop_stack, &mut flow, false);
+                    loop_stack.push(None);
+                } else if seg.is_empty() || head.is_some_and(|h| CONTROL_KEYWORDS.contains(&h)) {
                     let hash_for = flush_control_head(toks, &mut seg, &loop_stack, &mut flow);
                     loop_stack.push(hash_for);
                 } else {
@@ -363,6 +381,11 @@ fn parse_params(toks: &[Tok], sig: &Range<usize>) -> Vec<Param> {
     }
     flush(&mut seg, &mut params);
     params
+}
+
+/// Whether the segment ends with a match arm's `=>`.
+fn ends_with_fat_arrow(toks: &[Tok], seg: &[usize]) -> bool {
+    matches!(seg, [.., eq, gt] if toks[*eq].is_punct('=') && toks[*gt].is_punct('>'))
 }
 
 /// Innermost enclosing hash-ordered `for` line, if any.

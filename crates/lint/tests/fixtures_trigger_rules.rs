@@ -299,8 +299,9 @@ fn l12_fixture_fires_on_the_hash_ordered_float_reduction_only() {
         .collect();
     assert_eq!(
         l12,
-        vec![7],
-        "float += over the HashMap; BTreeMap and integer twins are quiet"
+        vec![7, 33, 44],
+        "float += over the HashMap (plain, in a match arm, after a label); \
+         BTreeMap and integer twins are quiet"
     );
     let diags = check_source(
         "crates/core/src/l12.rs",

@@ -1,5 +1,6 @@
 //! The RetExpan pipeline: representation → expansion → re-ranking.
 
+use std::sync::Arc;
 use ultra_ann::{AnnSpec, CandidateSource};
 use ultra_core::{rerank_by_negatives, EntityId, Query, RankedList};
 use ultra_data::World;
@@ -34,80 +35,64 @@ impl Default for RetExpanConfig {
     }
 }
 
-/// A trained RetExpan instance: encoder plus cached entity representations.
+/// A trained RetExpan instance: entity representations, pipeline
+/// configuration and the candidate source over those representations —
+/// exactly what [`expand`](Self::expand) reads. The encoder that produced
+/// the representations stays with whoever trained it, so a variant of a
+/// trained model (another cutoff, segment length or re-rank switch) is a
+/// clone with one field changed; clones share the candidate source.
+#[derive(Clone)]
 pub struct RetExpan {
-    /// The trained entity encoder.
-    pub encoder: EntityEncoder,
     /// Cached per-entity representations.
     pub reps: EntityEmbeddings,
     /// Pipeline configuration.
     pub config: RetExpanConfig,
-    /// Candidate source built from `config.ann` over `reps`; rebuilt
-    /// whenever the representations change.
-    source: Box<dyn CandidateSource>,
+    /// Candidate source built from `config.ann` over `reps`.
+    source: Arc<dyn CandidateSource>,
 }
 
 impl RetExpan {
-    /// Trains the encoder (entity prediction task) and caches entity
-    /// representations. This is the plain RetExpan of Table 2; apply
-    /// [`refresh_reps`](Self::refresh_reps) after any further training
-    /// (e.g. contrastive).
+    /// Trains an encoder (entity prediction task), keeps its entity
+    /// representations and drops it. This is the plain RetExpan of
+    /// Table 2; a caller that trains the encoder further (e.g.
+    /// contrastive) keeps its own and uses
+    /// [`from_encoder`](Self::from_encoder).
     pub fn train(world: &World, enc_cfg: EncoderConfig, config: RetExpanConfig) -> Self {
         let mut encoder = EntityEncoder::new(world, enc_cfg);
         encoder.train_entity_prediction(world);
-        Self::from_encoder(world, encoder, config)
+        Self::from_encoder(world, &encoder, config)
     }
 
-    /// Reassembles a pipeline from previously persisted parts (snapshot
+    /// Reassembles a pipeline from persisted representations (snapshot
     /// load). No training and no index build happen here: the candidate
     /// source starts as [`Exhaustive`](ultra_ann::Exhaustive) and the caller
     /// installs the deserialized index via [`set_source`](Self::set_source).
-    pub fn from_parts(
-        encoder: EntityEncoder,
-        reps: EntityEmbeddings,
-        config: RetExpanConfig,
-    ) -> Self {
+    pub fn from_parts(reps: EntityEmbeddings, config: RetExpanConfig) -> Self {
         Self {
-            encoder,
             reps,
             config,
-            source: Box::new(ultra_ann::Exhaustive),
+            source: Arc::new(ultra_ann::Exhaustive),
         }
     }
 
-    /// Wraps an externally trained encoder.
-    pub fn from_encoder(world: &World, encoder: EntityEncoder, config: RetExpanConfig) -> Self {
+    /// The pipeline over a trained encoder's entity representations, with
+    /// the candidate source `config.ann` describes.
+    pub fn from_encoder(world: &World, encoder: &EntityEncoder, config: RetExpanConfig) -> Self {
         let reps = encoder.entity_embeddings(world);
-        let source = config.ann.build_source(&reps, &Pool::global());
+        let source = config.ann.build_source(&reps, &Pool::global()).into();
         Self {
-            encoder,
             reps,
             config,
             source,
         }
     }
 
-    /// Recomputes cached representations after additional encoder training,
-    /// and rebuilds the candidate source over them (a stale index would
-    /// probe the *old* geometry).
-    pub fn refresh_reps(&mut self, world: &World) {
-        self.reps = self.encoder.entity_embeddings(world);
-        self.source = self.config.ann.build_source(&self.reps, &Pool::global());
-    }
-
-    /// Switches the candidate source, rebuilding any index over the current
-    /// representations (serve/bench use this to install — and time — the
-    /// configured source after training).
-    pub fn set_ann(&mut self, spec: AnnSpec) {
-        self.config.ann = spec;
-        self.source = self.config.ann.build_source(&self.reps, &Pool::global());
-    }
-
-    /// Installs a pre-built candidate source (bench sweeps reuse one IVF
-    /// index across many `nprobe` operating points this way). The caller is
-    /// responsible for the source matching `self.reps`.
+    /// Installs a pre-built candidate source (serve installs — and times —
+    /// the configured source this way; bench sweeps reuse one IVF index
+    /// across many `nprobe` operating points). The caller is responsible
+    /// for the source matching `self.reps`.
     pub fn set_source(&mut self, source: Box<dyn CandidateSource>) {
-        self.source = source;
+        self.source = source.into();
     }
 
     /// Wire label of the active candidate source.
@@ -295,10 +280,11 @@ mod tests {
             .queries()
             .map(|(_u, q)| ret.expand(&world, q))
             .collect();
-        ret.set_ann(ultra_ann::AnnSpec::Ivf(ultra_ann::IvfConfig {
+        let spec = ultra_ann::AnnSpec::Ivf(ultra_ann::IvfConfig {
             nprobe: 0,
             ..ultra_ann::IvfConfig::default()
-        }));
+        });
+        ret.set_source(spec.build_source(&ret.reps, &Pool::global()));
         assert!(ret.source_name().contains("ivf"));
         for ((_u, q), exh) in world.queries().zip(&exhaustive) {
             let ivf = ret.expand(&world, q);
@@ -315,10 +301,11 @@ mod tests {
             .queries()
             .map(|(_u, q)| ret.preliminary_list(&world, q, None).entities().collect())
             .collect();
-        ret.set_ann(ultra_ann::AnnSpec::Ivf(ultra_ann::IvfConfig {
+        let spec = ultra_ann::AnnSpec::Ivf(ultra_ann::IvfConfig {
             nprobe: 8,
             ..ultra_ann::IvfConfig::default()
-        }));
+        });
+        ret.set_source(spec.build_source(&ret.reps, &Pool::global()));
         let k = 10;
         let mut hits = 0usize;
         let mut total = 0usize;

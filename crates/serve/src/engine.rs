@@ -16,7 +16,7 @@ use std::sync::Arc;
 use ultra_ann::{AnnSpec, IvfIndex};
 use ultra_core::{Query, RankedList, UltraClass, UltraError};
 use ultra_data::{World, WorldConfig};
-use ultra_embed::{EncoderConfig, EntityEncoder};
+use ultra_embed::EncoderConfig;
 use ultra_genexpan::{GenExpan, GenExpanConfig};
 use ultra_retexpan::{RetExpan, RetExpanConfig};
 use ultra_snap::{SnapError, Snapshot, SnapshotMeta};
@@ -283,9 +283,9 @@ impl ExpansionEngine {
     }
 
     /// Reassembles an engine from a decoded, container-validated snapshot.
-    /// Every cheap derived structure (world, co-occurrence index, encoder
-    /// initialization) is rebuilt from `(profile, seed)` and cross-checked
-    /// against the snapshot metadata; any disagreement is a typed
+    /// Every cheap derived structure (world, co-occurrence index) is
+    /// rebuilt from `(profile, seed)` and cross-checked against the
+    /// snapshot metadata; any disagreement is a typed
     /// [`SnapError::Mismatch`], never a silently different engine.
     pub fn from_snapshot(snapshot: Snapshot, runtime: SnapshotRuntime) -> Result<Self, ServeError> {
         if runtime.threads > 0 {
@@ -342,8 +342,7 @@ impl ExpansionEngine {
                 world.corpus.len()
             )));
         }
-        let encoder = EntityEncoder::new(&world, meta.encoder.clone());
-        let mut retexpan = RetExpan::from_parts(encoder, reps, meta.retexpan.clone());
+        let mut retexpan = RetExpan::from_parts(reps, meta.retexpan.clone());
         // `Snapshot::cross_check` already rejects a spec/section mismatch;
         // checked again so this constructor is safe on hand-built
         // snapshots too.

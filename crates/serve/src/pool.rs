@@ -122,15 +122,6 @@ impl<T: Send + 'static> WorkerPool<T> {
         Ok(())
     }
 
-    /// Jobs currently waiting for a worker (the `queue_depth` gauge).
-    pub fn queue_depth(&self) -> usize {
-        self.shared
-            .queue
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
-    }
-
     /// A detached queue-depth sampler for metrics.
     pub fn depth_gauge(&self) -> QueueDepthGauge<T> {
         QueueDepthGauge(self.shared.clone())
@@ -139,11 +130,6 @@ impl<T: Send + 'static> WorkerPool<T> {
     /// Number of worker threads spawned at construction.
     pub fn workers(&self) -> usize {
         self.worker_count
-    }
-
-    /// Handler panics caught by the worker loop since the pool started.
-    pub fn panics_total(&self) -> u64 {
-        self.shared.panics.load(Ordering::Relaxed)
     }
 
     /// Graceful shutdown: refuses new jobs, lets the workers drain every
@@ -269,7 +255,6 @@ mod tests {
             4,
             "the single worker survived the panic and drained the rest"
         );
-        assert_eq!(pool.panics_total(), 1);
         assert_eq!(pool.depth_gauge().panics_total(), 1);
     }
 
@@ -287,7 +272,7 @@ mod tests {
             pool.try_submit(i).expect("room");
         }
         // One job may be in-flight; the rest are queued.
-        assert!(pool.queue_depth() >= 3);
+        assert!(pool.depth_gauge().depth() >= 3);
         for _ in 0..4 {
             let _ = gate_tx.send(());
         }

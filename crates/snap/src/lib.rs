@@ -46,6 +46,7 @@ use std::fmt;
 use std::path::Path;
 
 use ultra_ann::{AnnSpec, IvfConfig, IvfIndex};
+use ultra_core::stable::{fnv1a_from, FNV_OFFSET};
 use ultra_core::{ByteReader, ByteWriter, UltraError};
 use ultra_embed::{Augmentation, EncoderConfig, EntityEmbeddings};
 use ultra_lm::NgramLm;
@@ -81,12 +82,7 @@ fn tag_name(tag: [u8; 4]) -> String {
 /// FNV-1a over a byte slice — the container's fingerprint function
 /// (deterministic across platforms, no dependencies).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a_from(FNV_OFFSET, bytes)
 }
 
 /// Whole-file fingerprint of a snapshot (covers the trailer too); this is

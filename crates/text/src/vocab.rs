@@ -84,11 +84,6 @@ impl Vocab {
         self.ids.get(token).copied()
     }
 
-    /// Looks up a token, falling back to `[UNK]`.
-    pub fn get_or_unk(&self, token: &str) -> TokenId {
-        self.get(token).unwrap_or_else(|| self.unk())
-    }
-
     /// String form of a token id.
     #[inline]
     pub fn resolve(&self, id: TokenId) -> &str {
@@ -139,14 +134,6 @@ mod tests {
         let b = v.intern("tokyo");
         assert_eq!(a, b);
         assert_eq!(v.len(), 5);
-    }
-
-    #[test]
-    fn get_or_unk_falls_back() {
-        let mut v = Vocab::new();
-        v.intern("known");
-        assert_eq!(v.get_or_unk("known"), v.get("known").unwrap());
-        assert_eq!(v.get_or_unk("missing"), v.unk());
     }
 
     #[test]

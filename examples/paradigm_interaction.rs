@@ -14,7 +14,7 @@ fn main() {
     let gen = GenExpan::train(&world, GenExpanConfig::default());
 
     // Wide-recall RetExpan: no rerank, big top-k.
-    let mut recall = RetExpan::from_encoder(&world, ret.encoder.clone(), RetExpanConfig::default());
+    let mut recall = ret.clone();
     recall.config.top_k = world.num_entities() / 10;
     recall.config.rerank = false;
 
@@ -25,8 +25,7 @@ fn main() {
             .preliminary_list(&world, q, None)
             .entities()
             .collect();
-        let pooled = GenExpan::train_with_pool(&world, GenExpanConfig::default(), Some(pool));
-        pooled.expand(&world, u, q)
+        gen.restricted_to(&world, &pool).expand(&world, u, q)
     });
     let composed_rev = evaluate_method(&world, |u, q| {
         let pool: Vec<EntityId> = gen

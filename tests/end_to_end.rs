@@ -18,6 +18,14 @@ fn quick_encoder() -> EncoderConfig {
     }
 }
 
+/// An encoder trained on the entity prediction task, as
+/// [`RetExpan::train`] trains it.
+fn trained_encoder(world: &World) -> EntityEncoder {
+    let mut enc = EntityEncoder::new(world, quick_encoder());
+    enc.train_entity_prediction(world);
+    enc
+}
+
 #[test]
 fn full_retexpan_pipeline_beats_untrained_on_fine_grained_recall() {
     // The tiny profile is too small for ultra-fine gaps to be stable, but
@@ -59,17 +67,17 @@ fn full_retexpan_pipeline_beats_untrained_on_fine_grained_recall() {
 #[test]
 fn contrastive_strategy_improves_pos_metrics() {
     let world = tiny_world();
-    let base = RetExpan::train(&world, quick_encoder(), RetExpanConfig::default());
+    let mut enc = trained_encoder(&world);
+    let base = RetExpan::from_encoder(&world, &enc, RetExpanConfig::default());
     let oracle = KnowledgeOracle::new(&world, OracleConfig::default());
     let mined = mine_lists(&world, &base, &oracle, 30, 10);
-    let mut enc = base.encoder.clone();
     ultrawiki::embed::contrastive::train_contrastive(
         &mut enc,
         &world,
         &mined,
         &PairConfig::default(),
     );
-    let con = RetExpan::from_encoder(&world, enc, base.config.clone());
+    let con = RetExpan::from_encoder(&world, &enc, base.config.clone());
     let rb = evaluate_method(&world, |_u, q| base.expand(&world, q));
     let rc = evaluate_method(&world, |_u, q| con.expand(&world, q));
     assert!(
@@ -153,8 +161,7 @@ fn every_baseline_runs_and_excludes_seeds() {
 #[test]
 fn probexpan_shares_retexpan_encoder() {
     let world = tiny_world();
-    let ret = RetExpan::train(&world, quick_encoder(), RetExpanConfig::default());
-    let pe = ProbExpan::from_encoder(&world, &ret.encoder);
+    let pe = ProbExpan::from_encoder(&world, &trained_encoder(&world));
     let r = evaluate_method(&world, |_u, q| pe.expand(&world, q));
     assert!(r.num_queries > 0);
     assert!(r.avg_comb() > 45.0, "ProbExpan sanity: {:.2}", r.avg_comb());

@@ -6,7 +6,9 @@
 //! * an FNV-1a fingerprint ([`ultra_core::stable`]) of every query's full
 //!   ranked list — entity ids and raw score bits — for RetExpan (re-rank on
 //!   and off), its two extensions, ProbExpan (plain and with the Table 5
-//!   bolt-on) and GenExpan (re-rank on and off);
+//!   bolt-on), GenExpan (re-rank on and off) and Table 10's two
+//!   compositions (a wide RetExpan's preliminary list restricting GenExpan
+//!   per query, a wide GenExpan's entities restricting RetExpan);
 //! * the Table 5 direction: negative-seed re-ranking lowers average NegMAP
 //!   for RetExpan, GenExpan and ProbExpan;
 //! * the GenExpan decode paths the tiny default run does not reach: the
@@ -72,26 +74,50 @@ fn runs() -> &'static Runs {
     static RUNS: OnceLock<Runs> = OnceLock::new();
     RUNS.get_or_init(|| {
         let world = World::generate(WorldConfig::tiny()).expect("tiny world");
-        let mut ret = RetExpan::train(&world, EncoderConfig::default(), RetExpanConfig::default());
-        let rebuilt = || RetExpan::from_encoder(&world, ret.encoder.clone(), ret.config.clone());
+        let mut trained = EntityEncoder::new(&world, EncoderConfig::default());
+        trained.train_entity_prediction(&world);
+        let mut ret = RetExpan::from_encoder(&world, &trained, RetExpanConfig::default());
         // The `retexpan-contrast` row: lists mined from the trained
         // RetExpan, InfoNCE on a clone of its encoder.
         let oracle = KnowledgeOracle::new(&world, OracleConfig::default());
         let mined = mine_lists(&world, &ret, &oracle, 30, 10);
-        let mut encoder = ret.encoder.clone();
+        let mut encoder = trained.clone();
         let losses = train_contrastive(&mut encoder, &world, &mined, &PairConfig::default());
         let bits: Vec<u32> = losses.iter().map(|l| l.to_bits()).collect();
         let (contrast_losses, contrast_params) =
             (stable_hash64(&bits), encoder.params_fingerprint());
-        let contrast = RetExpan::from_encoder(&world, encoder, ret.config.clone());
-        let dynamic = DynamicRaRetExpan::new(rebuilt());
-        let decoupled = DecoupledRetExpan::new(rebuilt());
-        let mut prob = ProbExpan::from_encoder(&world, &ret.encoder);
+        let contrast = RetExpan::from_encoder(&world, &encoder, ret.config.clone());
+        let dynamic = DynamicRaRetExpan::new(ret.clone());
+        let decoupled = DecoupledRetExpan::new(ret.clone());
+        let mut prob = ProbExpan::from_encoder(&world, &trained);
         let mut gen = GenExpan::train(&world, GenExpanConfig::default());
+        // Table 10's two compositions at `expt_table10`'s recall budget.
+        let mut wide_ret = ret.clone();
+        wide_ret.config.top_k = TABLE10_BUDGET;
+        wide_ret.config.rerank = false;
+        let mut wide_gen = gen.clone();
+        wide_gen.config.target_size = TABLE10_BUDGET;
+        wide_gen.config.max_rounds = 80;
+        wide_gen.config.rerank = false;
 
         let mut out = vec![run("retexpan", &world, |_u, q| ret.expand(&world, q))];
         out.push(run("retexpan-contrast", &world, |_u, q| {
             contrast.expand(&world, q)
+        }));
+        out.push(run("ret-then-gen", &world, |u, q| {
+            let pool: Vec<EntityId> = wide_ret
+                .preliminary_list(&world, q, None)
+                .entities()
+                .collect();
+            gen.restricted_to(&world, &pool).expand(&world, u, q)
+        }));
+        out.push(run("gen-then-ret", &world, |u, q| {
+            let pool: Vec<EntityId> = wide_gen
+                .expand(&world, u, q)
+                .entities()
+                .filter(|e| e.index() < world.num_entities())
+                .collect();
+            ret.expand_restricted(&world, q, Some(&pool))
         }));
         ret.config.rerank = false;
         out.push(run("retexpan-no-rerank", &world, |_u, q| {
@@ -127,8 +153,11 @@ fn by_name(name: &str) -> &'static Run {
         .unwrap_or_else(|| panic!("no run named {name}"))
 }
 
+/// `expt_table10`'s recall budget on the tiny world.
+const TABLE10_BUDGET: usize = 200;
+
 /// The pinned fingerprint of every run above.
-const GOLDEN: [(&str, u64); 8] = [
+const GOLDEN: [(&str, u64); 10] = [
     ("retexpan", 0x88f3_c81f_47bd_3c09),
     ("retexpan-no-rerank", 0xa852_e6a2_c398_e4d0),
     ("dynamic-ra", 0xa2a0_59d9_753b_83a5),
@@ -137,6 +166,8 @@ const GOLDEN: [(&str, u64); 8] = [
     ("probexpan-neg-rerank", 0x0430_9fbe_2bd5_0709),
     ("genexpan", 0xf8a1_333f_47f3_bc05),
     ("genexpan-no-rerank", 0xa1f7_1fe4_3e97_c225),
+    ("ret-then-gen", 0xbf8c_e18c_a7dd_8274),
+    ("gen-then-ret", 0x2b19_ee60_6c4c_240d),
 ];
 
 #[test]

@@ -64,7 +64,9 @@ fn ranked_lists_are_byte_identical_at_every_thread_count() {
 #[test]
 fn contrastive_loss_curves_are_bit_identical_at_every_thread_count() {
     let world = world();
-    let model = RetExpan::train(&world, quick_encoder(), RetExpanConfig::default());
+    let mut encoder = EntityEncoder::new(&world, quick_encoder());
+    encoder.train_entity_prediction(&world);
+    let model = RetExpan::from_encoder(&world, &encoder, RetExpanConfig::default());
     let oracle = KnowledgeOracle::new(&world, OracleConfig::default());
     let mined = mine_lists(&world, &model, &oracle, 10, 5);
     let pair_cfg = PairConfig::default();
@@ -72,7 +74,7 @@ fn contrastive_loss_curves_are_bit_identical_at_every_thread_count() {
     let mut curves = Vec::new();
     for threads in [1usize, 2, 8] {
         set_threads(threads);
-        let mut enc = model.encoder.clone();
+        let mut enc = encoder.clone();
         let losses = train_contrastive(&mut enc, &world, &mined, &pair_cfg);
         curves.push((threads, losses));
     }
