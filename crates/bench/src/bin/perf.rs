@@ -4,8 +4,14 @@
 //!
 //! Emits `BENCH_expand.json` (to `target/experiments/` and the repo root)
 //! so future PRs have a perf trajectory to compare against. The report is
-//! `schema_version: 4`:
+//! `schema_version: 5`:
 //!
+//! * `genexpan` (schema v5) — GenExpan over every query twice on one
+//!   instance: first fresh (both cross-request memos empty), then again
+//!   with both memos warm. Each pass records µs per query, the beams it
+//!   ran (window-memo misses), its window- and pair-memo hit ratios and
+//!   the pairs stored after it. The two passes' ranked lists must be
+//!   byte-identical (hard assert). Skipped on `huge`.
 //! * `scoring` / `training` / `eval` — the schema-v1 thread-scaling stages.
 //!   On the `huge` profile (100k+ entities) they are skipped (`null`): the
 //!   profile exists to size the *index* comparison, and re-timing the
@@ -47,6 +53,7 @@ use ultra_data::{KnowledgeOracle, OracleConfig, World};
 use ultra_embed::contrastive::{train_contrastive, PairConfig};
 use ultra_embed::{EncoderConfig, EntityEncoder};
 use ultra_eval::evaluate_method_par;
+use ultra_genexpan::{GenExpan, GenExpanConfig};
 use ultra_nn::cosine;
 use ultra_par::{set_threads, Pool};
 use ultra_retexpan::{mine_lists, RetExpan, RetExpanConfig};
@@ -148,6 +155,32 @@ struct StartupStage {
     answers_byte_identical: bool,
 }
 
+/// One pass of GenExpan over every query on a single thread (schema v5).
+#[derive(Serialize)]
+struct GenExpanPass {
+    micros_per_query: f64,
+    /// Beams the pass ran: its window-memo misses.
+    beams_run: u64,
+    /// The pass's window-memo hits over its lookups.
+    window_hit_ratio: f64,
+    /// The pass's pair-memo hits over its lookups (one per scored entity
+    /// and seed).
+    pair_hit_ratio: f64,
+    /// Entity pairs in the pair memo after the pass.
+    pairs_stored: usize,
+}
+
+/// GenExpan on a fresh instance, then again on the same instance with both
+/// memos warm (schema v5).
+#[derive(Serialize)]
+struct GenExpanStage {
+    first_pass: GenExpanPass,
+    warm_pass: GenExpanPass,
+    /// Hard-asserted in-binary: the warm pass's ranked lists are
+    /// byte-identical to the first pass's.
+    passes_byte_identical: bool,
+}
+
 #[derive(Serialize)]
 struct BenchReport {
     schema_version: u32,
@@ -156,6 +189,7 @@ struct BenchReport {
     host_parallelism: usize,
     num_queries: usize,
     num_entities: usize,
+    genexpan: Option<GenExpanStage>,
     scoring: Option<ScoringStage>,
     training: Option<TrainingStage>,
     eval: Option<StageTiming>,
@@ -214,6 +248,32 @@ fn scalar_preliminary(ret: &RetExpan, world: &World, q: &Query) -> Vec<(EntityId
             (e.id, s)
         })
         .collect()
+}
+
+/// One sequential GenExpan pass over every query, with the memo counters it
+/// moved.
+fn genexpan_pass(gen: &GenExpan, world: &World) -> (GenExpanPass, Vec<RankedList>) {
+    let (windows, pairs) = (gen.memo_stats(), gen.pair_stats());
+    let t = Instant::now();
+    let lists: Vec<RankedList> = world
+        .queries()
+        .map(|(u, q)| gen.expand(world, u, q))
+        .collect();
+    let micros_per_query = ms(t) * 1e3 / lists.len().max(1) as f64;
+    let (windows_after, pairs_after) = (gen.memo_stats(), gen.pair_stats());
+    let ratio = |hits: u64, misses: u64| hits as f64 / (hits + misses).max(1) as f64;
+    let beams_run = windows_after.misses - windows.misses;
+    let pass = GenExpanPass {
+        micros_per_query,
+        beams_run,
+        window_hit_ratio: ratio(windows_after.hits - windows.hits, beams_run),
+        pair_hit_ratio: ratio(
+            pairs_after.hits - pairs.hits,
+            pairs_after.misses - pairs.misses,
+        ),
+        pairs_stored: pairs_after.entries,
+    };
+    (pass, lists)
 }
 
 fn expand_all<'w>(ret: &RetExpan, world: &'w World, queries: &[&'w Query]) -> Vec<RankedList> {
@@ -293,6 +353,37 @@ fn main() {
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
     let num_queries: usize = world.ultra_classes.iter().map(|u| u.queries.len()).sum();
+
+    // --- GenExpan stage (schema v5; skipped on huge) -----------------------
+    // First, so its line is on stderr even if a later gate stops the run.
+    let mut genexpan = None;
+    if !huge {
+        eprintln!("[perf] training GenExpan…");
+        let gen = GenExpan::train(&world, GenExpanConfig::default());
+        let (first_pass, first_lists) = genexpan_pass(&gen, &world);
+        let (warm_pass, warm_lists) = genexpan_pass(&gen, &world);
+        let identical = fingerprint(&first_lists) == fingerprint(&warm_lists);
+        assert!(
+            identical,
+            "GenExpan's warm pass diverged from its first pass"
+        );
+        for (name, p) in [("first", &first_pass), ("warm", &warm_pass)] {
+            eprintln!(
+                "[perf] genexpan {name} pass: {:.1}µs/query, {} beams, window hits {:.4}, \
+                 pair hits {:.4}, {} pairs stored",
+                p.micros_per_query,
+                p.beams_run,
+                p.window_hit_ratio,
+                p.pair_hit_ratio,
+                p.pairs_stored,
+            );
+        }
+        genexpan = Some(GenExpanStage {
+            first_pass,
+            warm_pass,
+            passes_byte_identical: identical,
+        });
+    }
 
     // On `huge` the encoder is deliberately cheap: the index stage measures
     // retrieval against the *exhaustive ranking over the same embeddings*,
@@ -606,12 +697,13 @@ fn main() {
     }
 
     let report = BenchReport {
-        schema_version: 4,
+        schema_version: 5,
         profile,
         seed: world.config.seed,
         host_parallelism,
         num_queries,
         num_entities: world.num_entities(),
+        genexpan,
         scoring,
         training,
         eval,
@@ -623,10 +715,12 @@ fn main() {
              byte-identical and t4-vs-t1 reflects hardware parallelism only. The index \
              sweep times the preliminary scoring stage (candidate generation + ranking) \
              per query; IVF speedups are algorithmic (scan nprobe/nlist of the entities) \
-             and hold on single-core hosts. scoring/training/eval/startup are null on \
-             the huge profile by design. The training stage times the fused batched \
-             contrastive step (persistent worker team, cost-weighted chunks, recycled \
-             workspaces) against the committed v3 per-example baseline. The startup \
+             and hold on single-core hosts. genexpan/scoring/training/eval/startup are \
+             null on the huge profile by design. The genexpan stage runs every query on \
+             one fresh GenExpan instance, then again with its memos warm. The training \
+             stage times the fused batched contrastive step (persistent worker team, \
+             cost-weighted chunks, recycled workspaces) against the committed v3 \
+             per-example baseline. The startup \
              stage times the full offline phase against a checksum-verified USNP \
              snapshot load of the same engine."
         ),
@@ -648,6 +742,19 @@ fn main() {
     if let Ok(json) = serde_json::to_string_pretty(&report) {
         let _ = std::fs::write("BENCH_expand.json", json + "\n");
         eprintln!("[perf] wrote BENCH_expand.json");
+    }
+    if let Some(g) = &report.genexpan {
+        println!(
+            "genexpan: first {:.1}µs/query ({} beams, pair hits {:.3})  warm {:.1}µs/query \
+             ({} beams, pair hits {:.3})  {} pairs",
+            g.first_pass.micros_per_query,
+            g.first_pass.beams_run,
+            g.first_pass.pair_hit_ratio,
+            g.warm_pass.micros_per_query,
+            g.warm_pass.beams_run,
+            g.warm_pass.pair_hit_ratio,
+            g.warm_pass.pairs_stored,
+        );
     }
     if let Some(s) = &report.scoring {
         println!(

@@ -2,10 +2,10 @@
 
 use crate::cooc::CoocIndex;
 use crate::cot::{self, CotConfig};
-use crate::memo::{MemoStats, WindowKey, WindowMemo};
+use crate::memo::{MemoStats, PairKey, PairMemo, WindowKey, WindowMemo};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 use ultra_core::rng::{derive_rng, UltraRng};
 use ultra_core::stable::{FNV_OFFSET, FNV_PRIME};
@@ -119,20 +119,23 @@ struct ExpItem {
     score: f64,
 }
 
-/// One seed's side of Eq. 7: its name and its template `f(seed)`, resolved
-/// once per query.
+/// One seed's side of Eq. 7: its id, its name and its template `f(seed)`,
+/// resolved once per query.
 struct SeedTemplate<'a> {
+    id: EntityId,
     name: &'a [TokenId],
     template: LmContext<'a>,
 }
 
 /// A trained GenExpan instance.
 ///
-/// Clones share the trained LM, the co-occurrence index and the window
-/// memo (DESIGN.md §6, "GenExpan round reuse"); the memo's key covers every
-/// configuration field a round's candidates depend on, except the trie, so
+/// Clones share the trained LM, the co-occurrence index and both memos
+/// (DESIGN.md §6, "GenExpan round reuse" and "Eq. 7 once per entity
+/// pair"). The window memo's key covers every configuration field a
+/// round's candidates depend on, except the trie, so
 /// [`restricted_to`](Self::restricted_to) — the one way to change the
-/// trie — starts a fresh memo.
+/// trie — starts a fresh window memo. Eq. 7's term reads no configuration
+/// and no trie, so restrictions share the pair memo too.
 #[derive(Clone)]
 pub struct GenExpan {
     /// Configuration.
@@ -141,7 +144,8 @@ pub struct GenExpan {
     trie: PrefixTrie,
     cooc: Arc<CoocIndex>,
     sep: TokenId,
-    memo: Arc<WindowMemo>,
+    windows: Arc<WindowMemo>,
+    pairs: Arc<PairMemo>,
 }
 
 impl GenExpan {
@@ -179,7 +183,8 @@ impl GenExpan {
             trie,
             cooc: Arc::new(CoocIndex::build(world)),
             sep: world.list_sep,
-            memo: Arc::new(WindowMemo::new()),
+            windows: Arc::new(WindowMemo::new()),
+            pairs: Arc::new(PairMemo::new()),
         }
     }
 
@@ -187,8 +192,9 @@ impl GenExpan {
     /// the Table 10 paradigm-interaction setting, where another model's
     /// recall forms the candidate set. Shares the LM and the co-occurrence
     /// index; builds only a trie over the pool's names, and a fresh window
-    /// memo (the memo's key does not cover the trie, so this instance must
-    /// never read its parent's entries).
+    /// memo (the window memo's key does not cover the trie, so this instance
+    /// must never read its parent's windows). The pair memo is shared: Eq. 7
+    /// never reads the trie.
     pub fn restricted_to(&self, world: &World, pool: &[EntityId]) -> GenExpan {
         Self {
             config: self.config.clone(),
@@ -196,7 +202,8 @@ impl GenExpan {
             trie: name_trie(world, pool.iter().copied()),
             cooc: Arc::clone(&self.cooc),
             sep: self.sep,
-            memo: Arc::new(WindowMemo::new()),
+            windows: Arc::new(WindowMemo::new()),
+            pairs: Arc::clone(&self.pairs),
         }
     }
 
@@ -213,7 +220,13 @@ impl GenExpan {
     /// Window-memo counters (DESIGN.md §6, "GenExpan round reuse"); shared
     /// with every clone of this instance.
     pub fn memo_stats(&self) -> MemoStats {
-        self.memo.stats()
+        self.windows.stats()
+    }
+
+    /// Pair-memo counters (DESIGN.md §6, "Eq. 7 once per entity pair");
+    /// shared with every clone and restriction of this instance.
+    pub fn pair_stats(&self) -> MemoStats {
+        self.pairs.stats()
     }
 
     /// Eq. 7's list-continuation template `f(e) = "{e} ,"` (the substitute
@@ -229,9 +242,10 @@ impl GenExpan {
     fn seed_templates<'a>(&'a self, world: &'a World, seeds: &[EntityId]) -> Vec<SeedTemplate<'a>> {
         seeds
             .iter()
-            .map(|s| {
-                let name = world.name_tokens[s.index()].as_slice();
+            .map(|&id| {
+                let name = world.name_tokens[id.index()].as_slice();
                 SeedTemplate {
+                    id,
                     name,
                     template: self.template(name),
                 }
@@ -239,23 +253,28 @@ impl GenExpan {
             .collect()
     }
 
-    /// Mean Eq. 7 score against a seed set, in log space.
+    /// Mean Eq. 7 score of entity `e` against a seed set, in log space.
     ///
     /// Scored bidirectionally — `√(P(seed|f(e)) · P(e|f(seed)))` — which
     /// denoises the asymmetry of sparse list statistics (the paper's
     /// LLaMA scores only `P(e'|f(e))`; with dense LM statistics the two
-    /// directions agree).
-    fn seed_logscore(&self, e_tokens: &[TokenId], seeds: &[SeedTemplate<'_>]) -> f64 {
+    /// directions agree). Each seed's term comes from the pair memo;
+    /// `f(e)` is resolved only if one is missing.
+    fn seed_logscore(&self, world: &World, e: EntityId, seeds: &[SeedTemplate<'_>]) -> f64 {
         if seeds.is_empty() {
             return f64::NEG_INFINITY;
         }
-        let f_e = self.template(e_tokens);
+        let e_tokens = world.name_tokens[e.index()].as_slice();
+        let mut f_e = None;
         let mean: f64 = seeds
             .iter()
             .map(|s| {
-                let fwd = self.lm.entity_score_from(&f_e, s.name);
-                let bwd = self.lm.entity_score_from(&s.template, e_tokens);
-                (fwd * bwd).sqrt()
+                self.pairs.get_or_compute(PairKey::new(e, s.id), || {
+                    let f_e = f_e.get_or_insert_with(|| self.template(e_tokens));
+                    let fwd = self.lm.entity_score_from(f_e, s.name);
+                    let bwd = self.lm.entity_score_from(&s.template, e_tokens);
+                    (fwd * bwd).sqrt()
+                })
             })
             .sum::<f64>()
             / seeds.len() as f64;
@@ -324,8 +343,7 @@ impl GenExpan {
                     // relative score cancels the entity's overall LM
                     // affinity, which would otherwise dominate the sparse
                     // Eq. 7 statistics.
-                    let name = &world.name_tokens[e.index()];
-                    let mut s = self.seed_logscore(name, &neg_seeds) - item.pos;
+                    let mut s = self.seed_logscore(world, e, &neg_seeds) - item.pos;
                     if !neg_cond.is_empty() {
                         s += lambda * self.cooc.condition_logscore(e, &neg_cond);
                     }
@@ -344,7 +362,7 @@ impl GenExpan {
     fn round_candidates(&self, world: &World, prompt: &[TokenId]) -> Arc<[EntityId]> {
         let window = &prompt[prompt.len().saturating_sub(self.lm.order() - 1)..];
         let key = WindowKey::new(self.config.beam, self.config.min_gen_score, window);
-        self.memo.get_or_compute(key, || {
+        self.windows.get_or_compute(key, || {
             let mut ids = Vec::new();
             for (e, gm) in constrained_entity_beam(&self.lm, prompt, &self.trie, self.config.beam) {
                 let len = world.name_tokens[e.index()].len() as i32;
@@ -353,7 +371,7 @@ impl GenExpan {
                 }
                 ids.push(e);
             }
-            ids
+            ids.into()
         })
     }
 
@@ -369,16 +387,11 @@ impl GenExpan {
         let mut real_set: HashSet<EntityId> = query.all_seeds().collect();
         let mut fake_set: HashSet<Vec<TokenId>> = HashSet::new();
         let pos_seeds = self.seed_templates(world, &query.pos_seeds);
-        // Eq. 7 against the positive seeds, once per entity: a candidate
-        // left out by the top-p cut comes back in later rounds.
-        let mut pos_scores: BTreeMap<EntityId, f64> = BTreeMap::new();
         // Score = Eq.7 against positive seeds + λ · long-range
         // conditioning (CoT / RA tokens).
         let lambda = self.config.cond_weight;
-        let mut candidate = |e: EntityId, name: &[TokenId]| {
-            let pos = *pos_scores
-                .entry(e)
-                .or_insert_with(|| self.seed_logscore(name, &pos_seeds));
+        let candidate = |e: EntityId| {
+            let pos = self.seed_logscore(world, e, &pos_seeds);
             let mut score = pos;
             if !pos_cond.is_empty() {
                 score += lambda * self.cooc.condition_logscore(e, pos_cond);
@@ -408,7 +421,7 @@ impl GenExpan {
             if self.config.constrained {
                 for &e in self.round_candidates(world, &prompt).iter() {
                     if !real_set.contains(&e) {
-                        new_items.push(candidate(e, &world.name_tokens[e.index()]));
+                        new_items.push(candidate(e));
                     }
                 }
             } else {
@@ -424,7 +437,7 @@ impl GenExpan {
                     match g.entity {
                         // A valid sequence is exactly the entity's name.
                         Some(e) if !real_set.contains(&e) => {
-                            new_items.push(candidate(e, &g.tokens));
+                            new_items.push(candidate(e));
                         }
                         Some(_) => {}
                         None => {
@@ -689,19 +702,27 @@ mod tests {
         let w = world();
         let warmed = GenExpan::train(&w, quick_cfg());
         let full = lists(&warmed, &w, 8);
-        assert!(warmed.memo_stats().windows > 0);
+        assert!(warmed.memo_stats().entries > 0);
         let pool = target_pool(&w);
         let restricted = warmed.restricted_to(&w, &pool);
-        let fresh = GenExpan::from_parts(
+        let fresh = fresh(
+            &warmed,
             &w,
             quick_cfg(),
-            (*warmed.lm).clone(),
             name_trie(&w, pool.iter().copied()),
         );
         let want = lists(&fresh, &w, 8);
         assert_ne!(want, full, "the restriction must matter");
         assert_eq!(lists(&restricted, &w, 8), want);
         assert!(Arc::ptr_eq(&restricted.lm, &warmed.lm), "the LM is shared");
+        assert!(
+            Arc::ptr_eq(&restricted.pairs, &warmed.pairs),
+            "so is the pair memo"
+        );
+        assert!(
+            !Arc::ptr_eq(&restricted.windows, &warmed.windows),
+            "the window memo is not"
+        );
     }
 
     /// The ranked lists of the world's first `n` queries.
@@ -712,22 +733,31 @@ mod tests {
             .collect()
     }
 
+    /// A fresh instance (both memos empty) on `trained`'s LM.
+    fn fresh(trained: &GenExpan, w: &World, cfg: GenExpanConfig, trie: PrefixTrie) -> GenExpan {
+        GenExpan::from_parts(w, cfg, (*trained.lm).clone(), trie)
+    }
+
     #[test]
     fn a_warm_memo_gives_the_cold_lists_without_running_a_beam() {
         let w = world();
         let gen = GenExpan::train(&w, quick_cfg());
         let cold = lists(&gen, &w, 8);
-        let after_cold = gen.memo_stats();
-        assert!(after_cold.misses > 0 && after_cold.windows > 0);
+        let (windows_cold, pairs_cold) = (gen.memo_stats(), gen.pair_stats());
+        assert!(windows_cold.misses > 0 && windows_cold.entries > 0);
+        assert!(pairs_cold.misses > 0 && pairs_cold.entries > 0);
         assert_eq!(lists(&gen, &w, 8), cold);
-        let after_warm = gen.memo_stats();
-        assert_eq!(after_warm.misses, after_cold.misses, "every round hit");
-        assert!(after_warm.hits > after_cold.hits);
-        assert_eq!(after_warm.capacity, crate::memo::MEMO_CAPACITY);
+        let (windows_warm, pairs_warm) = (gen.memo_stats(), gen.pair_stats());
+        assert_eq!(windows_warm.misses, windows_cold.misses, "every round hit");
+        assert!(windows_warm.hits > windows_cold.hits);
+        assert_eq!(pairs_warm.misses, pairs_cold.misses, "every Eq. 7 term hit");
+        assert!(pairs_warm.hits > pairs_cold.hits);
+        assert_eq!(windows_warm.capacity, crate::memo::WINDOW_CAPACITY);
+        assert_eq!(pairs_warm.capacity, crate::memo::PAIR_CAPACITY);
     }
 
     #[test]
-    fn reconfigured_beams_and_floors_match_a_fresh_instance() {
+    fn reconfigured_clones_match_a_fresh_instance() {
         let w = world();
         let mut warmed = GenExpan::train(&w, quick_cfg());
         let default_lists = lists(&warmed, &w, 8);
@@ -751,20 +781,46 @@ mod tests {
                 min_gen_score: 0.2,
                 ..quick_cfg()
             },
+            GenExpanConfig {
+                rerank: false,
+                ..quick_cfg()
+            },
+            GenExpanConfig {
+                top_p_frac: 0.4,
+                ..quick_cfg()
+            },
+            // λ weighs conditioning tokens, so these two give it some.
+            GenExpanConfig {
+                ra: GenRaSource::GtAttrs,
+                ..quick_cfg()
+            },
+            GenExpanConfig {
+                ra: GenRaSource::GtAttrs,
+                cond_weight: 2.0,
+                ..quick_cfg()
+            },
         ];
+        let mut seen = vec![default_lists.clone()];
         for cfg in changed {
-            let name = format!("{:?} floor {}", cfg.beam, cfg.min_gen_score);
-            let want = lists(&GenExpan::train(&w, cfg.clone()), &w, 8);
-            assert_ne!(want, default_lists, "{name}: the change must matter");
-            // A clone shares the warm memo.
+            let name = format!(
+                "{:?} floor {} rerank {} top-p {} {:?} λ {}",
+                cfg.beam, cfg.min_gen_score, cfg.rerank, cfg.top_p_frac, cfg.ra, cfg.cond_weight
+            );
+            let want = lists(&fresh(&warmed, &w, cfg.clone(), warmed.trie.clone()), &w, 8);
+            assert!(!seen.contains(&want), "{name}: the change must matter");
+            // A clone shares both warm memos.
             let mut clone = warmed.clone();
             clone.config = cfg.clone();
+            let pair_hits = warmed.pair_stats().hits;
             assert_eq!(lists(&clone, &w, 8), want, "{name} on a clone");
+            assert!(Arc::ptr_eq(&clone.pairs, &warmed.pairs));
+            assert!(warmed.pair_stats().hits > pair_hits, "{name}: no pair read");
             // So does the warmed instance itself, reconfigured and restored.
             warmed.config = cfg;
             assert_eq!(lists(&warmed, &w, 8), want, "{name} in place");
             warmed.config = quick_cfg();
             assert_eq!(lists(&warmed, &w, 8), default_lists, "{name} restored");
+            seen.push(want);
         }
     }
 
@@ -773,17 +829,62 @@ mod tests {
         let w = world();
         let unbounded = GenExpan::train(&w, quick_cfg());
         let mut bounded = GenExpan::train(&w, quick_cfg());
-        bounded.memo = Arc::new(WindowMemo::with_capacity(5));
+        bounded.windows = Arc::new(WindowMemo::with_capacity(5));
+        bounded.pairs = Arc::new(PairMemo::with_capacity(5));
         for _ in 0..2 {
             assert_eq!(lists(&bounded, &w, 8), lists(&unbounded, &w, 8));
         }
-        let stats = bounded.memo_stats();
-        assert_eq!((stats.windows, stats.capacity), (5, 5));
-        assert!(
-            unbounded.memo_stats().windows > 5,
-            "the run needs more windows than the bounded memo holds"
-        );
-        assert!(stats.misses > unbounded.memo_stats().misses);
+        for (memo, full, starved) in [
+            ("window", unbounded.memo_stats(), bounded.memo_stats()),
+            ("pair", unbounded.pair_stats(), bounded.pair_stats()),
+        ] {
+            assert_eq!((starved.entries, starved.capacity), (5, 5), "{memo}");
+            assert!(
+                full.entries > 5,
+                "the run needs more {memo} entries than the bounded memo holds"
+            );
+            assert!(starved.misses > full.misses, "{memo}");
+        }
+    }
+
+    #[test]
+    fn a_stored_pair_term_equals_both_direct_orders_bit_for_bit() {
+        let w = world();
+        let gen = GenExpan::train(&w, quick_cfg());
+        // Eq. 7's term with `cand` as the scored entity and `seed` as the seed.
+        let direct = |cand: EntityId, seed: EntityId| {
+            let (c, s) = (&w.name_tokens[cand.index()], &w.name_tokens[seed.index()]);
+            let fwd = gen.lm.entity_score_from(&gen.template(c), s);
+            let bwd = gen.lm.entity_score_from(&gen.template(s), c);
+            (fwd * bwd).sqrt()
+        };
+        let (u, q) = w.queries().next().unwrap();
+        let others = u.pos_targets.iter().chain(&u.neg_targets).take(12);
+        let mut checked = 0;
+        for (&a, &b) in q
+            .pos_seeds
+            .iter()
+            .zip(others.clone())
+            .chain(others.zip(&q.neg_seeds))
+        {
+            let (ab, ba) = (direct(a, b), direct(b, a));
+            assert_eq!(
+                ab.to_bits(),
+                ba.to_bits(),
+                "{a:?} {b:?}: the term is symmetric"
+            );
+            // Stored with `a` scored against seed `b`, then read back with
+            // the roles swapped.
+            let scored = gen.seed_logscore(&w, a, &gen.seed_templates(&w, &[b]));
+            let misses = gen.pair_stats().misses;
+            let swapped = gen.seed_logscore(&w, b, &gen.seed_templates(&w, &[a]));
+            assert_eq!(gen.pair_stats().misses, misses, "{a:?} {b:?}: a hit");
+            assert_eq!(scored.to_bits(), swapped.to_bits());
+            let stored = gen.pairs.get_or_compute(PairKey::new(b, a), || f64::NAN);
+            assert_eq!(stored.to_bits(), ab.to_bits(), "{a:?} {b:?}");
+            checked += 1;
+        }
+        assert!(checked > 0);
     }
 
     #[test]

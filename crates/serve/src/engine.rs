@@ -10,7 +10,7 @@
 
 use crate::api::{ExpandRequest, Method};
 use crate::cache::{CacheKey, CacheStats, ShardedLruCache};
-use crate::metrics::GenExpanMemoStats;
+use crate::metrics::{GenExpanMemoStats, GenExpanPairStats};
 use crate::ServeError;
 use std::sync::Arc;
 use ultra_ann::{AnnSpec, IvfIndex};
@@ -437,6 +437,13 @@ impl ExpansionEngine {
         self.genexpan
             .as_ref()
             .map_or_else(GenExpanMemoStats::default, |g| g.memo_stats().into())
+    }
+
+    /// GenExpan's pair-memo counters; all zero when GenExpan is off.
+    pub fn pair_stats(&self) -> GenExpanPairStats {
+        self.genexpan
+            .as_ref()
+            .map_or_else(GenExpanPairStats::default, |g| g.pair_stats().into())
     }
 
     fn ultra_of(&self, query: &Query) -> Result<&UltraClass, ServeError> {

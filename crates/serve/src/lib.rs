@@ -52,7 +52,7 @@ pub mod server;
 pub use api::{ExpandRequest, ExpandResponse, HealthResponse, Method};
 pub use cache::{CacheKey, CacheStats, ShardedLruCache};
 pub use engine::{CacheOutcome, EngineConfig, ExpansionEngine, IndexInfo, SnapshotRuntime};
-pub use metrics::{GenExpanMemoStats, MetricsSnapshot, ServeMetrics};
+pub use metrics::{GenExpanMemoStats, GenExpanPairStats, MetricsSnapshot, ServeMetrics};
 pub use pool::WorkerPool;
 pub use server::{EngineInstaller, Server, ServerConfig, ServerHandle};
 

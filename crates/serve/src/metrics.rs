@@ -166,18 +166,17 @@ impl ServeMetrics {
         .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Point-in-time snapshot (cache and memo stats, queue depth, and the
-    /// pool's own panic count are sampled by the caller, which owns those
-    /// components). `pool_panics` is added to the route-level count so
-    /// `panics_total` covers both containment layers.
+    /// Point-in-time snapshot of the server's own counters. Queue depth
+    /// and the pool's panic count are sampled by the caller, which owns the
+    /// pool; `pool_panics` is added to the route-level count so
+    /// `panics_total` covers both containment layers. The engine's sections
+    /// (`cache`, `genexpan_memo`, `genexpan_pairs`, `index`) are left at
+    /// their defaults for the caller to fill from the engine.
     pub fn snapshot(
         &self,
-        cache: CacheStats,
-        genexpan_memo: GenExpanMemoStats,
         queue_depth: usize,
         workers: usize,
         pool_panics: u64,
-        index: IndexInfo,
     ) -> MetricsSnapshot {
         MetricsSnapshot {
             requests_total: self.requests_total.load(Ordering::Relaxed),
@@ -191,12 +190,10 @@ impl ServeMetrics {
                 .saturating_add(pool_panics),
             queue_depth,
             workers,
-            cache,
-            genexpan_memo,
-            index,
             expand_latency: self.expand_latency.snapshot(),
             healthz_latency: self.healthz_latency.snapshot(),
             metrics_latency: self.metrics_latency.snapshot(),
+            ..MetricsSnapshot::default()
         }
     }
 }
@@ -220,7 +217,32 @@ impl From<MemoStats> for GenExpanMemoStats {
         Self {
             hits: m.hits,
             misses: m.misses,
-            windows: m.windows,
+            windows: m.entries,
+            capacity: m.capacity,
+        }
+    }
+}
+
+/// GenExpan's pair-memo counters ([`MemoStats`]) as `GET /metrics` serves
+/// them.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct GenExpanPairStats {
+    /// Eq. 7 per-seed terms found stored.
+    pub hits: u64,
+    /// Eq. 7 per-seed terms computed.
+    pub misses: u64,
+    /// Entity pairs stored.
+    pub pairs: usize,
+    /// Most pairs the memo stores.
+    pub capacity: usize,
+}
+
+impl From<MemoStats> for GenExpanPairStats {
+    fn from(m: MemoStats) -> Self {
+        Self {
+            hits: m.hits,
+            misses: m.misses,
+            pairs: m.entries,
             capacity: m.capacity,
         }
     }
@@ -250,6 +272,8 @@ pub struct MetricsSnapshot {
     pub cache: CacheStats,
     /// GenExpan window-memo counters (all zero when GenExpan is off).
     pub genexpan_memo: GenExpanMemoStats,
+    /// GenExpan pair-memo counters (all zero when GenExpan is off).
+    pub genexpan_pairs: GenExpanPairStats,
     /// Active candidate source and its startup index-build cost.
     pub index: IndexInfo,
     /// `POST /expand` latency.
@@ -296,14 +320,7 @@ mod tests {
         m.record_status(204);
         m.record_status(400);
         m.record_status(503);
-        let snap = m.snapshot(
-            CacheStats::default(),
-            GenExpanMemoStats::default(),
-            0,
-            4,
-            0,
-            IndexInfo::default(),
-        );
+        let snap = m.snapshot(0, 4, 0);
         assert_eq!(snap.responses_2xx, 2);
         assert_eq!(snap.responses_4xx, 1);
         assert_eq!(snap.responses_5xx, 1);
@@ -314,14 +331,7 @@ mod tests {
     fn panics_total_sums_route_and_pool_counts() {
         let m = ServeMetrics::default();
         m.panics_caught.fetch_add(2, Ordering::Relaxed);
-        let snap = m.snapshot(
-            CacheStats::default(),
-            GenExpanMemoStats::default(),
-            0,
-            1,
-            3,
-            IndexInfo::default(),
-        );
+        let snap = m.snapshot(0, 1, 3);
         assert_eq!(snap.panics_total, 5);
     }
 
@@ -330,14 +340,13 @@ mod tests {
         let m = ServeMetrics::default();
         m.expand_latency.record(123);
         m.record_status(200);
-        let snap = m.snapshot(
-            CacheStats::default(),
-            GenExpanMemoStats::default(),
-            2,
-            8,
-            1,
-            IndexInfo::default(),
-        );
+        let mut snap = m.snapshot(2, 8, 1);
+        snap.genexpan_pairs = GenExpanPairStats {
+            hits: 5,
+            misses: 3,
+            pairs: 3,
+            capacity: 8,
+        };
         let json = serde_json::to_string(&snap).expect("serialize");
         let back: MetricsSnapshot = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(back, snap);

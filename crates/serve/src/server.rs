@@ -73,14 +73,13 @@ impl ServerShared {
             .get()
             .map(|(gauge, workers)| (gauge.depth(), *workers, gauge.panics_total()))
             .unwrap_or((0, 0, 0));
-        Some(self.metrics.snapshot(
-            engine.cache_stats(),
-            engine.memo_stats(),
-            queue_depth,
-            workers,
-            pool_panics,
-            engine.index_info().clone(),
-        ))
+        Some(MetricsSnapshot {
+            cache: engine.cache_stats(),
+            genexpan_memo: engine.memo_stats(),
+            genexpan_pairs: engine.pair_stats(),
+            index: engine.index_info().clone(),
+            ..self.metrics.snapshot(queue_depth, workers, pool_panics)
+        })
     }
 }
 

@@ -207,7 +207,7 @@ fn a_deeper_genexpan_request_takes_every_round_from_the_window_memo() {
         let resp = roundtrip(&handle, "GET", "/metrics", b"");
         assert_eq!(resp.status, 200);
         let snap: MetricsSnapshot = serde_json::from_slice(&resp.body).expect("metrics json");
-        snap.genexpan_memo
+        (snap.genexpan_memo, snap.genexpan_pairs)
     };
     let expand = |top_k: usize| {
         let body = serde_json::to_vec(&ExpandRequest::replay(Method::GenExpan, 0, top_k))
@@ -221,15 +221,22 @@ fn a_deeper_genexpan_request_takes_every_round_from_the_window_memo() {
     };
 
     let first = expand(10);
-    let after_first = memo();
+    let (after_first, pairs_first) = memo();
     assert!(after_first.misses > 0, "a cold memo runs beams");
+    assert!(pairs_first.misses > 0, "and scores Eq. 7 terms");
     let second = expand(20);
-    let after_second = memo();
+    let (after_second, pairs_second) = memo();
     assert_eq!(
         after_second.misses, after_first.misses,
         "the same query's rounds are all stored"
     );
     assert!(after_second.hits > after_first.hits);
+    assert_eq!(
+        pairs_second.misses, pairs_first.misses,
+        "and so are its Eq. 7 terms"
+    );
+    assert!(pairs_second.hits > pairs_first.hits);
+    assert!(pairs_second.pairs <= pairs_second.capacity);
     assert_eq!(second.len(), 20);
     assert_eq!(second[..10], first[..]);
     handle.shutdown();
