@@ -13,6 +13,7 @@ use ultra_core::{mix_seed, rerank_by_negatives, EntityId, Query, RankedList, Tok
 use ultra_data::World;
 use ultra_lm::{
     constrained_entity_beam, unconstrained_beam, BeamParams, LmContext, ModelSpec, NgramLm,
+    RootOrder,
 };
 use ultra_text::PrefixTrie;
 
@@ -129,19 +130,23 @@ struct SeedTemplate<'a> {
 
 /// A trained GenExpan instance.
 ///
-/// Clones share the trained LM, the co-occurrence index and both memos
-/// (DESIGN.md §6, "GenExpan round reuse" and "Eq. 7 once per entity
-/// pair"). The window memo's key covers every configuration field a
-/// round's candidates depend on, except the trie, so
-/// [`restricted_to`](Self::restricted_to) — the one way to change the
-/// trie — starts a fresh window memo. Eq. 7's term reads no configuration
-/// and no trie, so restrictions share the pair memo too.
+/// Clones share the trained LM, the trie's root order, the co-occurrence
+/// index and both memos (DESIGN.md §6, "Sparse root step", "GenExpan round
+/// reuse" and "Eq. 7 once per entity pair"). The window memo's key covers
+/// every configuration field a round's candidates depend on, except the
+/// trie, so [`restricted_to`](Self::restricted_to) — the one way to change
+/// the trie — starts a fresh window memo and ranks its own root order.
+/// Eq. 7's term reads no configuration and no trie, so restrictions share
+/// the pair memo too.
 #[derive(Clone)]
 pub struct GenExpan {
     /// Configuration.
     pub config: GenExpanConfig,
     lm: Arc<NgramLm>,
     trie: PrefixTrie,
+    /// `trie`'s root children ranked after the separator, if the LM saw
+    /// the separator as a context.
+    root: Option<Arc<RootOrder>>,
     cooc: Arc<CoocIndex>,
     sep: TokenId,
     windows: Arc<WindowMemo>,
@@ -169,8 +174,8 @@ impl GenExpan {
 
     /// Reassembles a pipeline from previously persisted parts (snapshot
     /// load): the trained LM and trie are supplied, while the co-occurrence
-    /// index and the list separator — cheap, pure functions of the world —
-    /// are rebuilt in place.
+    /// index, the list separator and the trie's root order — cheap, pure
+    /// functions of the world and the parts — are rebuilt in place.
     pub fn from_parts(
         world: &World,
         config: GenExpanConfig,
@@ -179,6 +184,7 @@ impl GenExpan {
     ) -> Self {
         Self {
             config,
+            root: RootOrder::new(&lm, &trie, world.list_sep).map(Arc::new),
             lm: Arc::new(lm),
             trie,
             cooc: Arc::new(CoocIndex::build(world)),
@@ -191,15 +197,17 @@ impl GenExpan {
     /// The same trained model with its candidates restricted to `pool` —
     /// the Table 10 paradigm-interaction setting, where another model's
     /// recall forms the candidate set. Shares the LM and the co-occurrence
-    /// index; builds only a trie over the pool's names, and a fresh window
-    /// memo (the window memo's key does not cover the trie, so this instance
-    /// must never read its parent's windows). The pair memo is shared: Eq. 7
-    /// never reads the trie.
+    /// index; builds only a trie over the pool's names, its root order, and
+    /// a fresh window memo (the window memo's key does not cover the trie,
+    /// so this instance must never read its parent's windows). The pair
+    /// memo is shared: Eq. 7 never reads the trie.
     pub fn restricted_to(&self, world: &World, pool: &[EntityId]) -> GenExpan {
+        let trie = name_trie(world, pool.iter().copied());
         Self {
             config: self.config.clone(),
             lm: Arc::clone(&self.lm),
-            trie: name_trie(world, pool.iter().copied()),
+            root: RootOrder::new(&self.lm, &trie, self.sep).map(Arc::new),
+            trie,
             cooc: Arc::clone(&self.cooc),
             sep: self.sep,
             windows: Arc::new(WindowMemo::new()),
@@ -364,7 +372,10 @@ impl GenExpan {
         let key = WindowKey::new(self.config.beam, self.config.min_gen_score, window);
         self.windows.get_or_compute(key, || {
             let mut ids = Vec::new();
-            for (e, gm) in constrained_entity_beam(&self.lm, prompt, &self.trie, self.config.beam) {
+            let root = self.root.as_deref();
+            for (e, gm) in
+                constrained_entity_beam(&self.lm, prompt, &self.trie, root, self.config.beam)
+            {
                 let len = world.name_tokens[e.index()].len() as i32;
                 if gm.powi(len) < self.config.min_gen_score {
                     continue;
@@ -885,6 +896,18 @@ mod tests {
             checked += 1;
         }
         assert!(checked > 0);
+    }
+
+    #[test]
+    fn clones_share_the_root_order_and_restrictions_rank_their_own() {
+        let w = world();
+        let gen = GenExpan::train(&w, quick_cfg());
+        let root = gen.root.as_ref().expect("the LM saw the separator");
+        let clone = gen.clone();
+        assert!(Arc::ptr_eq(root, clone.root.as_ref().expect("shared")));
+        let restricted = gen.restricted_to(&w, &target_pool(&w));
+        let own = restricted.root.as_ref().expect("the same LM saw it");
+        assert!(!Arc::ptr_eq(root, own));
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //!   resolved context ([`LmContext`]) along count-table links one token at
 //!   a time instead of searching the tables,
 //! * prefix-trie-constrained beam search returning only valid candidate
-//!   entities ([`decode::constrained_entity_beam`]), and an *unconstrained*
-//!   variant that can hallucinate token sequences (the Table 3 "- Prefix
-//!   constrain" ablation),
+//!   entities ([`decode::constrained_entity_beam`], whose first step after
+//!   a list separator scores only the root children a [`RootOrder`] says
+//!   can matter), and an *unconstrained* variant that can hallucinate
+//!   token sequences (the Table 3 "- Prefix constrain" ablation),
 //! * a capacity ladder ([`ModelSpec`]) standing in for the BLOOM/LLaMA
 //!   family-and-size sweep of Figure 8 (n-gram order = capacity; smoothing
 //!   family = model family).
@@ -26,6 +27,8 @@ pub mod decode;
 pub mod ngram;
 pub mod spec;
 
-pub use decode::{constrained_entity_beam, unconstrained_beam, BeamParams, GeneratedSeq};
+pub use decode::{
+    constrained_entity_beam, unconstrained_beam, BeamParams, GeneratedSeq, RootOrder,
+};
 pub use ngram::{LmContext, NgramLm, Smoothing};
 pub use spec::ModelSpec;

@@ -325,6 +325,12 @@ impl NgramLm {
         self.vocab_size
     }
 
+    /// Smoothing family.
+    #[inline]
+    pub(crate) fn smoothing(&self) -> Smoothing {
+        self.smoothing
+    }
+
     /// Accumulates counts from documents (token sequences): every
     /// `(k + 1)`-gram of a document counts its last token after its first
     /// `k`, for each `k < order`.
@@ -729,6 +735,36 @@ impl<'a> LmContext<'a> {
                 .interpolate(level, gallop(level.run, pos, w), p);
         }
         p
+    }
+
+    /// Whether the shortest observed suffix is one token long: for a
+    /// context ending in `w`, the level of the context `[w]`.
+    pub(crate) fn has_unit_suffix(&self) -> bool {
+        self.depth > 0 && self.suffixes[0].len == 1
+    }
+
+    /// The total and the number of types of the unigram level and of the
+    /// shortest observed suffix (an empty level if there is none).
+    pub(crate) fn unit_levels(&self) -> [(f64, usize); 2] {
+        [&self.unigram, &self.suffixes[0]].map(|l| (l.total, l.run.len()))
+    }
+
+    /// The runs of the observed suffixes past the shortest.
+    pub(crate) fn longer_runs(&self) -> impl Iterator<Item = &'a [(u32, u32)]> + '_ {
+        self.suffixes[1..self.depth.max(1)].iter().map(|l| l.run)
+    }
+
+    /// `P(w | context)` of a token `w` absent from every
+    /// [`longer_runs`](Self::longer_runs) run, from `p1`, its probability
+    /// after the unigram and the shortest suffix: the smoothing step of
+    /// each longer suffix with a zero count, as [`score`](Self::score)
+    /// applies it.
+    #[inline]
+    pub(crate) fn past_shortest_suffix(&self, p1: f64) -> f64 {
+        let lm = self.lm;
+        self.suffixes[1..self.depth.max(1)]
+            .iter()
+            .fold(p1, |p, level| lm.smoothing.interpolate(level, 0.0, p))
     }
 
     /// Candidate continuations for unconstrained beam search: tokens

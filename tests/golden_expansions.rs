@@ -14,8 +14,9 @@
 //! * the GenExpan decode paths the tiny default run does not reach: the
 //!   default pipeline over every small-world query (with its window memo
 //!   cold, warm, and shared by four workers), the same queries without
-//!   further pre-training, a Witten-Bell backbone and unconstrained
-//!   decoding;
+//!   further pre-training, three more Figure 8 rungs (Witten-Bell at orders
+//!   3 and 5, absolute discounting at order 6, where a root step after the
+//!   separator has up to four longer levels) and unconstrained decoding;
 //! * contrastive training (Section 5.1.2) on lists mined from the tiny
 //!   RetExpan, as the `retexpan-contrast` row runs it: the loss curve's
 //!   bits, the trained encoder's parameter fingerprint and the ranked
@@ -239,27 +240,35 @@ fn contrastive_training_matches_the_pinned_fingerprints() {
 /// only while the beam prunes keep equal log-probs in input order (beam
 /// order, then ascending token, through `ultra_core::top_k`): on those
 /// backbones the ties decide which hypotheses survive.
-const GENEXPAN_DECODE_GOLDEN: [(&str, u64); 4] = [
+/// `genexpan-bloom-7b1` and `genexpan-llama-13b` were computed with the
+/// full root merge, before the constrained beam's sparse root step.
+const GENEXPAN_DECODE_GOLDEN: [(&str, u64); 6] = [
     ("genexpan-small", 0x246e_3b08_ff30_d75b),
     ("genexpan-small-no-further-pretrain", 0x698d_da4f_d0d7_c911),
     ("genexpan-bloom-1b7", 0xce20_2a0a_f82e_a709),
     ("genexpan-unconstrained", 0x8bda_4c55_62b8_838b),
+    ("genexpan-bloom-7b1", 0x7bd3_85f2_866a_26ce),
+    ("genexpan-llama-13b", 0x484a_7a70_088b_bfa3),
 ];
 
 #[test]
 fn genexpan_decode_paths_match_the_pinned_fingerprints() {
     let tiny = World::generate(WorldConfig::tiny()).expect("tiny world");
-    let bloom = ModelSpec::figure8_ladder()
-        .into_iter()
-        .find(|m| m.name == "bloom-1b7")
-        .expect("bloom-1b7 on the Figure 8 ladder");
-    let witten_bell = GenExpan::train(
-        &tiny,
-        GenExpanConfig {
-            model: bloom,
-            ..GenExpanConfig::default()
-        },
-    );
+    // A Figure 8 rung trained on tiny, and its run over the tiny queries.
+    let rung = |name: &'static str| {
+        let model = ModelSpec::figure8_ladder()
+            .into_iter()
+            .find(|m| m.name == name)
+            .expect("a rung of the Figure 8 ladder");
+        let gen = GenExpan::train(
+            &tiny,
+            GenExpanConfig {
+                model,
+                ..GenExpanConfig::default()
+            },
+        );
+        run(name, &tiny, |u, q| gen.expand(&tiny, u, q)).fingerprint
+    };
     let unconstrained = GenExpan::train(
         &tiny,
         GenExpanConfig {
@@ -313,10 +322,17 @@ fn genexpan_decode_paths_match_the_pinned_fingerprints() {
         (
             "genexpan-bloom-1b7",
             "genexpan-bloom-1b7",
-            run("genexpan-bloom-1b7", &tiny, |u, q| {
-                witten_bell.expand(&tiny, u, q)
-            })
-            .fingerprint,
+            rung("bloom-1b7"),
+        ),
+        (
+            "genexpan-bloom-7b1",
+            "genexpan-bloom-7b1",
+            rung("bloom-7b1"),
+        ),
+        (
+            "genexpan-llama-13b",
+            "genexpan-llama-13b",
+            rung("llama-13b"),
         ),
         (
             "genexpan-unconstrained",
