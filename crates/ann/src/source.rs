@@ -71,16 +71,6 @@ impl IvfSource {
     pub fn new(index: Arc<IvfIndex>, nprobe: usize) -> Self {
         Self { index, nprobe }
     }
-
-    /// The underlying index.
-    pub fn index(&self) -> &Arc<IvfIndex> {
-        &self.index
-    }
-
-    /// The configured probe width (`0` = all lists).
-    pub fn nprobe(&self) -> usize {
-        self.nprobe
-    }
 }
 
 impl CandidateSource for IvfSource {

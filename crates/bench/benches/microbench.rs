@@ -4,11 +4,12 @@
 //! frameworks.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use std::sync::Arc;
 use ultra_core::rerank_by_negatives;
 use ultra_data::{World, WorldConfig};
 use ultra_embed::{EncoderConfig, EntityEncoder};
 use ultra_genexpan::{GenExpan, GenExpanConfig};
-use ultra_lm::{constrained_entity_beam, BeamParams, NgramLm, RootOrder};
+use ultra_lm::{BeamParams, NgramLm, TrieDecoder};
 use ultra_retexpan::{RetExpan, RetExpanConfig};
 use ultra_text::{Bm25Index, Bm25Params, PrefixTrie};
 
@@ -68,9 +69,9 @@ fn bench_beam(c: &mut Criterion) {
     for e in &world.entities {
         trie.insert(&world.name_tokens[e.id.index()], e.id);
     }
-    // The root order GenExpan builds beside its trie: the prompt ends in
-    // the separator, so this times the sparse root step serving runs.
-    let root = RootOrder::new(&lm, &trie, world.list_sep);
+    // The decoder GenExpan builds: the prompt ends in the separator, so
+    // this times the sparse root step serving runs.
+    let decoder = TrieDecoder::new(Arc::new(lm), trie, world.list_sep);
     let q = &world.ultra_classes[0].queries[0];
     let mut prompt = Vec::new();
     for &s in q.pos_seeds.iter().take(3) {
@@ -78,15 +79,7 @@ fn bench_beam(c: &mut Criterion) {
         prompt.push(world.list_sep);
     }
     c.bench_function("constrained_beam_40", |b| {
-        b.iter(|| {
-            std::hint::black_box(constrained_entity_beam(
-                &lm,
-                &prompt,
-                &trie,
-                root.as_ref(),
-                BeamParams::default(),
-            ))
-        })
+        b.iter(|| std::hint::black_box(decoder.constrained(&prompt, BeamParams::default())))
     });
 }
 

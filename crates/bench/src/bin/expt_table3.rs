@@ -3,7 +3,7 @@
 //! Reported as CombMAP@{10,20,50,100} + Avg.
 
 use std::collections::BTreeMap;
-use ultra_bench::{dump_json, fmt, world_from_env, Suite};
+use ultra_bench::{dump_json, fmt, methods, world_from_env, Suite};
 use ultra_embed::EncoderConfig;
 use ultra_eval::{evaluate_method, MetricReport, TableWriter};
 use ultra_genexpan::{GenExpan, GenExpanConfig};
@@ -40,13 +40,7 @@ fn main() {
     fmt::push_comb_row(&mut t, "GenExpan", &r);
     json.insert("GenExpan".into(), r);
 
-    let unconstrained = GenExpan::train(
-        &suite.world,
-        GenExpanConfig {
-            constrained: false,
-            ..GenExpanConfig::default()
-        },
-    );
+    let unconstrained = methods::genexpan_with(&mut suite, |g| g.config.constrained = false);
     let r = evaluate_method(&suite.world, |u, q| {
         unconstrained.expand(&suite.world, u, q)
     });

@@ -5,8 +5,8 @@
 //! join the candidate vocabulary. Our generator *plants* hard negatives by
 //! construction (topic-sharing distractors); this module provides the BM25
 //! machinery to verify that the planted entities are indeed the ones a
-//! BM25 search would mine — the audit the dataset-quality analysis and the
-//! `expt_table1` statistics lean on.
+//! BM25 search would mine. No binary runs it: the audit is this module's
+//! unit tests, which check that property of world generation.
 
 use crate::world::World;
 use std::collections::BTreeMap;

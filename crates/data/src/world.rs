@@ -381,17 +381,6 @@ impl World {
             .flat_map(|u| u.queries.iter().map(move |q| (u, q)))
     }
 
-    /// Entities of an ultra class's fine-grained class that satisfy
-    /// `constraint`. Used by tests and the stats module.
-    pub fn satisfying(&self, fine: ClassId, constraint: &AttrConstraint) -> Vec<EntityId> {
-        self.classes[fine.index()]
-            .entities
-            .iter()
-            .copied()
-            .filter(|&e| self.entity(e).satisfies(constraint))
-            .collect()
-    }
-
     /// Corpus sentences with mention tokens expanded into name-word tokens —
     /// the training stream for the generative LM, whose decoding must walk
     /// multi-token entity names (Figure 6).

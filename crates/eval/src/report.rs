@@ -1,6 +1,6 @@
 //! Aggregated metric reports shaped like the paper's result tables.
 
-use crate::metrics::{QueryEval, KS};
+use crate::metrics::QueryEval;
 use serde::{Deserialize, Serialize};
 
 /// Macro-averaged metrics of one method — one Table 2 block
@@ -76,34 +76,6 @@ impl MetricReport {
     pub fn avg_comb_map(&self) -> f64 {
         self.comb_map.iter().sum::<f64>() / 4.0
     }
-
-    /// Renders the three Table 2 rows (`Pos ↑`, `Neg ↓`, `Comb ↑`) as
-    /// formatted strings: MAP@{10,20,50,100}, P@{10,20,50,100}, Avg.
-    pub fn rows(&self) -> [String; 3] {
-        let fmt = |map: &[f64; 4], p: &[f64; 4], avg: f64| {
-            let cells: Vec<String> = map
-                .iter()
-                .chain(p.iter())
-                .map(|v| format!("{v:6.2}"))
-                .collect();
-            format!("{} | {:6.2}", cells.join(" "), avg)
-        };
-        [
-            fmt(&self.pos_map, &self.pos_p, self.avg_pos()),
-            fmt(&self.neg_map, &self.neg_p, self.avg_neg()),
-            fmt(&self.comb_map, &self.comb_p, self.avg_comb()),
-        ]
-    }
-
-    /// Header matching [`rows`](Self::rows).
-    pub fn header() -> String {
-        let cells: Vec<String> = KS
-            .iter()
-            .map(|k| format!("M@{k:<4}"))
-            .chain(KS.iter().map(|k| format!("P@{k:<4}")))
-            .collect();
-        format!("{} |  Avg", cells.join(" "))
-    }
 }
 
 #[cfg(test)]
@@ -149,15 +121,5 @@ mod tests {
         let json = serde_json::to_string(&r).expect("serialize");
         let back: MetricReport = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(back, r);
-    }
-
-    #[test]
-    fn rows_render_nine_columns() {
-        let r = MetricReport::aggregate(&[qe(50.0, 25.0)]);
-        for row in r.rows() {
-            assert!(row.matches(char::is_whitespace).count() >= 8);
-            assert!(row.contains('|'));
-        }
-        assert!(MetricReport::header().contains("M@10"));
     }
 }

@@ -11,10 +11,7 @@ use ultra_core::rng::{derive_rng, UltraRng};
 use ultra_core::stable::{FNV_OFFSET, FNV_PRIME};
 use ultra_core::{mix_seed, rerank_by_negatives, EntityId, Query, RankedList, TokenId, UltraClass};
 use ultra_data::World;
-use ultra_lm::{
-    constrained_entity_beam, unconstrained_beam, BeamParams, LmContext, ModelSpec, NgramLm,
-    RootOrder,
-};
+use ultra_lm::{BeamParams, LmContext, ModelSpec, NgramLm, TrieDecoder};
 use ultra_text::PrefixTrie;
 
 /// Knowledge source for generation-side retrieval augmentation
@@ -130,27 +127,38 @@ struct SeedTemplate<'a> {
 
 /// A trained GenExpan instance.
 ///
-/// Clones share the trained LM, the trie's root order, the co-occurrence
-/// index and both memos (DESIGN.md §6, "Sparse root step", "GenExpan round
-/// reuse" and "Eq. 7 once per entity pair"). The window memo's key covers
-/// every configuration field a round's candidates depend on, except the
-/// trie, so [`restricted_to`](Self::restricted_to) — the one way to change
-/// the trie — starts a fresh window memo and ranks its own root order.
-/// Eq. 7's term reads no configuration and no trie, so restrictions share
-/// the pair memo too.
+/// Clones share everything but the configuration: the candidate set, the
+/// co-occurrence index and the pair memo (DESIGN.md §6, "Sparse root step",
+/// "GenExpan round reuse" and "Eq. 7 once per entity pair"). The window
+/// memo's key covers every configuration field a round's candidates depend
+/// on, and the memo lives beside the one trie it is valid for.
+/// [`restricted_to`](Self::restricted_to), the one way to change the trie,
+/// builds a new candidate set on the same LM. Eq. 7's term reads no
+/// configuration and no trie, so restrictions share the pair memo too.
 #[derive(Clone)]
 pub struct GenExpan {
     /// Configuration.
     pub config: GenExpanConfig,
-    lm: Arc<NgramLm>,
-    trie: PrefixTrie,
-    /// `trie`'s root children ranked after the separator, if the LM saw
-    /// the separator as a context.
-    root: Option<Arc<RootOrder>>,
+    cands: Arc<Candidates>,
     cooc: Arc<CoocIndex>,
-    sep: TokenId,
-    windows: Arc<WindowMemo>,
     pairs: Arc<PairMemo>,
+}
+
+/// What one trie of candidate names holds: its decoder (LM, trie, list
+/// separator and root order) and the window memo of its beams.
+struct Candidates {
+    decoder: TrieDecoder,
+    windows: WindowMemo,
+}
+
+impl Candidates {
+    /// `decoder`'s candidate set, with an empty window memo.
+    fn new(decoder: TrieDecoder) -> Arc<Self> {
+        Arc::new(Self {
+            decoder,
+            windows: WindowMemo::new(),
+        })
+    }
 }
 
 impl GenExpan {
@@ -174,7 +182,7 @@ impl GenExpan {
 
     /// Reassembles a pipeline from previously persisted parts (snapshot
     /// load): the trained LM and trie are supplied, while the co-occurrence
-    /// index, the list separator and the trie's root order — cheap, pure
+    /// index and the decoder over the world's list separator — cheap, pure
     /// functions of the world and the parts — are rebuilt in place.
     pub fn from_parts(
         world: &World,
@@ -184,51 +192,45 @@ impl GenExpan {
     ) -> Self {
         Self {
             config,
-            root: RootOrder::new(&lm, &trie, world.list_sep).map(Arc::new),
-            lm: Arc::new(lm),
-            trie,
+            cands: Candidates::new(TrieDecoder::new(Arc::new(lm), trie, world.list_sep)),
             cooc: Arc::new(CoocIndex::build(world)),
-            sep: world.list_sep,
-            windows: Arc::new(WindowMemo::new()),
             pairs: Arc::new(PairMemo::new()),
         }
     }
 
     /// The same trained model with its candidates restricted to `pool` —
     /// the Table 10 paradigm-interaction setting, where another model's
-    /// recall forms the candidate set. Shares the LM and the co-occurrence
-    /// index; builds only a trie over the pool's names, its root order, and
-    /// a fresh window memo (the window memo's key does not cover the trie,
-    /// so this instance must never read its parent's windows). The pair
-    /// memo is shared: Eq. 7 never reads the trie.
+    /// recall forms the candidate set. Builds only a decoder over the
+    /// pool's names on the same LM, with an empty window memo; shares the
+    /// co-occurrence index and the pair memo, since Eq. 7 never reads the
+    /// trie.
     pub fn restricted_to(&self, world: &World, pool: &[EntityId]) -> GenExpan {
+        let decoder = &self.cands.decoder;
         let trie = name_trie(world, pool.iter().copied());
         Self {
-            config: self.config.clone(),
-            lm: Arc::clone(&self.lm),
-            root: RootOrder::new(&self.lm, &trie, self.sep).map(Arc::new),
-            trie,
-            cooc: Arc::clone(&self.cooc),
-            sep: self.sep,
-            windows: Arc::new(WindowMemo::new()),
-            pairs: Arc::clone(&self.pairs),
+            cands: Candidates::new(TrieDecoder::new(
+                Arc::clone(decoder.lm()),
+                trie,
+                decoder.sep(),
+            )),
+            ..self.clone()
         }
     }
 
     /// The trained n-gram LM (read-only; snapshot serialization).
     pub fn lm(&self) -> &NgramLm {
-        &self.lm
+        self.cands.decoder.lm()
     }
 
     /// The candidate prefix trie (read-only; snapshot serialization).
     pub fn trie(&self) -> &PrefixTrie {
-        &self.trie
+        self.cands.decoder.trie()
     }
 
     /// Window-memo counters (DESIGN.md §6, "GenExpan round reuse"); shared
     /// with every clone of this instance.
     pub fn memo_stats(&self) -> MemoStats {
-        self.windows.stats()
+        self.cands.windows.stats()
     }
 
     /// Pair-memo counters (DESIGN.md §6, "Eq. 7 once per entity pair");
@@ -242,7 +244,8 @@ impl GenExpan {
     /// `sco(e → e') = P(e'|f(e))^(1/|e'|)` is
     /// `lm.entity_score_from(&template(e), e')`.
     fn template(&self, name: &[TokenId]) -> LmContext<'_> {
-        self.lm.prefix(&[name, std::slice::from_ref(&self.sep)])
+        let decoder = &self.cands.decoder;
+        decoder.lm().prefix(&[name, &[decoder.sep()]])
     }
 
     /// The seeds' names and templates, for scoring many entities against
@@ -279,8 +282,8 @@ impl GenExpan {
             .map(|s| {
                 self.pairs.get_or_compute(PairKey::new(e, s.id), || {
                     let f_e = f_e.get_or_insert_with(|| self.template(e_tokens));
-                    let fwd = self.lm.entity_score_from(f_e, s.name);
-                    let bwd = self.lm.entity_score_from(&s.template, e_tokens);
+                    let fwd = self.lm().entity_score_from(f_e, s.name);
+                    let bwd = self.lm().entity_score_from(&s.template, e_tokens);
                     (fwd * bwd).sqrt()
                 })
             })
@@ -368,14 +371,12 @@ impl GenExpan {
     /// generation floor, in beam order: the constrained beam's output,
     /// computed once per LM window and beam configuration.
     fn round_candidates(&self, world: &World, prompt: &[TokenId]) -> Arc<[EntityId]> {
-        let window = &prompt[prompt.len().saturating_sub(self.lm.order() - 1)..];
+        let Candidates { decoder, windows } = &*self.cands;
+        let window = &prompt[prompt.len().saturating_sub(decoder.lm().order() - 1)..];
         let key = WindowKey::new(self.config.beam, self.config.min_gen_score, window);
-        self.windows.get_or_compute(key, || {
+        windows.get_or_compute(key, || {
             let mut ids = Vec::new();
-            let root = self.root.as_deref();
-            for (e, gm) in
-                constrained_entity_beam(&self.lm, prompt, &self.trie, root, self.config.beam)
-            {
+            for (e, gm) in decoder.constrained(prompt, self.config.beam) {
                 let len = world.name_tokens[e.index()].len() as i32;
                 if gm.powi(len) < self.config.min_gen_score {
                     continue;
@@ -436,9 +437,7 @@ impl GenExpan {
                     }
                 }
             } else {
-                for g in
-                    unconstrained_beam(&self.lm, &prompt, &self.trie, self.sep, self.config.beam)
-                {
+                for g in self.cands.decoder.unconstrained(&prompt, self.config.beam) {
                     // Unconstrained decoding has no candidate trie to anchor
                     // plausibility: the beam freely emits fluent-but-invalid
                     // recombinations, and the model cannot tell them apart
@@ -539,7 +538,7 @@ impl GenExpan {
         let mut prompt: Vec<TokenId> = Vec::new();
         for e in prompt_entities {
             prompt.extend_from_slice(&world.name_tokens[e.index()]);
-            prompt.push(self.sep);
+            prompt.push(self.cands.decoder.sep());
         }
         prompt
     }
@@ -725,15 +724,6 @@ mod tests {
         let want = lists(&fresh, &w, 8);
         assert_ne!(want, full, "the restriction must matter");
         assert_eq!(lists(&restricted, &w, 8), want);
-        assert!(Arc::ptr_eq(&restricted.lm, &warmed.lm), "the LM is shared");
-        assert!(
-            Arc::ptr_eq(&restricted.pairs, &warmed.pairs),
-            "so is the pair memo"
-        );
-        assert!(
-            !Arc::ptr_eq(&restricted.windows, &warmed.windows),
-            "the window memo is not"
-        );
     }
 
     /// The ranked lists of the world's first `n` queries.
@@ -746,7 +736,7 @@ mod tests {
 
     /// A fresh instance (both memos empty) on `trained`'s LM.
     fn fresh(trained: &GenExpan, w: &World, cfg: GenExpanConfig, trie: PrefixTrie) -> GenExpan {
-        GenExpan::from_parts(w, cfg, (*trained.lm).clone(), trie)
+        GenExpan::from_parts(w, cfg, trained.lm().clone(), trie)
     }
 
     #[test]
@@ -817,14 +807,17 @@ mod tests {
                 "{:?} floor {} rerank {} top-p {} {:?} λ {}",
                 cfg.beam, cfg.min_gen_score, cfg.rerank, cfg.top_p_frac, cfg.ra, cfg.cond_weight
             );
-            let want = lists(&fresh(&warmed, &w, cfg.clone(), warmed.trie.clone()), &w, 8);
+            let want = lists(
+                &fresh(&warmed, &w, cfg.clone(), warmed.trie().clone()),
+                &w,
+                8,
+            );
             assert!(!seen.contains(&want), "{name}: the change must matter");
             // A clone shares both warm memos.
             let mut clone = warmed.clone();
             clone.config = cfg.clone();
             let pair_hits = warmed.pair_stats().hits;
             assert_eq!(lists(&clone, &w, 8), want, "{name} on a clone");
-            assert!(Arc::ptr_eq(&clone.pairs, &warmed.pairs));
             assert!(warmed.pair_stats().hits > pair_hits, "{name}: no pair read");
             // So does the warmed instance itself, reconfigured and restored.
             warmed.config = cfg;
@@ -840,7 +833,7 @@ mod tests {
         let w = world();
         let unbounded = GenExpan::train(&w, quick_cfg());
         let mut bounded = GenExpan::train(&w, quick_cfg());
-        bounded.windows = Arc::new(WindowMemo::with_capacity(5));
+        Arc::get_mut(&mut bounded.cands).expect("unshared").windows = WindowMemo::with_capacity(5);
         bounded.pairs = Arc::new(PairMemo::with_capacity(5));
         for _ in 0..2 {
             assert_eq!(lists(&bounded, &w, 8), lists(&unbounded, &w, 8));
@@ -865,8 +858,8 @@ mod tests {
         // Eq. 7's term with `cand` as the scored entity and `seed` as the seed.
         let direct = |cand: EntityId, seed: EntityId| {
             let (c, s) = (&w.name_tokens[cand.index()], &w.name_tokens[seed.index()]);
-            let fwd = gen.lm.entity_score_from(&gen.template(c), s);
-            let bwd = gen.lm.entity_score_from(&gen.template(s), c);
+            let fwd = gen.lm().entity_score_from(&gen.template(c), s);
+            let bwd = gen.lm().entity_score_from(&gen.template(s), c);
             (fwd * bwd).sqrt()
         };
         let (u, q) = w.queries().next().unwrap();
@@ -899,15 +892,30 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_the_root_order_and_restrictions_rank_their_own() {
+    fn clones_share_everything_and_restrictions_all_but_the_candidate_set() {
         let w = world();
         let gen = GenExpan::train(&w, quick_cfg());
-        let root = gen.root.as_ref().expect("the LM saw the separator");
         let clone = gen.clone();
-        assert!(Arc::ptr_eq(root, clone.root.as_ref().expect("shared")));
+        assert!(
+            Arc::ptr_eq(&clone.cands, &gen.cands),
+            "a clone shares the candidates"
+        );
+        assert!(Arc::ptr_eq(&clone.cooc, &gen.cooc) && Arc::ptr_eq(&clone.pairs, &gen.pairs));
         let restricted = gen.restricted_to(&w, &target_pool(&w));
-        let own = restricted.root.as_ref().expect("the same LM saw it");
-        assert!(!Arc::ptr_eq(root, own));
+        let (own, parent) = (&restricted.cands, &gen.cands);
+        assert!(
+            Arc::ptr_eq(own.decoder.lm(), parent.decoder.lm()),
+            "the LM is shared"
+        );
+        assert!(
+            Arc::ptr_eq(&restricted.pairs, &gen.pairs),
+            "so is the pair memo"
+        );
+        assert!(Arc::ptr_eq(&restricted.cooc, &gen.cooc), "and the index");
+        assert!(
+            !Arc::ptr_eq(own, parent),
+            "its trie, root order and window memo are its own"
+        );
     }
 
     #[test]

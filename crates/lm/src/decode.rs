@@ -1,7 +1,8 @@
 //! Beam-search decoding: prefix-trie-constrained (Figure 6) and
 //! unconstrained (the "- Prefix constrain" ablation of Table 3).
 
-use crate::ngram::{LmContext, NgramLm, Smoothing};
+use crate::ngram::{LmContext, NgramLm};
+use std::sync::Arc;
 use ultra_core::{top_k, EntityId, TokenId};
 use ultra_text::{PrefixTrie, TrieNode};
 
@@ -48,21 +49,74 @@ fn geometric_mean(logp: f64, len: f64) -> f64 {
     (logp / len).exp()
 }
 
+/// An LM decoding names from one candidate trie after one list separator:
+/// the three, and the ranking of the trie's root children that the sparse
+/// root step reads (DESIGN.md §6, "Sparse root step"), built together.
+#[derive(Debug)]
+pub struct TrieDecoder {
+    lm: Arc<NgramLm>,
+    trie: PrefixTrie,
+    sep: TokenId,
+    /// `trie`'s root children ranked after `sep`, if `lm` saw `sep` as a
+    /// context.
+    root: Option<RootOrder>,
+}
+
+impl TrieDecoder {
+    /// A decoder of `trie`'s names under `lm`, in lists joined by `sep`.
+    pub fn new(lm: Arc<NgramLm>, trie: PrefixTrie, sep: TokenId) -> Self {
+        let root = RootOrder::new(&lm, &trie, sep);
+        Self {
+            lm,
+            trie,
+            sep,
+            root,
+        }
+    }
+
+    /// The LM.
+    pub fn lm(&self) -> &Arc<NgramLm> {
+        &self.lm
+    }
+
+    /// The candidate trie.
+    pub fn trie(&self) -> &PrefixTrie {
+        &self.trie
+    }
+
+    /// The list separator.
+    pub fn sep(&self) -> TokenId {
+        self.sep
+    }
+
+    /// Prefix-constrained beam search from `prompt` (Figure 6): the best
+    /// `beam_size` distinct entities whose names the beam completes along
+    /// the trie, best first, each scored by the geometric mean of its token
+    /// probabilities. After a prompt ending in the separator, the first
+    /// step scores only the root children that can matter; the result is
+    /// the full merge's, bit for bit.
+    pub fn constrained(&self, prompt: &[TokenId], params: BeamParams) -> Vec<(EntityId, f64)> {
+        constrained_entity_beam(&self.lm, prompt, &self.trie, self.root.as_ref(), params)
+    }
+
+    /// Unconstrained beam search from `prompt` over observed continuations,
+    /// each sequence stopped at the separator and looked up in the trie
+    /// (the Table 3 "- Prefix constrain" ablation).
+    pub fn unconstrained(&self, prompt: &[TokenId], params: BeamParams) -> Vec<GeneratedSeq> {
+        unconstrained_beam(&self.lm, prompt, &self.trie, self.sep, params)
+    }
+}
+
 /// The root children of a trie ranked for one LM and list separator, for
-/// the sparse root step of [`constrained_entity_beam`] (DESIGN.md §6,
-/// "Sparse root step").
+/// the sparse root step of [`constrained_entity_beam`].
 ///
 /// Children are ranked by their probability after the unigram and `[sep]`
 /// levels, descending, then by ascending token: the root prune's own tie
-/// order. Built by [`new`](Self::new) for one `(LM, trie, separator)`,
-/// it records the LM's order, vocabulary size and smoothing, the sizes of
-/// its unigram and `[sep]` levels, and the trie's name and root-child
-/// counts. Passed with an LM or trie that differs in any of them, the beam
-/// keeps its full root merge instead.
-#[derive(Clone, Debug)]
-pub struct RootOrder {
+/// order. An order is valid only with the LM and trie it was built from,
+/// which [`TrieDecoder`] holds beside it.
+#[derive(Debug)]
+struct RootOrder {
     sep: TokenId,
-    source: Source,
     /// Positions in the root's child list, ranked.
     children: Box<[u32]>,
     /// `probs[i]`: the probability of `children[i]` after the unigram and
@@ -77,7 +131,7 @@ impl RootOrder {
     /// `None` if `lm` never saw `[sep]` as a context (an untrained or
     /// unigram LM, or a separator that never precedes a token): the beam
     /// then keeps its full root merge.
-    pub fn new(lm: &NgramLm, trie: &PrefixTrie, sep: TokenId) -> Option<Self> {
+    fn new(lm: &NgramLm, trie: &PrefixTrie, sep: TokenId) -> Option<Self> {
         let ctx = lm.context(std::slice::from_ref(&sep));
         if !ctx.has_unit_suffix() {
             return None;
@@ -96,27 +150,17 @@ impl RootOrder {
             .collect();
         Some(Self {
             sep,
-            source: Source::of(lm, &ctx, trie),
             children: ranked.iter().map(|&(c, _)| c).collect(),
             probs: ranked.iter().map(|&(_, p)| p).collect(),
             terminals,
         })
     }
 
-    /// Whether the root step of `prompt` over `trie`, whose context under
-    /// `lm` is `ctx`, can be sparse: the prompt ends in the separator,
-    /// `ctx` holds the `[sep]` level, and `lm` and `trie` match the ones
-    /// this order was ranked for.
-    fn covers(
-        &self,
-        lm: &NgramLm,
-        trie: &PrefixTrie,
-        prompt: &[TokenId],
-        ctx: &LmContext<'_>,
-    ) -> bool {
-        prompt.last() == Some(&self.sep)
-            && ctx.has_unit_suffix()
-            && Source::of(lm, ctx, trie) == self.source
+    /// Whether the root step of `prompt`, whose context is `ctx`, can be
+    /// sparse: the prompt ends in the separator and `ctx` holds the `[sep]`
+    /// level.
+    fn covers(&self, prompt: &[TokenId], ctx: &LmContext<'_>) -> bool {
+        prompt.last() == Some(&self.sep) && ctx.has_unit_suffix()
     }
 
     /// The root step of `ctx`, the context after a prompt ending in the
@@ -197,37 +241,6 @@ impl RootOrder {
     }
 }
 
-/// What a [`RootOrder`] was ranked from, read in O(1) before each sparse
-/// step: the LM's order, vocabulary size and smoothing, the total and type
-/// count of its unigram and `[sep]` levels, and the trie's name and
-/// root-child counts. It cannot tell apart two models that agree on all of
-/// them, but it keeps an order passed with a trie of another root size
-/// from indexing past that root.
-#[derive(Clone, Copy, Debug, PartialEq)]
-struct Source {
-    order: usize,
-    vocab_size: usize,
-    smoothing: Smoothing,
-    levels: [(f64, usize); 2],
-    names: usize,
-    root_children: usize,
-}
-
-impl Source {
-    /// Of `lm` with `ctx`, one of its contexts holding the `[sep]` level,
-    /// and `trie`.
-    fn of(lm: &NgramLm, ctx: &LmContext<'_>, trie: &PrefixTrie) -> Self {
-        Self {
-            order: lm.order(),
-            vocab_size: lm.vocab_size(),
-            smoothing: lm.smoothing(),
-            levels: ctx.unit_levels(),
-            names: trie.len(),
-            root_children: trie.children(PrefixTrie::ROOT).len(),
-        }
-    }
-}
-
 /// How far below the `k`-th best log-probability a walk's value must fall
 /// before the walk stops, as a fraction of `1 + |value|`: many times the
 /// few ULPs by which `ln` and `exp` may misorder neighbouring values. The
@@ -293,7 +306,7 @@ impl<K: Copy + PartialEq> Cut<K> {
 /// for `lm`) and `prompt` ends in its separator, the first step scores only
 /// the root children that can matter instead ([`RootOrder`]); the result is
 /// the same bit for bit.
-pub fn constrained_entity_beam(
+fn constrained_entity_beam(
     lm: &NgramLm,
     prompt: &[TokenId],
     trie: &PrefixTrie,
@@ -309,7 +322,7 @@ pub fn constrained_entity_beam(
     // `contexts[h]` is the LM context after hypothesis `h` of `beam`.
     let mut contexts: Vec<LmContext<'_>> = vec![lm.context(prompt)];
     let mut completed: Vec<(EntityId, f64)> = Vec::new();
-    let root = root.filter(|r| r.covers(lm, trie, prompt, &contexts[0]));
+    let root = root.filter(|r| r.covers(prompt, &contexts[0]));
 
     for step in 0..params.max_len {
         let len = (step + 1) as f64;
@@ -394,7 +407,7 @@ struct Hyp {
 /// name no candidate entity are the hallucinations the prefix constraint
 /// exists to prevent. Each surviving hypothesis carries its LM context,
 /// advanced from its parent's by its last token.
-pub fn unconstrained_beam(
+fn unconstrained_beam(
     lm: &NgramLm,
     prompt: &[TokenId],
     trie: &PrefixTrie,
@@ -797,7 +810,7 @@ mod tests {
             let root = RootOrder::new(&lm, &trie, sep);
             if root
                 .as_ref()
-                .is_some_and(|r| r.covers(&lm, &trie, &prompt, &lm.context(&prompt)))
+                .is_some_and(|r| r.covers(&prompt, &lm.context(&prompt)))
             {
                 sparse += 1;
             }
@@ -832,13 +845,16 @@ mod tests {
         (lm, trie)
     }
 
+    /// [`setup`]'s LM and trie, with the separator 1.
+    fn decoder() -> TrieDecoder {
+        let (lm, trie) = setup();
+        TrieDecoder::new(Arc::new(lm), trie, t(1))
+    }
+
     #[test]
     fn constrained_beam_returns_only_valid_entities() {
-        let (lm, trie) = setup();
-        let prompt = [t(10), t(1)]; // "A ,"
-        let root = RootOrder::new(&lm, &trie, t(1));
-        let out =
-            constrained_entity_beam(&lm, &prompt, &trie, root.as_ref(), BeamParams::default());
+        // "A ,"
+        let out = decoder().constrained(&[t(10), t(1)], BeamParams::default());
         assert!(!out.is_empty());
         for (ent, score) in &out {
             assert!([e(0), e(1), e(2)].contains(ent));
@@ -850,11 +866,8 @@ mod tests {
 
     #[test]
     fn constrained_beam_covers_multi_token_names() {
-        let (lm, trie) = setup();
-        let prompt = [t(13), t(1)]; // "C ,"
-        let root = RootOrder::new(&lm, &trie, t(1));
-        let out =
-            constrained_entity_beam(&lm, &prompt, &trie, root.as_ref(), BeamParams::default());
+        // "C ,"
+        let out = decoder().constrained(&[t(13), t(1)], BeamParams::default());
         assert!(
             out.iter().any(|(ent, _)| *ent == e(1)),
             "two-token entity B reachable: {out:?}"
@@ -863,15 +876,7 @@ mod tests {
 
     #[test]
     fn constrained_beam_has_no_duplicates() {
-        let (lm, trie) = setup();
-        let root = RootOrder::new(&lm, &trie, t(1));
-        let out = constrained_entity_beam(
-            &lm,
-            &[t(10), t(1)],
-            &trie,
-            root.as_ref(),
-            BeamParams::default(),
-        );
+        let out = decoder().constrained(&[t(10), t(1)], BeamParams::default());
         let mut ids: Vec<_> = out.iter().map(|(e, _)| *e).collect();
         ids.sort_unstable();
         ids.dedup();
@@ -886,7 +891,8 @@ mod tests {
         let mut lm = lm;
         let garbage: Vec<Vec<TokenId>> = vec![vec![t(10), t(1), t(12), t(11)]; 6];
         lm.train(garbage.iter().map(Vec::as_slice));
-        let out = unconstrained_beam(&lm, &[t(10), t(1)], &trie, t(1), BeamParams::default());
+        let decoder = TrieDecoder::new(Arc::new(lm), trie, t(1));
+        let out = decoder.unconstrained(&[t(10), t(1)], BeamParams::default());
         assert!(!out.is_empty());
         assert!(
             out.iter().any(|g| g.entity.is_none()),
@@ -896,37 +902,19 @@ mod tests {
 
     #[test]
     fn beams_are_deterministic() {
-        let (lm, trie) = setup();
-        let root = RootOrder::new(&lm, &trie, t(1));
-        let a = constrained_entity_beam(
-            &lm,
-            &[t(13), t(1)],
-            &trie,
-            root.as_ref(),
-            BeamParams::default(),
-        );
-        let b = constrained_entity_beam(
-            &lm,
-            &[t(13), t(1)],
-            &trie,
-            root.as_ref(),
-            BeamParams::default(),
-        );
-        assert_eq!(
-            a.iter().map(|(e, _)| *e).collect::<Vec<_>>(),
-            b.iter().map(|(e, _)| *e).collect::<Vec<_>>()
-        );
+        let decoder = decoder();
+        let run = || decoder.constrained(&[t(13), t(1)], BeamParams::default());
+        assert_eq!(bits(&run()), bits(&run()));
     }
 
     #[test]
     fn empty_trie_yields_nothing() {
         let (lm, _) = setup();
-        let empty = PrefixTrie::new();
-        let root = RootOrder::new(&lm, &empty, t(1));
+        let decoder = TrieDecoder::new(Arc::new(lm), PrefixTrie::new(), t(1));
         for prompt in [vec![t(10)], vec![t(10), t(1)]] {
-            let params = BeamParams::default();
-            let out = constrained_entity_beam(&lm, &prompt, &empty, root.as_ref(), params);
-            assert!(out.is_empty());
+            assert!(decoder
+                .constrained(&prompt, BeamParams::default())
+                .is_empty());
         }
     }
 
@@ -991,7 +979,7 @@ mod tests {
             for (trie, want) in &cases {
                 let root = RootOrder::new(&lm, trie, t(1)).expect("[sep] is a context");
                 for prompt in [vec![t(1)], vec![t(2), t(1)], vec![t(9), t(1)]] {
-                    assert!(root.covers(&lm, trie, &prompt, &lm.context(&prompt)));
+                    assert!(root.covers(&prompt, &lm.context(&prompt)));
                     let out = sparse_and_full(&lm, &prompt, trie, Some(&root), params);
                     assert_eq!(&out.iter().map(|&(x, _)| x).collect::<Vec<_>>(), want);
                 }
@@ -1086,61 +1074,13 @@ mod tests {
         assert!(RootOrder::new(&tail, &trie, t(18)).is_none());
         assert!(RootOrder::new(&tail, &trie, t(1)).is_some());
         for prompt in [vec![], vec![t(10)], vec![t(10), t(1), t(11)], vec![t(19)]] {
-            assert!(
-                !root.covers(&lm, &trie, &prompt, &lm.context(&prompt)),
-                "{prompt:?}"
-            );
+            assert!(!root.covers(&prompt, &lm.context(&prompt)), "{prompt:?}");
             sparse_and_full(&lm, &prompt, &trie, Some(&root), BeamParams::default());
         }
         // A unigram LM holds no `[sep]` level.
         let mut unigram = NgramLm::new(1, Smoothing::WittenBell, 20);
         unigram.train([[t(10), t(1), t(13)].as_slice()]);
         assert!(RootOrder::new(&unigram, &trie, t(1)).is_none());
-    }
-
-    #[test]
-    fn an_order_passed_with_another_lm_or_trie_takes_the_full_merge() {
-        let names: Vec<Vec<TokenId>> = (0..24)
-            .map(|i| match i % 3 {
-                0 => vec![t(2 + i)],
-                _ => vec![t(2 + i), t(30 + i % 5)],
-            })
-            .collect();
-        let (mut trie, mut fewer) = (PrefixTrie::new(), PrefixTrie::new());
-        for (i, name) in names.iter().enumerate() {
-            trie.insert(name, e(i as u32));
-            // The last six names: six root children, where `trie`'s order
-            // ranks positions up to 23.
-            if i >= 18 {
-                fewer.insert(name, e(i as u32));
-            }
-        }
-        let lm = list_lm(&names, 4, Smoothing::WittenBell);
-        let root = RootOrder::new(&lm, &trie, t(1)).expect("[sep] is a context");
-        let mut further = lm.clone();
-        further.train([[t(9), t(1), t(20)].as_slice()]);
-        let other_lms = [
-            further,
-            list_lm(&names, 3, Smoothing::WittenBell),
-            list_lm(&names, 4, Smoothing::AbsoluteDiscount(0.75)),
-        ];
-        // A copy of the LM and of the trie is the same model.
-        let (copy, copied) = (lm.clone(), trie.clone());
-        let params = BeamParams {
-            beam_size: 5,
-            max_len: 2,
-        };
-        for prompt in [vec![t(1)], vec![t(5), t(1)], vec![t(3), t(31), t(1)]] {
-            assert!(root.covers(&copy, &copied, &prompt, &copy.context(&prompt)));
-            sparse_and_full(&copy, &prompt, &copied, Some(&root), params);
-            assert!(!root.covers(&lm, &fewer, &prompt, &lm.context(&prompt)));
-            sparse_and_full(&lm, &prompt, &fewer, Some(&root), params);
-            for other in &other_lms {
-                let ctx = other.context(&prompt);
-                assert!(!root.covers(other, &trie, &prompt, &ctx), "{prompt:?}");
-                sparse_and_full(other, &prompt, &trie, Some(&root), params);
-            }
-        }
     }
 
     #[test]

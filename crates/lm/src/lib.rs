@@ -15,10 +15,11 @@
 //!   resolved context ([`LmContext`]) along count-table links one token at
 //!   a time instead of searching the tables,
 //! * prefix-trie-constrained beam search returning only valid candidate
-//!   entities ([`decode::constrained_entity_beam`], whose first step after
-//!   a list separator scores only the root children a [`RootOrder`] says
-//!   can matter), and an *unconstrained* variant that can hallucinate
-//!   token sequences (the Table 3 "- Prefix constrain" ablation),
+//!   entities ([`TrieDecoder::constrained`], whose first step after a list
+//!   separator scores only the root children that can matter, ranked once
+//!   when the decoder is built from its LM, trie and separator), and an
+//!   *unconstrained* variant that can hallucinate token sequences (the
+//!   Table 3 "- Prefix constrain" ablation),
 //! * a capacity ladder ([`ModelSpec`]) standing in for the BLOOM/LLaMA
 //!   family-and-size sweep of Figure 8 (n-gram order = capacity; smoothing
 //!   family = model family).
@@ -27,8 +28,6 @@ pub mod decode;
 pub mod ngram;
 pub mod spec;
 
-pub use decode::{
-    constrained_entity_beam, unconstrained_beam, BeamParams, GeneratedSeq, RootOrder,
-};
+pub use decode::{BeamParams, GeneratedSeq, TrieDecoder};
 pub use ngram::{LmContext, NgramLm, Smoothing};
 pub use spec::ModelSpec;

@@ -325,12 +325,6 @@ impl NgramLm {
         self.vocab_size
     }
 
-    /// Smoothing family.
-    #[inline]
-    pub(crate) fn smoothing(&self) -> Smoothing {
-        self.smoothing
-    }
-
     /// Accumulates counts from documents (token sequences): every
     /// `(k + 1)`-gram of a document counts its last token after its first
     /// `k`, for each `k < order`.
@@ -743,12 +737,6 @@ impl<'a> LmContext<'a> {
         self.depth > 0 && self.suffixes[0].len == 1
     }
 
-    /// The total and the number of types of the unigram level and of the
-    /// shortest observed suffix (an empty level if there is none).
-    pub(crate) fn unit_levels(&self) -> [(f64, usize); 2] {
-        [&self.unigram, &self.suffixes[0]].map(|l| (l.total, l.run.len()))
-    }
-
     /// The runs of the observed suffixes past the shortest.
     pub(crate) fn longer_runs(&self) -> impl Iterator<Item = &'a [(u32, u32)]> + '_ {
         self.suffixes[1..self.depth.max(1)].iter().map(|l| l.run)
@@ -1016,7 +1004,7 @@ mod tests {
         lm
     }
 
-    fn smoothing_of(family: u8, discount: f64) -> Smoothing {
+    fn family_smoothing(family: u8, discount: f64) -> Smoothing {
         if family == 0 {
             Smoothing::WittenBell
         } else {
@@ -1345,7 +1333,7 @@ mod tests {
             // Vocabulary 32, corpus over 0..24: tokens 24..32 are never
             // seen, and contexts that mention them are never observed. An
             // empty document list leaves the LM untrained.
-            let mut lm = NgramLm::new(order, smoothing_of(family, discount), 32);
+            let mut lm = NgramLm::new(order, family_smoothing(family, discount), 32);
             let docs: Vec<Vec<TokenId>> = docs.iter().map(|d| toks(d)).collect();
             lm.train(docs.iter().map(Vec::as_slice));
             // Half the time the context is a training document's prefix, so
@@ -1393,7 +1381,7 @@ mod tests {
             // LM untrained. Sequences may be empty or unseen; one of them is
             // a training document's prefix half the time, so its suffixes
             // are observed.
-            let mut lm = NgramLm::new(order, smoothing_of(family, discount), 32);
+            let mut lm = NgramLm::new(order, family_smoothing(family, discount), 32);
             let docs: Vec<Vec<TokenId>> = docs.iter().map(|d| toks(d)).collect();
             lm.train(docs.iter().map(Vec::as_slice));
             let pieces: Vec<Vec<TokenId>> = pieces.iter().map(|p| toks(p)).collect();
@@ -1429,7 +1417,7 @@ mod tests {
             // document, so long suffixes are observed; sequences run past
             // `order - 1` tokens. Half the time the model is reloaded, so
             // the links are the ones the load pass builds.
-            let mut lm = NgramLm::new(order, smoothing_of(family, discount), 32);
+            let mut lm = NgramLm::new(order, family_smoothing(family, discount), 32);
             let docs: Vec<Vec<TokenId>> = docs.iter().map(|d| toks(d)).collect();
             lm.train(docs.iter().map(Vec::as_slice));
             if reload == 1 {
