@@ -52,6 +52,18 @@ impl ByteWriter {
         self.u64(v.to_bits());
     }
 
+    /// Appends `v` as an unsigned LEB128 varint: seven bits per byte, low
+    /// bits first, the high bit set on every byte but the last. This is the
+    /// shortest encoding of `v`, the only one [`ByteReader::varint`]
+    /// accepts.
+    pub fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -130,6 +142,30 @@ impl<'a> ByteReader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
+    /// Reads an unsigned LEB128 varint written by [`ByteWriter::varint`].
+    /// Only the shortest encoding of a `u64` is accepted: a last byte of
+    /// zero after the first (an over-long encoding) or bits past the 64th
+    /// (an overflow) are corruption, so every accepted varint re-encodes to
+    /// the bytes it was read from. A failed read consumes nothing.
+    pub fn varint(&mut self) -> Result<u64> {
+        let mut v = 0u64;
+        for (i, &b) in self.buf[self.pos..].iter().enumerate().take(10) {
+            let shift = 7 * i as u32;
+            if shift == 63 && b > 1 {
+                return Err(self.fail("varint overflows 64 bits"));
+            }
+            v |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                if b == 0 && i > 0 {
+                    return Err(self.fail("over-long varint"));
+                }
+                self.pos += i + 1;
+                return Ok(v);
+            }
+        }
+        Err(self.fail("truncated varint"))
+    }
+
     /// Validates a declared element count against the bytes actually left:
     /// `count` elements of at least `min_size` bytes each must fit in the
     /// remaining buffer. Returns the count as `usize` so callers can
@@ -195,6 +231,59 @@ mod tests {
         assert_eq!(r.check_count(4, 4, "entries").unwrap(), 4);
         // Zero-size elements still bound by the remaining length.
         assert!(r.check_count(17, 0, "entries").is_err());
+    }
+
+    #[test]
+    fn varints_round_trip_in_their_shortest_form() {
+        let values = [
+            0,
+            1,
+            127,
+            128,
+            300,
+            1 << 35,
+            u64::from(u32::MAX),
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        let mut w = ByteWriter::new();
+        for &v in &values {
+            let before = w.len();
+            w.varint(v);
+            // Seven bits per byte, and never a byte more.
+            let bits = 64 - v.leading_zeros() as usize;
+            assert_eq!(w.len() - before, bits.max(1).div_ceil(7), "{v}");
+        }
+        let bytes = w.finish();
+        let mut r = ByteReader::new(&bytes, "varint");
+        for &v in &values {
+            assert_eq!(r.varint().unwrap(), v);
+        }
+        assert!(r.expect_end().is_ok());
+    }
+
+    #[test]
+    fn non_canonical_varints_are_typed_errors() {
+        let mut max = vec![0xFF; 9];
+        max.push(0x01);
+        let mut past_64_bits = vec![0xFF; 9];
+        past_64_bits.push(0x02);
+        let mut eleven_bytes = vec![0x80; 10];
+        eleven_bytes.push(0x01);
+        assert_eq!(ByteReader::new(&max, "max").varint().unwrap(), u64::MAX);
+        for bad in [
+            &[0x80, 0x00][..],   // 0, over-long
+            &[0xFF, 0x80, 0x00], // 127, over-long
+            &past_64_bits,
+            &eleven_bytes,
+            &[0x80], // truncated
+            &[],
+        ] {
+            let mut r = ByteReader::new(bad, "varint");
+            assert!(matches!(r.varint(), Err(UltraError::Corrupt(_))), "{bad:?}");
+            // A failed read consumes nothing.
+            assert_eq!(r.remaining(), bad.len());
+        }
     }
 
     #[test]

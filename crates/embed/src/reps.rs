@@ -89,20 +89,31 @@ impl EntityEmbeddings {
     }
 
     /// Strict inverse of [`to_bytes`](Self::to_bytes): the payload must
-    /// contain exactly `rows × cols` floats — any shortfall or surplus is a
-    /// typed [`UltraError::Corrupt`](ultra_core::UltraError::Corrupt), never
-    /// a panic.
+    /// contain exactly `rows × cols` finite floats — any shortfall or
+    /// surplus, and any NaN or infinite cell (which would poison every
+    /// cosine it enters), is a typed
+    /// [`UltraError::Corrupt`](ultra_core::UltraError::Corrupt), never a
+    /// panic.
     pub fn from_bytes(bytes: &[u8]) -> ultra_core::Result<Self> {
+        let corrupt = |msg: String| ultra_core::UltraError::Corrupt(format!("embeddings: {msg}"));
         let mut r = ultra_core::ByteReader::new(bytes, "embeddings");
         let rows = r.u32()? as usize;
         let cols = r.u32()? as usize;
-        let count = rows.checked_mul(cols).ok_or_else(|| {
-            ultra_core::UltraError::Corrupt(format!("embeddings: {rows}x{cols} overflows"))
-        })?;
+        let count = rows
+            .checked_mul(cols)
+            .ok_or_else(|| corrupt(format!("{rows}x{cols} overflows")))?;
         let _ = r.check_count(count as u64, 4, "matrix cells")?;
         let mut data = Vec::with_capacity(count);
-        for _ in 0..count {
-            data.push(r.f32()?);
+        for i in 0..count {
+            let v = r.f32()?;
+            if !v.is_finite() {
+                return Err(corrupt(format!(
+                    "row {} column {} is {v}",
+                    i / cols,
+                    i % cols
+                )));
+            }
+            data.push(v);
         }
         r.expect_end()?;
         Ok(Self::new(Matrix::from_vec(rows, cols, data)))
@@ -370,6 +381,15 @@ mod tests {
         let mut padded = bytes.clone();
         padded.push(0);
         assert!(EntityEmbeddings::from_bytes(&padded).is_err());
+        // Non-finite cells.
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut poisoned = bytes.clone();
+            poisoned[8 + 4 * 5..8 + 4 * 6].copy_from_slice(&bad.to_le_bytes());
+            assert!(matches!(
+                EntityEmbeddings::from_bytes(&poisoned),
+                Err(ultra_core::UltraError::Corrupt(msg)) if msg.contains("row 2 column 1")
+            ));
+        }
         // A hostile header cannot trigger a huge allocation.
         let mut hostile = Vec::new();
         hostile.extend_from_slice(&u32::MAX.to_le_bytes());

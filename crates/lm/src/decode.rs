@@ -495,7 +495,7 @@ fn prune<T: Clone>(items: &[T], score: impl Fn(&T) -> f64, k: usize) -> Vec<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ngram::Smoothing;
+    use crate::ngram::{Reference, Smoothing};
     use proptest::prelude::*;
     use rand::Rng;
     use ultra_core::rng::{derive_rng, UltraRng};
@@ -511,7 +511,7 @@ mod tests {
     /// back-off recursion per candidate token. Its full stable sorts keep
     /// equal log-probs in input order (beam order, then ascending token).
     fn reference_constrained_entity_beam(
-        lm: &NgramLm,
+        lm: &Reference<'_>,
         prompt: &[TokenId],
         trie: &PrefixTrie,
         params: BeamParams,
@@ -529,7 +529,7 @@ mod tests {
                 ctx_buf.extend_from_slice(prompt);
                 ctx_buf.extend_from_slice(&hyp.prefix);
                 for tok in trie.allowed_continuations(&hyp.prefix) {
-                    let lp = hyp.logp + lm.prob_reference(&ctx_buf, tok).max(1e-300).ln();
+                    let lp = hyp.logp + lm.prob(&ctx_buf, tok).max(1e-300).ln();
                     let mut prefix = hyp.prefix.clone();
                     prefix.push(tok);
                     if let Some(entity) = trie.complete(&prefix) {
@@ -557,7 +557,7 @@ mod tests {
     /// the reference continuation ranking per hypothesis. Ties keep input
     /// order through full stable sorts, as in the constrained reference.
     fn reference_unconstrained_beam(
-        lm: &NgramLm,
+        lm: &Reference<'_>,
         prompt: &[TokenId],
         trie: &PrefixTrie,
         stop: TokenId,
@@ -575,8 +575,8 @@ mod tests {
                 ctx_buf.clear();
                 ctx_buf.extend_from_slice(prompt);
                 ctx_buf.extend_from_slice(&hyp.prefix);
-                for (tok, _) in lm.observed_continuations_reference(&ctx_buf, params.beam_size) {
-                    let lp = hyp.logp + lm.prob_reference(&ctx_buf, tok).max(1e-300).ln();
+                for (tok, _) in lm.observed_continuations(&ctx_buf, params.beam_size) {
+                    let lp = hyp.logp + lm.prob(&ctx_buf, tok).max(1e-300).ln();
                     if tok == stop {
                         if !hyp.prefix.is_empty() {
                             let gm = (lp / (hyp.prefix.len() + 1) as f64).exp();
@@ -620,14 +620,15 @@ mod tests {
     /// corpus: 0 random documents, 1 none (an untrained LM: every token
     /// equally likely), 2 the whole vocabulary once per document (equal
     /// counts everywhere). Entity ids repeat every 25 names, so some
-    /// entities are reachable along two paths.
+    /// entities are reachable along two paths. Returns the documents too,
+    /// for the references.
     fn random_world(
         names: &[Vec<u32>],
         docs: &[Vec<u32>],
         ties: u8,
         order: usize,
         family: u8,
-    ) -> (NgramLm, PrefixTrie) {
+    ) -> (NgramLm, PrefixTrie, Vec<Vec<TokenId>>) {
         let smoothing = if family == 0 {
             Smoothing::WittenBell
         } else {
@@ -648,7 +649,7 @@ mod tests {
             let toks: Vec<TokenId> = name.iter().map(|&x| t(x)).collect();
             trie.insert(&toks, e(i as u32 % 25));
         }
-        (lm, trie)
+        (lm, trie, docs)
     }
 
     proptest! {
@@ -663,12 +664,12 @@ mod tests {
             beam_size in 1usize..12,
             max_len in 1usize..5,
         ) {
-            let (lm, trie) = random_world(&names, &docs, ties, order, family);
+            let (lm, trie, docs) = random_world(&names, &docs, ties, order, family);
             let prompt: Vec<TokenId> = prompt.iter().map(|&x| t(x)).collect();
             let params = BeamParams { beam_size, max_len };
             let root = RootOrder::new(&lm, &trie, t(1));
             let got = constrained_entity_beam(&lm, &prompt, &trie, root.as_ref(), params);
-            let want = reference_constrained_entity_beam(&lm, &prompt, &trie, params);
+            let want = reference_constrained_entity_beam(&lm.reference(&docs), &prompt, &trie, params);
             prop_assert_eq!(bits(&got), bits(&want));
         }
 
@@ -683,11 +684,11 @@ mod tests {
             beam_size in 1usize..12,
             max_len in 1usize..5,
         ) {
-            let (lm, trie) = random_world(&names, &docs, ties, order, family);
+            let (lm, trie, docs) = random_world(&names, &docs, ties, order, family);
             let prompt: Vec<TokenId> = prompt.iter().map(|&x| t(x)).collect();
             let params = BeamParams { beam_size, max_len };
             let got = unconstrained_beam(&lm, &prompt, &trie, t(0), params);
-            let want = reference_unconstrained_beam(&lm, &prompt, &trie, t(0), params);
+            let want = reference_unconstrained_beam(&lm.reference(&docs), &prompt, &trie, t(0), params);
             let key = |v: &[GeneratedSeq]| -> Vec<(Vec<TokenId>, u64, Option<EntityId>)> {
                 v.iter().map(|g| (g.tokens.clone(), g.score.to_bits(), g.entity)).collect()
             };
@@ -697,6 +698,9 @@ mod tests {
 
     fn t(x: u32) -> TokenId {
         TokenId::new(x)
+    }
+    fn toks(xs: &[u32]) -> Vec<TokenId> {
+        xs.iter().map(|&x| t(x)).collect()
     }
     fn e(x: u32) -> EntityId {
         EntityId::new(x)
@@ -719,8 +723,8 @@ mod tests {
     /// the corpus is the whole vocabulary. The prompt is mostly one to
     /// three names, each followed by the separator, as GenExpan builds it;
     /// otherwise random tokens, or such a list followed by a name's first
-    /// token.
-    fn seeded_case(rng: &mut UltraRng) -> (NgramLm, PrefixTrie, Vec<TokenId>, TokenId) {
+    /// token. Returns the documents last, for the reference.
+    fn seeded_case(rng: &mut UltraRng) -> SeededCase {
         let sep = [1, 1, 1, 1, 46, 47][rng.gen_range(0..6usize)];
         let names: Vec<Vec<u32>> = (0..rng.gen_range(1..90usize))
             .map(|_| {
@@ -791,8 +795,16 @@ mod tests {
                 list(rng, n, sep)
             }
         };
-        (lm, trie, prompt.into_iter().map(t).collect(), t(sep))
+        (lm, trie, prompt.into_iter().map(t).collect(), t(sep), docs)
     }
+
+    type SeededCase = (
+        NgramLm,
+        PrefixTrie,
+        Vec<TokenId>,
+        TokenId,
+        Vec<Vec<TokenId>>,
+    );
 
     /// The sparse root step against the per-token reference beam, bit for
     /// bit, on 40,000 seeded cases (the proptest above runs 64).
@@ -802,7 +814,7 @@ mod tests {
         let mut sparse = 0;
         for case in 0..CASES {
             let mut rng = derive_rng(0x5EED_2007, case);
-            let (lm, trie, prompt, sep) = seeded_case(&mut rng);
+            let (lm, trie, prompt, sep, docs) = seeded_case(&mut rng);
             let params = BeamParams {
                 beam_size: rng.gen_range(1..12usize),
                 max_len: rng.gen_range(1..5usize),
@@ -815,7 +827,8 @@ mod tests {
                 sparse += 1;
             }
             let got = constrained_entity_beam(&lm, &prompt, &trie, root.as_ref(), params);
-            let want = reference_constrained_entity_beam(&lm, &prompt, &trie, params);
+            let want =
+                reference_constrained_entity_beam(&lm.reference(&docs), &prompt, &trie, params);
             assert_eq!(
                 bits(&got),
                 bits(&want),
@@ -827,15 +840,21 @@ mod tests {
         assert!(sparse > CASES / 5, "only {sparse} sparse cases");
     }
 
-    /// World: entities A=[10], B=[11,12], C=[13]; lists "A , B , C" style.
-    fn setup() -> (NgramLm, PrefixTrie) {
+    /// [`setup`]'s documents: lists "A , B , C" style.
+    fn setup_docs() -> Vec<Vec<TokenId>> {
         let sep = t(1);
-        let docs: Vec<Vec<TokenId>> = vec![
+        vec![
             vec![t(10), sep, t(11), t(12), sep, t(13)],
             vec![t(13), sep, t(10), sep, t(11), t(12)],
             vec![t(10), sep, t(13), sep, t(11), t(12)],
             vec![t(11), t(12), sep, t(10), sep, t(13)],
-        ];
+        ]
+    }
+
+    /// World: entities A=[10], B=[11,12], C=[13], trained on
+    /// [`setup_docs`].
+    fn setup() -> (NgramLm, PrefixTrie) {
+        let docs = setup_docs();
         let mut lm = NgramLm::new(3, Smoothing::AbsoluteDiscount(0.75), 20);
         lm.train(docs.iter().map(Vec::as_slice));
         let mut trie = PrefixTrie::new();
@@ -919,9 +938,11 @@ mod tests {
     }
 
     /// The beam with `root` and with the full root merge, which must agree
-    /// bit for bit; returns the first.
+    /// bit for bit with each other and with the reference of `lm`, trained
+    /// on `docs`; returns the first.
     fn sparse_and_full(
         lm: &NgramLm,
+        docs: &[Vec<TokenId>],
         prompt: &[TokenId],
         trie: &PrefixTrie,
         root: Option<&RootOrder>,
@@ -932,7 +953,12 @@ mod tests {
         assert_eq!(bits(&sparse), bits(&full), "prompt {prompt:?}, {params:?}");
         assert_eq!(
             bits(&full),
-            bits(&reference_constrained_entity_beam(lm, prompt, trie, params))
+            bits(&reference_constrained_entity_beam(
+                &lm.reference(docs),
+                prompt,
+                trie,
+                params
+            ))
         );
         sparse
     }
@@ -968,19 +994,20 @@ mod tests {
         let untrained = NgramLm::new(3, Smoothing::AbsoluteDiscount(0.75), 48);
         for (trie, want) in &cases {
             assert!(RootOrder::new(&untrained, trie, t(1)).is_none());
-            let out = sparse_and_full(&untrained, &[t(1)], trie, None, params);
+            let out = sparse_and_full(&untrained, &[], &[t(1)], trie, None, params);
             assert_eq!(&out.iter().map(|&(x, _)| x).collect::<Vec<_>>(), want);
         }
         // Trained, but the separator precedes only token 40, and no name
         // token is ever seen: the sparse step runs, and every child ties.
+        let docs = [toks(&[1, 40]), toks(&[2, 1, 40, 41])];
         for smoothing in [Smoothing::WittenBell, Smoothing::AbsoluteDiscount(0.75)] {
             let mut lm = NgramLm::new(3, smoothing, 48);
-            lm.train([[t(1), t(40)].as_slice(), &[t(2), t(1), t(40), t(41)]]);
+            lm.train(docs.iter().map(Vec::as_slice));
             for (trie, want) in &cases {
                 let root = RootOrder::new(&lm, trie, t(1)).expect("[sep] is a context");
                 for prompt in [vec![t(1)], vec![t(2), t(1)], vec![t(9), t(1)]] {
                     assert!(root.covers(&prompt, &lm.context(&prompt)));
-                    let out = sparse_and_full(&lm, &prompt, trie, Some(&root), params);
+                    let out = sparse_and_full(&lm, &docs, &prompt, trie, Some(&root), params);
                     assert_eq!(&out.iter().map(|&(x, _)| x).collect::<Vec<_>>(), want);
                 }
             }
@@ -989,8 +1016,12 @@ mod tests {
 
     /// A list corpus over `names`, each followed by the separator 1, in
     /// rotating order, so the `[sep]` run and the longer runs hold many
-    /// first tokens with uneven counts.
-    fn list_lm(names: &[Vec<TokenId>], order: usize, smoothing: Smoothing) -> NgramLm {
+    /// first tokens with uneven counts. Returns the documents too.
+    fn list_lm(
+        names: &[Vec<TokenId>],
+        order: usize,
+        smoothing: Smoothing,
+    ) -> (NgramLm, Vec<Vec<TokenId>>) {
         let docs: Vec<Vec<TokenId>> = (0..names.len())
             .map(|r| {
                 let mut doc = Vec::new();
@@ -1003,7 +1034,7 @@ mod tests {
             .collect();
         let mut lm = NgramLm::new(order, smoothing, 48);
         lm.train(docs.iter().map(Vec::as_slice));
-        lm
+        (lm, docs)
     }
 
     #[test]
@@ -1018,7 +1049,7 @@ mod tests {
         }
         for smoothing in [Smoothing::WittenBell, Smoothing::AbsoluteDiscount(0.75)] {
             for order in 2..6 {
-                let lm = list_lm(&names, order, smoothing);
+                let (lm, docs) = list_lm(&names, order, smoothing);
                 let root = RootOrder::new(&lm, &trie, t(1)).expect("[sep] is a context");
                 for beam_size in [1, 3, 4, 8, 40] {
                     let params = BeamParams {
@@ -1026,7 +1057,7 @@ mod tests {
                         max_len: 3,
                     };
                     for prompt in [vec![t(1)], vec![t(2), t(1)], vec![t(7), t(31), t(1)]] {
-                        sparse_and_full(&lm, &prompt, &trie, Some(&root), params);
+                        sparse_and_full(&lm, &docs, &prompt, &trie, Some(&root), params);
                     }
                 }
             }
@@ -1039,13 +1070,14 @@ mod tests {
         // after the separator; entity 1's name 4 comes next. At width 2 the
         // walk must go past both of entity 0's names to find a second
         // entity.
+        let docs = [
+            toks(&[1, 2, 1, 2, 1, 2, 1, 2]),
+            toks(&[1, 3, 1, 3, 1, 3]),
+            toks(&[1, 4, 1, 4]),
+            toks(&[1, 5]),
+        ];
         let mut lm = NgramLm::new(2, Smoothing::AbsoluteDiscount(0.75), 48);
-        lm.train([
-            [t(1), t(2), t(1), t(2), t(1), t(2), t(1), t(2)].as_slice(),
-            &[t(1), t(3), t(1), t(3), t(1), t(3)],
-            &[t(1), t(4), t(1), t(4)],
-            &[t(1), t(5)],
-        ]);
+        lm.train(docs.iter().map(Vec::as_slice));
         let mut trie = PrefixTrie::new();
         trie.insert(&[t(2)], e(0));
         trie.insert(&[t(3)], e(0));
@@ -1056,7 +1088,7 @@ mod tests {
             beam_size: 2,
             max_len: 1,
         };
-        let out = sparse_and_full(&lm, &[t(1)], &trie, Some(&root), params);
+        let out = sparse_and_full(&lm, &docs, &[t(1)], &trie, Some(&root), params);
         assert_eq!(
             out.iter().map(|&(x, _)| x).collect::<Vec<_>>(),
             [e(0), e(1)]
@@ -1075,7 +1107,14 @@ mod tests {
         assert!(RootOrder::new(&tail, &trie, t(1)).is_some());
         for prompt in [vec![], vec![t(10)], vec![t(10), t(1), t(11)], vec![t(19)]] {
             assert!(!root.covers(&prompt, &lm.context(&prompt)), "{prompt:?}");
-            sparse_and_full(&lm, &prompt, &trie, Some(&root), BeamParams::default());
+            sparse_and_full(
+                &lm,
+                &setup_docs(),
+                &prompt,
+                &trie,
+                Some(&root),
+                BeamParams::default(),
+            );
         }
         // A unigram LM holds no `[sep]` level.
         let mut unigram = NgramLm::new(1, Smoothing::WittenBell, 20);
@@ -1099,7 +1138,7 @@ mod tests {
                 restricted.insert(name, e(i as u32));
             }
         }
-        let lm = list_lm(&names, 4, Smoothing::WittenBell);
+        let (lm, docs) = list_lm(&names, 4, Smoothing::WittenBell);
         let full_root = RootOrder::new(&lm, &full, t(1)).expect("[sep] is a context");
         let root = RootOrder::new(&lm, &restricted, t(1)).expect("[sep] is a context");
         assert_eq!(
@@ -1113,7 +1152,7 @@ mod tests {
                 max_len: 2,
             };
             for prompt in [vec![t(1)], vec![t(5), t(1)], vec![t(3), t(31), t(1)]] {
-                sparse_and_full(&lm, &prompt, &restricted, Some(&root), params);
+                sparse_and_full(&lm, &docs, &prompt, &restricted, Some(&root), params);
             }
         }
     }

@@ -2,13 +2,20 @@
 //!
 //! Counts live in one `Table` per context length: the observed contexts
 //! in lexicographic key order, each with its continuations as a
-//! token-sorted `(token, count)` run — the layout the NGLM snapshot section
-//! serializes. Every run entry also links to the one-token-longer context
-//! it extends to, and the unigram run is indexed by token, so an
-//! [`LmContext`] moves one token along by following links instead of
-//! searching the tables (DESIGN.md §6, "Suffix-linked contexts"). A batch
-//! of ascending tokens scored against one context costs one forward merge
-//! per back-off level (DESIGN.md §6, "GenExpan decode kernel").
+//! token-sorted `(token, count)` run. Every run entry also links to the
+//! one-token-longer context it extends to, and the unigram run is indexed
+//! by token, so an [`LmContext`] moves one token along by following links
+//! instead of searching the tables (DESIGN.md §6, "Suffix-linked
+//! contexts"). A batch of ascending tokens scored against one context
+//! costs one forward merge per back-off level (DESIGN.md §6, "GenExpan
+//! decode kernel").
+//!
+//! No key is kept: a context of length `k + 1` is the length-`k` entry
+//! that links to it. The NGLM snapshot section (v2) stores exactly that:
+//! each context as a varint-coded link to the entry it extends, then its
+//! run as varint token gaps and counts ([`NgramLm::to_bytes`]). Loading
+//! fills the serving arrays as it reads, with no key to build or search,
+//! and training spells keys out only while it merges.
 
 use std::cmp::Ordering;
 use ultra_core::{top_k, ByteReader, ByteWriter, TokenId, UltraError};
@@ -52,12 +59,12 @@ impl Smoothing {
 }
 
 /// Every observed context of one length `k`, in lexicographic key order.
-#[derive(Clone, Debug)]
+/// No key is kept: context `c` of table `k + 1` is `key(c') ++ [t]` for
+/// the entry `(c', t)` of table `k` whose link is `c`.
+#[derive(Clone, Debug, PartialEq)]
 struct Table {
     /// Context length.
     k: usize,
-    /// The contexts' keys, `k` tokens each, concatenated.
-    keys: Vec<u32>,
     /// Per-context total: the sum of the context's run.
     totals: Vec<u64>,
     /// Context `c`'s run is `conts[starts[c]..starts[c + 1]]`.
@@ -76,7 +83,6 @@ impl Table {
         starts.push(0);
         Self {
             k,
-            keys: Vec::with_capacity(contexts * k),
             totals: Vec::with_capacity(contexts),
             starts,
             conts: Vec::new(),
@@ -88,11 +94,6 @@ impl Table {
     #[inline]
     fn len(&self) -> usize {
         self.totals.len()
-    }
-
-    #[inline]
-    fn key(&self, c: usize) -> &[u32] {
-        &self.keys[c * self.k..(c + 1) * self.k]
     }
 
     /// Context `c`'s entries: `conts[span(c)]` and `next[span(c)]`.
@@ -118,24 +119,62 @@ impl Table {
         }
     }
 
+    /// Writes context `c`'s run in NGLM v2 form: its length − 1, then per
+    /// entry the token's gap past the previous token and its count − 1.
+    fn write_run(&self, c: usize, w: &mut ByteWriter) {
+        let run = self.run(c);
+        w.varint(run.len() as u64 - 1);
+        let mut first = 0;
+        for &(t, n) in run {
+            w.varint(u64::from(t - first));
+            w.varint(u64::from(n - 1));
+            first = t + 1;
+        }
+    }
+}
+
+/// A table with every context's key spelled out: the form
+/// [`NgramLm::train`] merges in, dropped before it returns.
+struct KeyedTable {
+    /// The contexts' keys, `table.k` tokens each, concatenated.
+    keys: Vec<u32>,
+    table: Table,
+}
+
+impl KeyedTable {
+    fn key(&self, c: usize) -> &[u32] {
+        let k = self.table.k;
+        &self.keys[c * k..(c + 1) * k]
+    }
+
     /// Appends a context after every stored one; keys must arrive in
     /// increasing order and `run` must be token-sorted.
     fn push(&mut self, key: &[u32], run: &[(u32, u32)]) {
         self.keys.extend_from_slice(key);
-        self.totals
+        let table = &mut self.table;
+        table
+            .totals
             .push(run.iter().map(|&(_, n)| u64::from(n)).sum());
-        self.conts.extend_from_slice(run);
+        table.conts.extend_from_slice(run);
         assert!(
-            self.conts.len() <= u32::MAX as usize,
+            table.conts.len() <= u32::MAX as usize,
             "a table holds at most u32::MAX continuations"
         );
-        self.starts.push(self.conts.len() as u32);
+        table.starts.push(table.conts.len() as u32);
+    }
+
+    /// An empty table of length-`k` contexts.
+    fn empty(k: usize) -> Self {
+        Self {
+            keys: Vec::new(),
+            table: Table::with_capacity(k, 0),
+        }
     }
 
     /// The counts of `grams`, sorted `(k + 1)`-grams: each one's first `k`
     /// tokens are the context, its last token the continuation.
     fn from_sorted_grams(k: usize, grams: &[&[TokenId]]) -> Self {
-        let mut table = Table::with_capacity(k, 0);
+        let mut out = KeyedTable::empty(k);
         let mut key: Vec<u32> = Vec::with_capacity(k);
         let mut run: Vec<(u32, u32)> = Vec::new();
         for same_ctx in grams.chunk_by(|a, b| a[..k] == b[..k]) {
@@ -145,44 +184,45 @@ impl Table {
             }
             key.clear();
             key.extend(same_ctx[0][..k].iter().map(|t| t.0));
-            table.push(&key, &run);
+            out.push(&key, &run);
         }
-        table
+        out
     }
 
     /// Adds `other`'s counts to this table's: a merge of the two sorted
     /// context lists, and of the two runs of every shared context.
-    fn merge(&mut self, other: Table) {
-        if other.len() == 0 {
+    fn merge(&mut self, other: KeyedTable) {
+        let (n, m) = (self.table.len(), other.table.len());
+        if m == 0 {
             return;
         }
-        if self.len() == 0 {
+        if n == 0 {
             *self = other;
             return;
         }
-        let mut out = Table::with_capacity(self.k, self.len().max(other.len()));
+        let mut out = KeyedTable::empty(self.table.k);
         let mut run: Vec<(u32, u32)> = Vec::new();
         let (mut a, mut b) = (0, 0);
-        while a < self.len() || b < other.len() {
-            let ord = if a == self.len() {
+        while a < n || b < m {
+            let ord = if a == n {
                 Ordering::Greater
-            } else if b == other.len() {
+            } else if b == m {
                 Ordering::Less
             } else {
                 self.key(a).cmp(other.key(b))
             };
             match ord {
                 Ordering::Less => {
-                    out.push(self.key(a), self.run(a));
+                    out.push(self.key(a), self.table.run(a));
                     a += 1;
                 }
                 Ordering::Greater => {
-                    out.push(other.key(b), other.run(b));
+                    out.push(other.key(b), other.table.run(b));
                     b += 1;
                 }
                 Ordering::Equal => {
                     run.clear();
-                    merge_runs(self.run(a), other.run(b), &mut run);
+                    merge_runs(self.table.run(a), other.table.run(b), &mut run);
                     out.push(self.key(a), &run);
                     a += 1;
                     b += 1;
@@ -190,6 +230,34 @@ impl Table {
             }
         }
         *self = out;
+    }
+
+    /// The links of this table's entries into `child`, the next table:
+    /// entry `(c, t)` links to `child`'s context `key(c) ++ [t]`. Both are
+    /// in key order, so one forward pass finds every link.
+    fn links_to(&self, child: &KeyedTable) -> Vec<u32> {
+        let table = &self.table;
+        let mut next = vec![NO_LINK; table.conts.len()];
+        let mut linked = 0;
+        for c in 0..table.len() {
+            let key = self.key(c);
+            for e in table.span(c) {
+                if linked < child.table.len()
+                    && child.key(linked).split_last() == Some((&table.conts[e].0, key))
+                {
+                    next[e] = linked as u32;
+                    linked += 1;
+                }
+            }
+        }
+        // The first `k + 1` tokens of a counted `(k + 2)`-gram are a
+        // counted `(k + 1)`-gram: trained tables are prefix-closed.
+        debug_assert_eq!(
+            linked,
+            child.table.len(),
+            "a context without its parent entry"
+        );
+        next
     }
 }
 
@@ -216,45 +284,6 @@ fn merge_runs(x: &[(u32, u32)], y: &[(u32, u32)], out: &mut Vec<(u32, u32)>) {
     }
     out.extend_from_slice(&x[i..]);
     out.extend_from_slice(&y[j..]);
-}
-
-/// Links the contexts of one table to their parent entries in the table
-/// before it. Contexts arrive in increasing key order, and the parent's
-/// entries are in `(key, token)` order, so every link is a step of one
-/// forward merge.
-#[derive(Default)]
-struct Linker {
-    /// The parent context the merge stands at.
-    c: usize,
-    /// The parent run entry the merge stands at.
-    e: usize,
-}
-
-impl Linker {
-    /// Points `parent`'s entry for `key` — token `key[k]` of context
-    /// `key[..k]`, where `k = parent.k` — at context `child` of the next
-    /// table. False if `parent` has no such entry.
-    fn link(&mut self, parent: &mut Table, key: &[u32], child: u32) -> bool {
-        let Some((&t, prefix)) = key.split_last() else {
-            return false;
-        };
-        while self.c < parent.len() && parent.key(self.c) < prefix {
-            self.c += 1;
-        }
-        if self.c == parent.len() || parent.key(self.c) != prefix {
-            return false;
-        }
-        let span = parent.span(self.c);
-        self.e = self.e.max(span.start);
-        while self.e < span.end && parent.conts[self.e].0 < t {
-            self.e += 1;
-        }
-        if self.e == span.end || parent.conts[self.e].0 != t {
-            return false;
-        }
-        parent.next[self.e] = child;
-        true
-    }
 }
 
 /// The direct unigram index: each vocabulary token's entry in the unigram
@@ -327,34 +356,43 @@ impl NgramLm {
 
     /// Accumulates counts from documents (token sequences): every
     /// `(k + 1)`-gram of a document counts its last token after its first
-    /// `k`, for each `k < order`.
+    /// `k`, for each `k < order`. The merge keys each table's contexts,
+    /// spelled out along the links, and drops the keys once the links of
+    /// the merged tables are built.
     pub fn train<'a, I>(&mut self, docs: I)
     where
         I: IntoIterator<Item = &'a [TokenId]>,
     {
         let docs: Vec<&[TokenId]> = docs.into_iter().collect();
-        for (k, table) in self.tables.iter_mut().enumerate() {
-            let mut grams: Vec<&[TokenId]> = docs.iter().flat_map(|d| d.windows(k + 1)).collect();
-            grams.sort_unstable();
-            table.merge(Table::from_sorted_grams(k, &grams));
-        }
-        self.build_links();
-    }
-
-    /// Rebuilds every table's links and the unigram index from the counts.
-    fn build_links(&mut self) {
-        for k in 1..self.order {
-            let (lower, upper) = self.tables.split_at_mut(k);
-            let (parent, child) = (&mut lower[k - 1], &upper[0]);
-            parent.next = vec![NO_LINK; parent.conts.len()];
-            let mut linker = Linker::default();
-            for c in 0..child.len() {
-                // The first `k` tokens of a counted `(k + 1)`-gram are a
-                // counted `k`-gram: trained tables are prefix-closed.
-                let linked = linker.link(parent, child.key(c), c as u32);
-                debug_assert!(linked, "trained context without its parent entry");
-            }
-        }
+        let keys = self.keys();
+        let keyed: Vec<KeyedTable> = std::mem::take(&mut self.tables)
+            .into_iter()
+            .zip(keys)
+            .enumerate()
+            .map(|(k, (table, keys))| {
+                let mut grams: Vec<&[TokenId]> =
+                    docs.iter().flat_map(|d| d.windows(k + 1)).collect();
+                grams.sort_unstable();
+                let mut keyed = KeyedTable { keys, table };
+                keyed.merge(KeyedTable::from_sorted_grams(k, &grams));
+                keyed
+            })
+            .collect();
+        let links: Vec<Vec<u32>> = (0..self.order)
+            .map(|k| {
+                keyed
+                    .get(k + 1)
+                    .map_or_else(Vec::new, |child| keyed[k].links_to(child))
+            })
+            .collect();
+        self.tables = keyed
+            .into_iter()
+            .zip(links)
+            .map(|(keyed, next)| Table {
+                next,
+                ..keyed.table
+            })
+            .collect();
         let unigrams = &self.tables[0];
         if let Some(&(last, _)) = unigrams.conts.last() {
             assert!(
@@ -364,6 +402,28 @@ impl NgramLm {
             );
         }
         self.unigram_index = unigram_index(unigrams, self.vocab_size);
+    }
+
+    /// Every table's keys, `k` tokens per context, spelled out along the
+    /// links: the `i`-th linked entry `(c, t)` of table `k`, in entry order,
+    /// is context `i` of table `k + 1`, whose key is `key(c) ++ [t]`.
+    fn keys(&self) -> Vec<Vec<u32>> {
+        let mut keys: Vec<Vec<u32>> = vec![Vec::new()];
+        for (k, parent) in self.tables.iter().enumerate().take(self.order - 1) {
+            let parent_keys = &keys[k];
+            let mut out = Vec::with_capacity(self.tables[k + 1].len() * (k + 1));
+            for c in 0..parent.len() {
+                for e in parent.span(c) {
+                    if parent.next[e] != NO_LINK {
+                        debug_assert_eq!(parent.next[e] as usize, out.len() / (k + 1));
+                        out.extend_from_slice(&parent_keys[c * k..(c + 1) * k]);
+                        out.push(parent.conts[e].0);
+                    }
+                }
+            }
+            keys.push(out);
+        }
+        keys
     }
 
     /// Token `w`'s entry in the unigram run.
@@ -440,12 +500,16 @@ impl NgramLm {
         (lp / entity_tokens.len() as f64).exp()
     }
 
-    /// Serializes the count tables in canonical form: for every table the
-    /// contexts are emitted in lexicographic key order and every context's
-    /// continuation counts in ascending token order — the order they are
-    /// stored in — so two identically trained models produce byte-identical
-    /// output regardless of training history. Links and the unigram index
-    /// are derived, and not written.
+    /// Serializes the count tables as the NGLM section, version 2: the
+    /// header (order, smoothing, vocabulary), then per table its context
+    /// count and its contexts in key order, all as LEB128 varints. A
+    /// context of table `k ≥ 1` is written as its link: the index of the
+    /// table-`(k − 1)` entry it extends, as the gap past the previous
+    /// context's entry. Then its run: length − 1, and per entry the token's
+    /// gap past the previous token and its count − 1. Keys, totals, the
+    /// unigram index and the links' targets follow from the rest and are not
+    /// written. Two identically trained models produce byte-identical
+    /// output regardless of training history.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.u32(self.order as u32);
@@ -460,35 +524,41 @@ impl NgramLm {
             }
         }
         w.u64(self.vocab_size as u64);
-        for table in &self.tables {
-            w.u64(table.len() as u64);
-            for c in 0..table.len() {
-                let key = table.key(c);
-                w.u32(key.len() as u32);
-                for &tok in key {
-                    w.u32(tok);
+        for (k, table) in self.tables.iter().enumerate() {
+            w.varint(table.len() as u64);
+            if k == 0 {
+                for c in 0..table.len() {
+                    table.write_run(c, &mut w);
                 }
-                w.u64(table.totals[c]);
-                let run = table.run(c);
-                w.u32(run.len() as u32);
-                for &(tok, count) in run {
-                    w.u32(tok);
-                    w.u32(count);
+                continue;
+            }
+            // The linked entries of the table before, in entry order, are
+            // this table's contexts in order.
+            let mut first = 0;
+            for (e, &c) in self.tables[k - 1].next.iter().enumerate() {
+                if c != NO_LINK {
+                    w.varint((e - first) as u64);
+                    table.write_run(c as usize, &mut w);
+                    first = e + 1;
                 }
             }
         }
         w.finish()
     }
 
-    /// Strict inverse of [`to_bytes`](Self::to_bytes). Validates every
-    /// invariant [`new`](Self::new) asserts (order in `1..=MAX_ORDER`,
-    /// vocab in `1..=MAX_VOCAB`, discount in `(0,1)`) *before*
-    /// construction, plus canonical ordering (strictly increasing contexts
-    /// and tokens — rejecting duplicates and reorderings),
-    /// context-length/table agreement, count/total consistency, table sizes
-    /// that fit `u32`, and prefix closure (every context of length `k + 1`
-    /// is an entry of its first `k` tokens' run), all as typed errors. The
-    /// links are built in the same pass.
+    /// Strict inverse of [`to_bytes`](Self::to_bytes), filling the serving
+    /// arrays as it reads: each link sets its parent entry's `next`, so no
+    /// key is built or searched. Validates every invariant
+    /// [`new`](Self::new) asserts (order in `1..=MAX_ORDER`, vocab in
+    /// `1..=MAX_VOCAB`, discount in `(0,1)`, and a zero discount field for
+    /// Witten-Bell) before it allocates, and rejects as typed
+    /// [`UltraError::Corrupt`] errors: truncation; an over-long or
+    /// overflowing varint; more than one unigram context; a link past the
+    /// parent table's entries; a token at or past the vocabulary size; a
+    /// count past `u32::MAX`; a table past `u32::MAX` continuations; and
+    /// trailing bytes. Every accepted payload re-encodes to itself. Zero
+    /// counts, empty runs, unordered contexts or tokens, and contexts
+    /// without their prefix have no encoding.
     pub fn from_bytes(bytes: &[u8]) -> ultra_core::Result<Self> {
         let corrupt = |msg: String| UltraError::Corrupt(format!("ngram-lm: {msg}"));
         let mut r = ByteReader::new(bytes, "ngram-lm");
@@ -497,7 +567,8 @@ impl NgramLm {
             return Err(corrupt(format!("order {order} outside 1..={MAX_ORDER}")));
         }
         let smoothing = match (r.u8()?, r.f64()?) {
-            (0, _) => Smoothing::WittenBell,
+            (0, d) if d.to_bits() == 0 => Smoothing::WittenBell,
+            (0, d) => return Err(corrupt(format!("Witten-Bell with discount field {d}"))),
             (1, d) if d > 0.0 && d < 1.0 => Smoothing::AbsoluteDiscount(d),
             (1, d) => return Err(corrupt(format!("discount {d} outside (0,1)"))),
             (tag, _) => return Err(corrupt(format!("unknown smoothing tag {tag}"))),
@@ -509,75 +580,58 @@ impl NgramLm {
             )));
         }
         let mut tables: Vec<Table> = Vec::with_capacity(order);
-        let mut key: Vec<u32> = Vec::with_capacity(order);
-        let mut run: Vec<(u32, u32)> = Vec::new();
         for k in 0..order {
-            let declared = r.u64()?;
-            // A context entry is at least key-len + total + count-len bytes.
-            let n = r.check_count(declared, 16, "contexts")?;
-            if n > u32::MAX as usize {
-                return Err(corrupt(format!("table {k} holds {n} contexts")));
+            // A context is at least three varints: its run length, then one
+            // entry's token gap and count.
+            let declared = r.varint()?;
+            let n = r.check_count(declared, 3, "contexts")?;
+            if k == 0 && n > 1 {
+                return Err(corrupt(format!("{n} unigram contexts")));
             }
             let mut table = Table::with_capacity(k, n);
-            let mut linker = Linker::default();
+            // The first parent entry the next context may extend.
+            let mut first = 0u64;
             for c in 0..n {
-                let key_len = r.u32()? as usize;
-                if key_len != k {
-                    return Err(corrupt(format!(
-                        "table {k} context has key length {key_len}"
-                    )));
-                }
-                key.clear();
-                for _ in 0..key_len {
-                    key.push(r.u32()?);
-                }
-                if c > 0 && table.key(c - 1) >= key.as_slice() {
-                    return Err(corrupt(format!(
-                        "table {k} contexts not strictly increasing"
-                    )));
-                }
                 if let Some(parent) = tables.last_mut() {
-                    if !linker.link(parent, &key, c as u32) {
+                    let e = first.saturating_add(r.varint()?);
+                    let slot = usize::try_from(e).ok().and_then(|e| parent.next.get_mut(e));
+                    let Some(slot) = slot else {
                         return Err(corrupt(format!(
-                            "table {k} context {key:?} is no entry of table {}",
-                            k - 1
+                            "table {k} context {c} links past table {}'s {} entries",
+                            k - 1,
+                            parent.conts.len()
                         )));
-                    }
+                    };
+                    *slot = c as u32;
+                    first = e + 1;
                 }
-                let total = r.u64()?;
-                let declared_types = u64::from(r.u32()?);
-                let type_count = r.check_count(declared_types, 8, "continuations")?;
-                if table.conts.len() + type_count > u32::MAX as usize {
+                let len = r.varint()?.saturating_add(1);
+                if (table.conts.len() as u64).saturating_add(len) > u64::from(u32::MAX) {
                     return Err(corrupt(format!(
                         "table {k} holds more than {} continuations",
                         u32::MAX
                     )));
                 }
-                run.clear();
-                let mut sum = 0u64;
-                for _ in 0..type_count {
-                    let tok = r.u32()?;
-                    if run.last().is_some_and(|&(prev, _)| prev >= tok) {
+                let len = r.check_count(len, 2, "continuations")?;
+                let mut token = 0u64;
+                let mut total = 0u64;
+                for _ in 0..len {
+                    let t = token.saturating_add(r.varint()?);
+                    if t >= vocab_size {
                         return Err(corrupt(format!(
-                            "table {k} continuations not strictly increasing"
+                            "token {t} outside a vocabulary of {vocab_size}"
                         )));
                     }
-                    if u64::from(tok) >= vocab_size {
-                        return Err(corrupt(format!("token {tok} outside vocabulary")));
+                    let count = r.varint()?.saturating_add(1);
+                    if count > u64::from(u32::MAX) {
+                        return Err(corrupt(format!("count {count} past {}", u32::MAX)));
                     }
-                    let count = r.u32()?;
-                    if count == 0 {
-                        return Err(corrupt("zero continuation count".into()));
-                    }
-                    sum += u64::from(count);
-                    run.push((tok, count));
+                    table.conts.push((t as u32, count as u32));
+                    total += count;
+                    token = t + 1;
                 }
-                if sum != total {
-                    return Err(corrupt(format!(
-                        "context total {total} disagrees with summed counts {sum}"
-                    )));
-                }
-                table.push(&key, &run);
+                table.totals.push(total);
+                table.starts.push(table.conts.len() as u32);
             }
             if k + 1 < order {
                 table.next = vec![NO_LINK; table.conts.len()];
@@ -843,38 +897,69 @@ fn gallop(run: &[(u32, u32)], pos: &mut usize, w: u32) -> f64 {
     }
 }
 
+/// Test-only key-searching references. Their keys are spelled out apart
+/// from the links: rebuilt from the documents a model was trained on, or
+/// given with a hand-built model's tables. Comparing them with the stepped
+/// contexts therefore checks the links rather than trusting them.
 #[cfg(test)]
-impl Table {
-    /// Binary search for the context `key` (`key.len() == k`).
-    fn find(&self, key: &[u32]) -> Option<usize> {
-        let (mut lo, mut hi) = (0, self.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            match self.key(mid).cmp(key) {
-                Ordering::Less => lo = mid + 1,
-                Ordering::Greater => hi = mid,
-                Ordering::Equal => return Some(mid),
-            }
-        }
-        None
-    }
+pub(crate) struct Reference<'a> {
+    lm: &'a NgramLm,
+    /// `keys[k]`: table `k`'s context keys, in increasing order.
+    keys: Vec<Vec<Vec<u32>>>,
 }
 
 #[cfg(test)]
 impl NgramLm {
+    /// The references of this model, trained (in any number of calls) on
+    /// exactly `docs`: table `k`'s contexts are the distinct first `k`
+    /// tokens of the documents' `(k + 1)`-grams.
+    pub(crate) fn reference<D: AsRef<[TokenId]>>(&self, docs: &[D]) -> Reference<'_> {
+        let keys = (0..self.order)
+            .map(|k| {
+                let keys: std::collections::BTreeSet<Vec<u32>> = docs
+                    .iter()
+                    .flat_map(|d| d.as_ref().windows(k + 1))
+                    .map(|g| g[..k].iter().map(|t| t.0).collect())
+                    .collect();
+                keys.into_iter().collect()
+            })
+            .collect();
+        Reference::with_keys(self, keys)
+    }
+}
+
+#[cfg(test)]
+impl<'a> Reference<'a> {
+    /// The references of `lm`, whose table `k` holds the contexts
+    /// `keys[k]`.
+    pub(crate) fn with_keys(lm: &'a NgramLm, keys: Vec<Vec<Vec<u32>>>) -> Self {
+        let sizes: Vec<usize> = keys.iter().map(Vec::len).collect();
+        let held: Vec<usize> = lm.tables.iter().map(Table::len).collect();
+        assert_eq!(sizes, held, "keys for other tables");
+        Self { lm, keys }
+    }
+
+    /// Binary search for the context `key`: its index in table `key.len()`.
+    fn find(&self, key: &[u32]) -> Option<usize> {
+        self.keys
+            .get(key.len())?
+            .binary_search_by(|k| k.as_slice().cmp(key))
+            .ok()
+    }
+
     /// Reference [`NgramLm::context`]: one binary search of its table per
     /// suffix length of the context's last `order - 1` tokens.
-    pub(crate) fn resolve_reference(&self, context: &[TokenId]) -> LmContext<'_> {
-        let keep = context.len().min(self.order - 1);
+    pub(crate) fn resolve(&self, context: &[TokenId]) -> LmContext<'a> {
+        let lm = self.lm;
+        let keep = context.len().min(lm.order - 1);
         let toks: Vec<u32> = context[context.len() - keep..]
             .iter()
             .map(|t| t.0)
             .collect();
-        let mut ctx = self.root();
+        let mut ctx = lm.root();
         for len in 1..=toks.len() {
-            let table = &self.tables[len];
-            if let Some(c) = table.find(&toks[toks.len() - len..]) {
-                ctx.suffixes[ctx.depth] = table.level(c);
+            if let Some(c) = self.find(&toks[toks.len() - len..]) {
+                ctx.suffixes[ctx.depth] = lm.tables[len].level(c);
                 ctx.depth += 1;
             }
         }
@@ -884,8 +969,8 @@ impl NgramLm {
     /// Reference `P(next | context)`: the back-off recursion that
     /// [`LmContext`] unrolls, with one context search and one count search
     /// per level and token.
-    pub(crate) fn prob_reference(&self, context: &[TokenId], next: TokenId) -> f64 {
-        let keep = context.len().min(self.order - 1);
+    pub(crate) fn prob(&self, context: &[TokenId], next: TokenId) -> f64 {
+        let keep = context.len().min(self.lm.order - 1);
         let ctx: Vec<u32> = context[context.len() - keep..]
             .iter()
             .map(|t| t.0)
@@ -894,6 +979,7 @@ impl NgramLm {
     }
 
     fn prob_rec(&self, ctx: &[u32], w: u32) -> f64 {
+        let lm = self.lm;
         let count_of = |table: &Table, c: usize| {
             let run = table.run(c);
             run.binary_search_by_key(&w, |e| e.0)
@@ -901,22 +987,22 @@ impl NgramLm {
         };
         if ctx.is_empty() {
             // Add-one-smoothed unigram floor.
-            let uni = &self.tables[0];
-            let (count, total) = match uni.find(&[]) {
+            let uni = &lm.tables[0];
+            let (count, total) = match self.find(&[]) {
                 Some(c) => (count_of(uni, c), uni.totals[c] as f64),
                 None => (0.0, 0.0),
             };
-            return (count + 1.0) / (total + self.vocab_size as f64);
+            return (count + 1.0) / (total + lm.vocab_size as f64);
         }
-        let table = &self.tables[ctx.len()];
-        match table.find(ctx) {
+        let table = &lm.tables[ctx.len()];
+        match self.find(ctx) {
             None => self.prob_rec(&ctx[1..], w),
             Some(c) => {
                 let count = count_of(table, c);
                 let total = table.totals[c] as f64;
                 let types = table.run(c).len() as f64;
                 let backoff = self.prob_rec(&ctx[1..], w);
-                match self.smoothing {
+                match lm.smoothing {
                     Smoothing::WittenBell => (count + types * backoff) / (total + types),
                     Smoothing::AbsoluteDiscount(d) => {
                         (count - d).max(0.0) / total + (d * types / total) * backoff
@@ -928,14 +1014,14 @@ impl NgramLm {
 
     /// Reference [`NgramLm::entity_score_from`]: the recursion per token
     /// after the materialized context.
-    pub(crate) fn entity_score_reference(&self, context: &[TokenId], seq: &[TokenId]) -> f64 {
+    pub(crate) fn entity_score(&self, context: &[TokenId], seq: &[TokenId]) -> f64 {
         if seq.is_empty() {
             return 0.0;
         }
         let mut ctx = context.to_vec();
         let mut lp = 0.0f64;
         for &t in seq {
-            lp += self.prob_reference(&ctx, t).max(1e-300).ln();
+            lp += self.prob(&ctx, t).max(1e-300).ln();
             ctx.push(t);
         }
         (lp / seq.len() as f64).exp()
@@ -943,12 +1029,12 @@ impl NgramLm {
 
     /// Reference [`LmContext::observed_continuations`]: one context search
     /// per level and a set of the tokens emitted so far.
-    pub(crate) fn observed_continuations_reference(
+    pub(crate) fn observed_continuations(
         &self,
         context: &[TokenId],
         limit: usize,
     ) -> Vec<(TokenId, u32)> {
-        let keep = context.len().min(self.order - 1);
+        let keep = context.len().min(self.lm.order - 1);
         let full: Vec<u32> = context[context.len() - keep..]
             .iter()
             .map(|t| t.0)
@@ -960,9 +1046,8 @@ impl NgramLm {
                 break;
             }
             let ctx = &full[start..];
-            let table = &self.tables[ctx.len()];
-            if let Some(c) = table.find(ctx) {
-                let mut level: Vec<(TokenId, u32)> = table
+            if let Some(c) = self.find(ctx) {
+                let mut level: Vec<(TokenId, u32)> = self.lm.tables[ctx.len()]
                     .run(c)
                     .iter()
                     .filter(|(w, _)| !seen.contains(w))
@@ -1015,30 +1100,63 @@ mod tests {
     /// One table of a handmade NGLM payload: `(key, run)` per context.
     type Contexts<'a> = &'a [(&'a [u32], &'a [(u32, u32)])];
 
-    /// An NGLM payload (absolute discounting, `d = 0.5`, vocabulary 8)
-    /// holding `tables` as given, totals summed from the runs.
-    fn payload(tables: &[Contexts<'_>]) -> Vec<u8> {
+    /// An NGLM payload header: order `order`, absolute discounting with
+    /// `d = 0.5`, vocabulary 8.
+    fn header(order: usize) -> ByteWriter {
         let mut w = ByteWriter::new();
-        w.u32(tables.len() as u32);
+        w.u32(order as u32);
         w.u8(1);
         w.f64(0.5);
         w.u64(8);
-        for table in tables {
-            w.u64(table.len() as u64);
+        w
+    }
+
+    /// An NGLM payload holding `tables` as given. A context is written as
+    /// the link to its parent entry, `key[..k]`'s entry for `key[k]`; one
+    /// whose parent entry is missing links just past the parent's entries,
+    /// the one way a v2 payload can name an entry the parent lacks. A run
+    /// is written as `to_bytes` writes it, so an empty run's length − 1
+    /// wraps to `u64::MAX`.
+    fn payload(tables: &[Contexts<'_>]) -> Vec<u8> {
+        let mut w = header(tables.len());
+        for (k, table) in tables.iter().enumerate() {
+            w.varint(table.len() as u64);
+            // The parent's entries, in order, as full keys.
+            let entries: Vec<Vec<u32>> = k
+                .checked_sub(1)
+                .map(|p| tables[p])
+                .unwrap_or_default()
+                .iter()
+                .flat_map(|&(key, run)| run.iter().map(move |&(t, _)| [key, &[t]].concat()))
+                .collect();
+            let mut first = 0;
             for &(key, run) in table.iter() {
-                w.u32(key.len() as u32);
-                for &tok in key {
-                    w.u32(tok);
+                if k > 0 {
+                    let e = entries
+                        .iter()
+                        .position(|e| e == key)
+                        .unwrap_or(entries.len());
+                    w.varint((e - first) as u64);
+                    first = e + 1;
                 }
-                w.u64(run.iter().map(|&(_, n)| u64::from(n)).sum());
-                w.u32(run.len() as u32);
+                w.varint((run.len() as u64).wrapping_sub(1));
+                let mut next = 0;
                 for &(tok, n) in run {
-                    w.u32(tok);
-                    w.u32(n);
+                    w.varint(u64::from(tok - next));
+                    w.varint(u64::from(n) - 1);
+                    next = tok + 1;
                 }
             }
         }
         w.finish()
+    }
+
+    /// The keys of `tables`, for [`Reference::with_keys`].
+    fn keys_of(tables: &[Contexts<'_>]) -> Vec<Vec<Vec<u32>>> {
+        tables
+            .iter()
+            .map(|table| table.iter().map(|&(key, _)| key.to_vec()).collect())
+            .collect()
     }
 
     /// Each level as (length, run, links, total), shortest first: equal
@@ -1206,13 +1324,28 @@ mod tests {
         NgramLm::new(2, Smoothing::WittenBell, MAX_VOCAB + 1);
     }
 
+    /// Asserts `back`, decoded from `lm`'s bytes, holds the same arrays and
+    /// re-encodes to the same bytes.
+    fn assert_same_model(back: &NgramLm, lm: &NgramLm) {
+        assert_eq!(
+            back.to_bytes(),
+            lm.to_bytes(),
+            "re-serialization must be canonical"
+        );
+        assert_eq!(back.tables, lm.tables);
+        assert_eq!(back.unigram_index, lm.unigram_index);
+        assert_eq!(
+            (back.order, back.smoothing, back.vocab_size),
+            (lm.order, lm.smoothing, lm.vocab_size)
+        );
+    }
+
     #[test]
     fn byte_round_trip_preserves_every_probability() {
         for smoothing in [Smoothing::WittenBell, Smoothing::AbsoluteDiscount(0.75)] {
             let lm = toy_lm(smoothing);
-            let bytes = lm.to_bytes();
-            let back = NgramLm::from_bytes(&bytes).expect("round trip");
-            assert_eq!(back.to_bytes(), bytes, "re-serialization must be canonical");
+            let back = NgramLm::from_bytes(&lm.to_bytes()).expect("round trip");
+            assert_same_model(&back, &lm);
             for ctx in [vec![], vec![t(1)], vec![t(1), t(2)], vec![t(9), t(9)]] {
                 for w in 0..8 {
                     assert_eq!(
@@ -1222,12 +1355,25 @@ mod tests {
                     );
                 }
             }
-            // The load pass builds the links and the index training builds.
-            assert_eq!(back.unigram_index, lm.unigram_index);
-            for (a, b) in back.tables.iter().zip(&lm.tables) {
-                assert_eq!((&a.starts, &a.next), (&b.starts, &b.next));
-            }
         }
+    }
+
+    #[test]
+    fn the_toy_model_has_a_known_v2_payload() {
+        // "1 2 3", "1 2 4", "1 2 3", order 3, vocabulary 8.
+        let mut want = header(3).finish();
+        want[4] = 0; // Witten-Bell, discount field 0.0
+        want[5..13].fill(0);
+        want.extend_from_slice(&[
+            // Table 0, one context: [] → 1×3, 2×3, 3×2, 4×1.
+            1, 3, 1, 2, 0, 2, 0, 1, 0, 0,
+            // Table 1, two contexts: [1] (entry 0) → 2×3; [2] (entry 1)
+            // → 3×2, 4×1.
+            2, 0, 0, 2, 2, 0, 1, 3, 1, 0, 0,
+            // Table 2, one context: [1, 2] (entry 0) → 3×2, 4×1.
+            1, 0, 1, 3, 1, 0, 0,
+        ]);
+        assert_eq!(toy_lm(Smoothing::WittenBell).to_bytes(), want);
     }
 
     #[test]
@@ -1251,6 +1397,10 @@ mod tests {
         let mut bad_discount = toy_lm(Smoothing::AbsoluteDiscount(0.75)).to_bytes();
         bad_discount[5..13].copy_from_slice(&1.5f64.to_bits().to_le_bytes());
         assert!(NgramLm::from_bytes(&bad_discount).is_err());
+        // Witten-Bell writes a zero discount field, and reads only that.
+        let mut witten_bell_discount = bytes.clone();
+        witten_bell_discount[5..13].copy_from_slice(&0.5f64.to_bits().to_le_bytes());
+        assert!(NgramLm::from_bytes(&witten_bell_discount).is_err());
         // A vocabulary past `MAX_VOCAB` is rejected before the index for it
         // is allocated.
         let mut huge_vocab = bytes.clone();
@@ -1261,27 +1411,121 @@ mod tests {
         ));
     }
 
+    /// Decodes an order-2 payload whose tables are the varints `fields`
+    /// after the header, spliced with `raw` bytes at field index `at`.
+    fn decode_fields(fields: &[u64], raw: Option<(usize, &[u8])>) -> ultra_core::Result<NgramLm> {
+        let mut w = header(2);
+        for (i, &f) in fields.iter().enumerate() {
+            match raw {
+                Some((at, bytes)) if at == i => w.bytes(bytes),
+                _ => w.varint(f),
+            }
+        }
+        NgramLm::from_bytes(&w.finish())
+    }
+
+    #[test]
+    fn each_decoder_check_is_a_typed_error() {
+        // Table 0: one context, run [(1, 2), (3, 1)]. Table 1: one context
+        // extending entry 1 (token 3), run [(2, 1)].
+        let valid = [1, 1, 1, 1, 1, 0, 1, 1, 0, 2, 0];
+        let lm = decode_fields(&valid, None).expect("valid payload");
+        assert_eq!(lm.context(&[t(3)]).depth, 1, "[3] is a context");
+        let message = |fields: &[u64], raw: Option<(usize, &[u8])>| match decode_fields(fields, raw)
+        {
+            Err(UltraError::Corrupt(msg)) => msg,
+            other => panic!("{fields:?} {raw:?}: expected a Corrupt error, got {other:?}"),
+        };
+        let with = |at: usize, v: u64| {
+            let mut f = valid.to_vec();
+            f[at] = v;
+            f
+        };
+        // Truncation (every cut is covered above), and trailing bytes.
+        assert!(message(&valid[..10], None).contains("remaining"));
+        assert!(message(&[&valid[..], &[0]].concat(), None).contains("trailing"));
+        // Over-long varints: a count of 1 in two bytes, the context count
+        // of 1 in two bytes.
+        assert!(message(&valid, Some((3, &[0x80, 0x00]))).contains("over-long"));
+        assert!(message(&valid, Some((0, &[0x81, 0x00]))).contains("over-long"));
+        // Overflowing varints: ten bytes with bits past the 64th, eleven
+        // bytes.
+        let past_64 = [&[0xFF; 9][..], &[0x02]].concat();
+        assert!(message(&valid, Some((2, &past_64))).contains("overflows"));
+        let eleven = [&[0x80; 10][..], &[0x01]].concat();
+        assert!(message(&valid, Some((4, &eleven))).contains("overflows"));
+        // A link past the parent's two entries.
+        assert!(message(&with(7, 2), None).contains("links past"));
+        // Two unigram contexts.
+        assert!(message(&with(0, 2), None).contains("unigram contexts"));
+        // A token at the vocabulary size: gap 6 after token 1 is token 8.
+        assert!(message(&with(4, 6), None).contains("outside a vocabulary"));
+        assert!(message(&with(2, 8), None).contains("outside a vocabulary"));
+        // A count past `u32::MAX`.
+        assert!(message(&with(3, u64::from(u32::MAX)), None).contains("count"));
+        assert!(decode_fields(&with(3, u64::from(u32::MAX) - 1), None).is_ok());
+        // A table past `u32::MAX` continuations, caught before the bytes
+        // for them are sought; an empty run's length − 1, written as
+        // `to_bytes` writes it, wraps to a run of 2^64 entries.
+        assert!(message(&with(1, u64::from(u32::MAX)), None).contains("continuations"));
+        assert!(message(&with(1, u64::MAX), None).contains("continuations"));
+    }
+
+    #[test]
+    fn no_payload_holds_an_empty_run() {
+        // A context whose run is empty has total 0, and every probability
+        // through it is 0/0. v2 writes a run's length − 1, so a naive
+        // writer's empty run is a run of 2^64 entries, which the decoder
+        // rejects. Here the run of [1] is empty.
+        let empty: &[(u32, u32)] = &[];
+        let bytes = payload(&[&[(&[], &[(1, 1), (2, 1)])], &[(&[1], empty)]]);
+        assert!(matches!(
+            NgramLm::from_bytes(&bytes),
+            Err(UltraError::Corrupt(msg)) if msg.contains("continuations")
+        ));
+        // With the run [(2, 1)], the payload ends in [1]'s link, its run
+        // length − 1, a token gap and a count − 1. Of every value of the
+        // run-length byte, only 0 decodes, and to a model whose totals are
+        // positive and whose probabilities through [1] are finite.
+        let valid = payload(&[&[(&[], &[(1, 1), (2, 1)])], &[(&[1], &[(2, 1)])]]);
+        let at = valid.len() - 3;
+        for v in 0..=u8::MAX {
+            let mut probe = valid.clone();
+            probe[at] = v;
+            let Ok(lm) = NgramLm::from_bytes(&probe) else {
+                continue;
+            };
+            assert_eq!(v, 0);
+            assert!(lm.tables.iter().all(|t| t.totals.iter().all(|&n| n > 0)));
+            for w in 0..8 {
+                assert!(lm.prob(&[t(1)], t(w)).is_finite(), "token {w}");
+            }
+        }
+    }
+
     #[test]
     fn a_longer_suffix_without_its_shorter_one_still_counts() {
         // Training always records a context's shorter suffixes too, but a
         // snapshot need not: table 2 holds [5, 6] while table 1 lacks [6].
-        // The payload is prefix-closed ([5] → 6 and [] → 5 are entries), so
-        // the loader accepts it. The recursion skips the missing level and
-        // still applies [5, 6]; the stepped chain must do the same.
-        let lm = NgramLm::from_bytes(&payload(&[
+        // The payload is prefix-closed ([5] → 6 and [] → 5 are entries),
+        // which is all a v2 payload can express. The recursion skips the
+        // missing level and still applies [5, 6]; the stepped chain must do
+        // the same.
+        let tables: &[Contexts<'_>] = &[
             &[(&[], &[(1, 2), (2, 1), (3, 1), (5, 1)])],
             &[(&[2], &[(3, 1)]), (&[5], &[(6, 1)])],
             &[(&[5, 6], &[(1, 4)])],
-        ]))
-        .expect("valid payload");
+        ];
+        let lm = NgramLm::from_bytes(&payload(tables)).expect("valid payload");
+        let reference = Reference::with_keys(&lm, keys_of(tables));
         let ctx = toks(&[5, 6]);
         let resolved = lm.context(&ctx);
         assert_eq!(resolved.depth, 1);
-        assert_eq!(level_ids(&resolved), level_ids(&lm.resolve_reference(&ctx)));
+        assert_eq!(level_ids(&resolved), level_ids(&reference.resolve(&ctx)));
         for tok in 0..8 {
             assert_eq!(
                 lm.prob(&ctx, t(tok)).to_bits(),
-                lm.prob_reference(&ctx, t(tok)).to_bits()
+                reference.prob(&ctx, t(tok)).to_bits()
             );
         }
         assert!(lm.prob(&ctx, t(1)) > lm.prob(&[t(6)], t(1)));
@@ -1289,6 +1533,9 @@ mod tests {
 
     #[test]
     fn a_context_without_its_prefix_is_a_typed_error() {
+        // A v2 context is the parent entry it extends, so a context whose
+        // prefix lacks its last token can only be written as a link past
+        // the parent's entries.
         for broken in [
             // Table 2 holds [5, 6], but table 1 lacks [5] (and table 0 lacks
             // the entry 2 of [2]).
@@ -1314,7 +1561,7 @@ mod tests {
         ] {
             assert!(matches!(
                 NgramLm::from_bytes(&broken),
-                Err(UltraError::Corrupt(_))
+                Err(UltraError::Corrupt(msg)) if msg.contains("links past")
             ));
         }
     }
@@ -1342,27 +1589,28 @@ mod tests {
                 Some(doc) => doc[..doc.len().min(ctx.len())].to_vec(),
                 None => toks(&ctx),
             };
+            let reference = lm.reference(&docs);
             let resolved = lm.context(&ctx);
             let mut sorted = toks(&probe);
             sorted.sort_unstable();
             for (&w, p) in sorted.iter().zip(resolved.sorted_probs(sorted.iter().copied())) {
-                prop_assert_eq!(p.to_bits(), lm.prob_reference(&ctx, w).to_bits());
+                prop_assert_eq!(p.to_bits(), reference.prob(&ctx, w).to_bits());
             }
             // Unsorted input restarts the merge instead of going wrong.
             let unsorted = toks(&probe);
             for (&w, p) in unsorted.iter().zip(resolved.sorted_probs(unsorted.iter().copied())) {
-                prop_assert_eq!(p.to_bits(), lm.prob_reference(&ctx, w).to_bits());
+                prop_assert_eq!(p.to_bits(), reference.prob(&ctx, w).to_bits());
             }
             for w in 0..32 {
                 prop_assert_eq!(
                     lm.prob(&ctx, t(w)).to_bits(),
-                    lm.prob_reference(&ctx, t(w)).to_bits()
+                    reference.prob(&ctx, t(w)).to_bits()
                 );
             }
             for limit in [0usize, 1, 3, 40] {
                 prop_assert_eq!(
                     resolved.observed_continuations(limit),
-                    lm.observed_continuations_reference(&ctx, limit)
+                    reference.observed_continuations(&ctx, limit)
                 );
             }
         }
@@ -1392,8 +1640,9 @@ mod tests {
                 seqs.push(doc[..doc.len().min(6)].to_vec());
             }
             let prefix = lm.prefix(&slices);
+            let reference = lm.reference(&docs);
             for seq in &seqs {
-                let want = lm.entity_score_reference(&whole, seq).to_bits();
+                let want = reference.entity_score(&whole, seq).to_bits();
                 prop_assert_eq!(lm.entity_score_from(&prefix, seq).to_bits(), want);
                 prop_assert_eq!(
                     lm.entity_score_from(&lm.context(&whole), seq).to_bits(),
@@ -1427,15 +1676,45 @@ mod tests {
                 Some(doc) => doc.clone(),
                 None => toks(&seq),
             };
+            let reference = lm.reference(&docs);
             let mut stepped = lm.context(&[]);
             for i in 0..=seq.len() {
-                let want = level_ids(&lm.resolve_reference(&seq[..i]));
+                let want = level_ids(&reference.resolve(&seq[..i]));
                 prop_assert_eq!(level_ids(&lm.context(&seq[..i])), want.clone());
                 prop_assert_eq!(level_ids(&stepped), want);
                 if let Some(&w) = seq.get(i) {
                     let p = stepped.advance(w);
-                    prop_assert_eq!(p.to_bits(), lm.prob_reference(&seq[..i], w).to_bits());
+                    prop_assert_eq!(p.to_bits(), reference.prob(&seq[..i], w).to_bits());
                 }
+            }
+        }
+
+        #[test]
+        fn a_loaded_model_is_the_trained_one(
+            first in prop::collection::vec(prop::collection::vec(0u32..24, 0..14), 0..10),
+            second in prop::collection::vec(prop::collection::vec(0u32..24, 0..14), 0..10),
+            train_twice in 0u8..2,
+            order in 1usize..6,
+            family in 0u8..2,
+            discount in 0.05f64..0.95,
+            ctx in prop::collection::vec(0u32..32, 0..6),
+        ) {
+            // One or two `train` calls; tokens 24..32 are unseen.
+            let mut lm = NgramLm::new(order, family_smoothing(family, discount), 32);
+            let first: Vec<Vec<TokenId>> = first.iter().map(|d| toks(d)).collect();
+            let second: Vec<Vec<TokenId>> = second.iter().map(|d| toks(d)).collect();
+            lm.train(first.iter().map(Vec::as_slice));
+            if train_twice == 1 {
+                lm.train(second.iter().map(Vec::as_slice));
+            }
+            let bytes = lm.to_bytes();
+            let back = NgramLm::from_bytes(&bytes).expect("round trip");
+            prop_assert_eq!(back.to_bytes(), bytes);
+            prop_assert_eq!(&back.tables, &lm.tables);
+            prop_assert_eq!(&back.unigram_index, &lm.unigram_index);
+            let ctx = toks(&ctx);
+            for w in 0..32 {
+                prop_assert_eq!(back.prob(&ctx, t(w)).to_bits(), lm.prob(&ctx, t(w)).to_bits());
             }
         }
     }

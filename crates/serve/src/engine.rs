@@ -258,9 +258,25 @@ impl ExpansionEngine {
     /// The reported [`IndexInfo`] carries the snapshot fingerprint and the
     /// wall-clock load time.
     pub fn from_snapshot_bytes(bytes: &[u8], runtime: SnapshotRuntime) -> Result<Self, ServeError> {
+        Self::boot(bytes, runtime)
+    }
+
+    /// [`from_snapshot_bytes`](Self::from_snapshot_bytes) over a file,
+    /// whose bytes are freed once decoded.
+    pub fn load_snapshot(
+        path: &std::path::Path,
+        runtime: SnapshotRuntime,
+    ) -> Result<Self, ServeError> {
+        Self::boot(ultra_snap::read_bytes(path)?, runtime)
+    }
+
+    /// Decodes `bytes` (one pass verifies every checksum and yields the
+    /// fingerprint), drops them, then reassembles the engine. Owned bytes
+    /// are freed before the world is regenerated.
+    fn boot(bytes: impl AsRef<[u8]>, runtime: SnapshotRuntime) -> Result<Self, ServeError> {
         let sw = crate::metrics::Stopwatch::start();
-        let fingerprint = ultra_snap::file_fingerprint(bytes);
-        let snapshot = Snapshot::from_bytes(bytes)?;
+        let (snapshot, fingerprint) = Snapshot::from_bytes_with_fingerprint(bytes.as_ref())?;
+        drop(bytes);
         let mut engine = Self::from_snapshot(snapshot, runtime)?;
         engine.index.snapshot_fingerprint = Some(format!("{fingerprint:016x}"));
         engine.index.snapshot_load_micros = Some(sw.elapsed_micros());
@@ -273,20 +289,13 @@ impl ExpansionEngine {
         Ok(engine)
     }
 
-    /// [`from_snapshot_bytes`](Self::from_snapshot_bytes) over a file.
-    pub fn load_snapshot(
-        path: &std::path::Path,
-        runtime: SnapshotRuntime,
-    ) -> Result<Self, ServeError> {
-        let bytes = ultra_snap::read_bytes(path)?;
-        Self::from_snapshot_bytes(&bytes, runtime)
-    }
-
     /// Reassembles an engine from a decoded, container-validated snapshot.
     /// Every cheap derived structure (world, co-occurrence index) is
     /// rebuilt from `(profile, seed)` and cross-checked against the
     /// snapshot metadata; any disagreement is a typed
-    /// [`SnapError::Mismatch`], never a silently different engine.
+    /// [`SnapError::Mismatch`], never a silently different engine. Of the
+    /// BM25 index, which serving does not read, only its document count is
+    /// kept for that check.
     pub fn from_snapshot(snapshot: Snapshot, runtime: SnapshotRuntime) -> Result<Self, ServeError> {
         if runtime.threads > 0 {
             ultra_par::set_threads(runtime.threads);
@@ -300,6 +309,8 @@ impl ExpansionEngine {
             bm25,
             ivf,
         } = snapshot;
+        let bm25_docs = bm25.num_docs();
+        drop(bm25);
         let genexpan_cfg = meta.genexpan_enabled.then(GenExpanConfig::default);
         let config = EngineConfig {
             profile: meta.profile.clone(),
@@ -335,10 +346,9 @@ impl ExpansionEngine {
                 meta.num_queries
             )));
         }
-        if bm25.num_docs() != world.corpus.len() {
+        if bm25_docs != world.corpus.len() {
             return Err(mismatch(format!(
-                "BM25 section indexes {} documents, regenerated corpus has {}",
-                bm25.num_docs(),
+                "BM25 section indexes {bm25_docs} documents, regenerated corpus has {}",
                 world.corpus.len()
             )));
         }

@@ -9,11 +9,11 @@
 //! trained, dropping startup to roughly the cost of regenerating the
 //! (cheap, deterministic) world.
 //!
-//! # Container format, version 1
+//! # Container format, version 2
 //!
 //! ```text
 //! "USNP"                      magic, 4 bytes
-//! u32 LE                      schema version (currently 1)
+//! u32 LE                      schema version (currently 2)
 //! u32 LE                      section count
 //! per section:
 //!   [u8; 4]                   ASCII tag
@@ -30,12 +30,23 @@
 //! a canonical codec (id-/key-ordered, strictly validated on load), so two
 //! builds of the same configuration emit byte-identical snapshots.
 //!
+//! Version 2 changed one payload: `NGLM` writes each context as a
+//! varint-coded link to the entry it extends and its run as varint token
+//! gaps and counts, instead of keys, totals and fixed-width fields
+//! ([`NgramLm::to_bytes`]). Version 1 files are rejected; rebuild them with
+//! `ultrawiki build-index`.
+//!
 //! # Corruption-handling policy
 //!
 //! Loading is *strict* and panic-free: magic, version, section structure,
 //! per-section checksums, the whole-file checksum, and exact end-of-file
 //! are all verified **before** any payload is decoded, and payload decoding
-//! itself is the strict per-crate `from_bytes` path. Any single-bit flip
+//! itself is the strict per-crate `from_bytes` path. The checksums take one
+//! pass over the file: each payload byte advances its section's hash and
+//! the whole-file hash together, and the whole-file fingerprint is that
+//! verified hash continued over the trailer. Errors still come in file
+//! order: a section's tag and order, then its checksum, section by
+//! section, then the whole-file checksum. Any single-bit flip
 //! anywhere in a snapshot file surfaces as a typed [`SnapError`] — the
 //! whole-file fingerprint covers every byte up to the trailer, and a flip
 //! inside the trailer breaks the fingerprint comparison itself. Duplicated,
@@ -46,7 +57,7 @@ use std::fmt;
 use std::path::Path;
 
 use ultra_ann::{AnnSpec, IvfConfig, IvfIndex};
-use ultra_core::stable::{fnv1a_from, FNV_OFFSET};
+use ultra_core::stable::{fnv1a_from, FNV_OFFSET, FNV_PRIME};
 use ultra_core::{ByteReader, ByteWriter, UltraError};
 use ultra_embed::{Augmentation, EncoderConfig, EntityEmbeddings};
 use ultra_lm::NgramLm;
@@ -56,7 +67,7 @@ use ultra_text::{Bm25Index, PrefixTrie};
 /// File magic: the first four bytes of every snapshot.
 pub const MAGIC: [u8; 4] = *b"USNP";
 /// Current schema version. Anything else is rejected on load.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
 /// Sanity cap on the section count field; the format defines six tags, so
 /// anything near this bound is hostile input, not a future extension.
@@ -410,39 +421,14 @@ impl Snapshot {
     /// end-of-file, whole-file checksum — and only then payload decoding
     /// and cross-section consistency checks.
     pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, SnapError> {
-        let spans = scan_structure(bytes)?;
-        let mut prev_rank: Option<usize> = None;
-        let mut payloads: [Option<&[u8]>; 6] = [None; 6];
-        for span in &spans {
-            let Some(rank) = tag_rank(span.tag) else {
-                return Err(SnapError::UnknownSection(tag_name(span.tag)));
-            };
-            match prev_rank {
-                Some(p) if p == rank => {
-                    return Err(SnapError::DuplicateSection(tag_name(span.tag)))
-                }
-                Some(p) if p > rank => return Err(SnapError::SectionOrder(tag_name(span.tag))),
-                _ => {}
-            }
-            prev_rank = Some(rank);
-            let payload = bytes
-                .get(span.payload_start..span.payload_end)
-                .ok_or(SnapError::Truncated)?;
-            let stored = read_u64_at(bytes, span.payload_end).ok_or(SnapError::Truncated)?;
-            if fnv1a(payload) != stored {
-                return Err(SnapError::SectionChecksum(tag_name(span.tag)));
-            }
-            if let Some(slot) = payloads.get_mut(rank) {
-                *slot = Some(payload);
-            }
-        }
-        let trailer_at = bytes.len() - CHECKSUM_LEN;
-        let trailer = read_u64_at(bytes, trailer_at).ok_or(SnapError::Truncated)?;
-        let body = bytes.get(..trailer_at).ok_or(SnapError::Truncated)?;
-        if fnv1a(body) != trailer {
-            return Err(SnapError::FileChecksum);
-        }
+        Self::from_bytes_with_fingerprint(bytes).map(|(snapshot, _)| snapshot)
+    }
 
+    /// [`from_bytes`](Self::from_bytes), also returning the whole-file
+    /// fingerprint ([`file_fingerprint`]) from the same single pass that
+    /// verifies the checksums.
+    pub fn from_bytes_with_fingerprint(bytes: &[u8]) -> Result<(Snapshot, u64), SnapError> {
+        let (payloads, fingerprint) = verify(bytes)?;
         let require = |rank: usize| -> Result<&[u8], SnapError> {
             payloads
                 .get(rank)
@@ -478,7 +464,7 @@ impl Snapshot {
             ivf,
         };
         snapshot.cross_check()?;
-        Ok(snapshot)
+        Ok((snapshot, fingerprint))
     }
 
     /// Cross-section consistency: presence flags match actual sections and
@@ -560,6 +546,70 @@ impl Snapshot {
         }
         Ok(())
     }
+}
+
+/// Each canonical section's payload, by tag rank.
+type Payloads<'a> = [Option<&'a [u8]>; TAGS.len()];
+
+/// Verifies the container in one pass over `bytes`: section by section its
+/// tag, its order and its checksum, then the whole-file checksum. Each
+/// payload byte advances the section hash and the whole-file hash together.
+/// Returns the payloads and the whole-file fingerprint: the verified body
+/// hash continued over the trailer.
+fn verify(bytes: &[u8]) -> Result<(Payloads<'_>, u64), SnapError> {
+    let spans = scan_structure(bytes)?;
+    let mut prev_rank: Option<usize> = None;
+    let mut payloads: Payloads<'_> = [None; TAGS.len()];
+    // The whole-file hash of `bytes[..hashed]`.
+    let mut file = FNV_OFFSET;
+    let mut hashed = 0;
+    for span in &spans {
+        let Some(rank) = tag_rank(span.tag) else {
+            return Err(SnapError::UnknownSection(tag_name(span.tag)));
+        };
+        match prev_rank {
+            Some(p) if p == rank => return Err(SnapError::DuplicateSection(tag_name(span.tag))),
+            Some(p) if p > rank => return Err(SnapError::SectionOrder(tag_name(span.tag))),
+            _ => {}
+        }
+        prev_rank = Some(rank);
+        let payload = bytes
+            .get(span.payload_start..span.payload_end)
+            .ok_or(SnapError::Truncated)?;
+        let header = bytes
+            .get(hashed..span.payload_start)
+            .ok_or(SnapError::Truncated)?;
+        let (through_payload, section) = fnv1a_pair(fnv1a_from(file, header), payload);
+        file = through_payload;
+        hashed = span.payload_end;
+        let stored = read_u64_at(bytes, span.payload_end).ok_or(SnapError::Truncated)?;
+        if section != stored {
+            return Err(SnapError::SectionChecksum(tag_name(span.tag)));
+        }
+        if let Some(slot) = payloads.get_mut(rank) {
+            *slot = Some(payload);
+        }
+    }
+    let trailer_at = bytes.len() - CHECKSUM_LEN;
+    let rest = bytes.get(hashed..trailer_at).ok_or(SnapError::Truncated)?;
+    let trailer = bytes.get(trailer_at..).ok_or(SnapError::Truncated)?;
+    let body = fnv1a_from(file, rest);
+    if Some(body) != read_u64_at(trailer, 0) {
+        return Err(SnapError::FileChecksum);
+    }
+    Ok((payloads, fnv1a_from(body, trailer)))
+}
+
+/// FNV-1a over `bytes` twice at once: continuing `state`, and from the
+/// offset basis. The two multiply chains are independent, so they overlap
+/// and cost about what one pass costs.
+fn fnv1a_pair(state: u64, bytes: &[u8]) -> (u64, u64) {
+    let (mut a, mut b) = (state, FNV_OFFSET);
+    for &x in bytes {
+        a = (a ^ u64::from(x)).wrapping_mul(FNV_PRIME);
+        b = (b ^ u64::from(x)).wrapping_mul(FNV_PRIME);
+    }
+    (a, b)
 }
 
 fn read_u64_at(bytes: &[u8], at: usize) -> Option<u64> {
@@ -774,6 +824,25 @@ mod tests {
             SnapError::SectionCount(u32::MAX)
         );
         assert_eq!(Snapshot::from_bytes(&[]).unwrap_err(), SnapError::Truncated);
+    }
+
+    #[test]
+    fn the_one_pass_fingerprint_is_the_file_fingerprint() {
+        for genexpan in [false, true] {
+            let bytes = fixture(genexpan).to_bytes();
+            let (_, fingerprint) = Snapshot::from_bytes_with_fingerprint(&bytes).expect("loads");
+            assert_eq!(fingerprint, file_fingerprint(&bytes));
+        }
+    }
+
+    #[test]
+    fn a_version_1_file_is_rejected_by_version() {
+        let mut bytes = fixture(true).to_bytes();
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(
+            Snapshot::from_bytes(&bytes).unwrap_err(),
+            SnapError::UnsupportedVersion(1)
+        );
     }
 
     #[test]

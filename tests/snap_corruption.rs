@@ -153,7 +153,8 @@ fn magic_and_version_tampering_is_rejected_by_name() {
             SnapError::BadMagic
         );
     }
-    for version in [0u32, VERSION + 1, u32::MAX] {
+    // Version 1 wrote the NGLM section in a layout this build cannot read.
+    for version in [0u32, 1, VERSION + 1, u32::MAX] {
         let mut corrupted = bytes.to_vec();
         corrupted[4..8].copy_from_slice(&version.to_le_bytes());
         assert_eq!(
@@ -163,7 +164,7 @@ fn magic_and_version_tampering_is_rejected_by_name() {
     }
     // Sanity check of the constants this format is defined by.
     assert_eq!(&bytes[..4], &MAGIC);
-    assert_eq!(VERSION, 1);
+    assert_eq!(VERSION, 2);
 }
 
 #[test]
@@ -267,74 +268,117 @@ fn trailing_garbage_is_a_typed_error() {
     }
 }
 
-/// An order-3 NGLM payload that breaks prefix closure: table 2 holds
-/// `[5, 6]` while table 1 lacks `[5]` (and the unigram run lacks the entry
-/// 2 of table 1's `[2]`). Every count and total is consistent.
-fn nglm_without_prefix_closure() -> Vec<u8> {
+/// One context of a hand-built NGLM payload: its link gap (ignored in the
+/// first table) and its run as `(token gap, count − 1)` pairs.
+type Context<'a> = (u64, &'a [(u64, u64)]);
+
+/// An NGLM payload (NGLM v2: varints after a fixed header) of one table
+/// per entry of `tables`. A run's length − 1 is written first, as
+/// `to_bytes` writes it.
+fn nglm_payload(tables: &[&[Context<'_>]]) -> Vec<u8> {
     let mut w = ultrawiki::core::ByteWriter::new();
-    w.u32(3);
+    w.u32(tables.len() as u32);
     w.u8(1);
     w.f64(0.5);
     w.u64(8);
-    // Table 0: the empty context, continuations 1×2, 3×1.
-    w.u64(1);
-    w.u32(0);
-    w.u64(3);
-    w.u32(2);
-    for (tok, n) in [(1u32, 2u32), (3, 1)] {
-        w.u32(tok);
-        w.u32(n);
+    for (k, table) in tables.iter().enumerate() {
+        w.varint(table.len() as u64);
+        for &(link, run) in table.iter() {
+            if k > 0 {
+                w.varint(link);
+            }
+            w.varint((run.len() as u64).wrapping_sub(1));
+            for &(gap, count) in run {
+                w.varint(gap);
+                w.varint(count);
+            }
+        }
     }
-    // Table 1: only [2] → 3×1.
-    w.u64(1);
-    w.u32(1);
-    w.u32(2);
-    w.u64(1);
-    w.u32(1);
-    w.u32(3);
-    w.u32(1);
-    // Table 2: only [5, 6] → 1×4.
-    w.u64(1);
-    w.u32(2);
-    w.u32(5);
-    w.u32(6);
-    w.u64(4);
-    w.u32(1);
-    w.u32(1);
-    w.u32(4);
     w.finish()
+}
+
+/// `bytes` with `tag`'s payload replaced by `payload`, resealed, so every
+/// checksum passes and only the section's decoder can reject it.
+fn with_section(bytes: &[u8], tag: &[u8; 4], payload: &[u8]) -> Vec<u8> {
+    let spans = section_spans(bytes).expect("scans");
+    let span = spans
+        .iter()
+        .find(|s| &s.tag == tag)
+        .expect("fixture has the section");
+    let mut out = bytes[..span.start].to_vec();
+    out.extend_from_slice(tag);
+    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&[0u8; 8]);
+    out.extend_from_slice(&bytes[span.end..]);
+    reseal(&mut out).expect("spliced file reseals");
+    out
+}
+
+/// Asserts `corrupted` fails as a `tag` decode error whose message holds
+/// `why`, and that the engine refuses to load it.
+fn assert_never_served(corrupted: &[u8], tag: &str, why: &str) {
+    let err = assert_typed_error(corrupted, why);
+    assert!(
+        matches!(&err, SnapError::Decode(t, msg) if t == tag && msg.contains(why)),
+        "expected a {tag} decode error ({why}), got {err:?}"
+    );
+    let outcome = std::panic::catch_unwind(|| {
+        ExpansionEngine::from_snapshot_bytes(corrupted, SnapshotRuntime::default()).map(|_| ())
+    });
+    assert!(
+        matches!(outcome, Ok(Err(ServeError::Snapshot(_)))),
+        "a snapshot with a broken {tag} section must fail to load"
+    );
 }
 
 #[test]
 fn an_nglm_context_without_its_prefix_never_reaches_serving() {
+    // Table 0: the empty context, continuations 1×2, 3×1 (two entries).
+    // Table 1: [3] → 2×1, linked from entry 1. Table 2: a context linked
+    // from entry 1 of table 1, which has one entry: its prefix is not
+    // stored, and a link past the parent's entries is the only way to
+    // write it.
+    let payload = nglm_payload(&[
+        &[(0, &[(1, 1), (1, 0)])],
+        &[(1, &[(2, 0)])],
+        &[(1, &[(1, 3)])],
+    ]);
+    let corrupted = with_section(pristine(), b"NGLM", &payload);
+    assert_never_served(&corrupted, "NGLM", "links past");
+}
+
+#[test]
+fn an_nglm_context_with_an_empty_run_never_reaches_serving() {
+    // Version 1 accepted a context whose run was empty (total 0), and
+    // every probability through it was NaN. Version 2 writes a run's
+    // length − 1, so an empty run written that way is a run of 2^64
+    // entries: here the run of [1].
+    let payload = nglm_payload(&[&[(0, &[(1, 1), (0, 0)])], &[(0, &[])]]);
+    let corrupted = with_section(pristine(), b"NGLM", &payload);
+    assert_never_served(&corrupted, "NGLM", "continuations");
+}
+
+#[test]
+fn a_non_finite_embedding_never_reaches_serving() {
+    // EMBD is `u32` rows, `u32` columns, then the cells. A NaN or infinite
+    // cell would poison every cosine it enters, so one in entity 1's row
+    // must be a decode error, not a changed ranking.
     let bytes = pristine();
     let spans = section_spans(bytes).expect("scans");
-    let nglm = spans
+    let embd = spans
         .iter()
-        .find(|s| &s.tag == b"NGLM")
-        .expect("fixture has an NGLM section");
-    // Splice the broken payload in place of the NGLM section and reseal,
-    // so every checksum passes and only the LM's load rule can reject it.
-    let payload = nglm_without_prefix_closure();
-    let mut corrupted = bytes[..nglm.start].to_vec();
-    corrupted.extend_from_slice(b"NGLM");
-    corrupted.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    corrupted.extend_from_slice(&payload);
-    corrupted.extend_from_slice(&[0u8; 8]);
-    corrupted.extend_from_slice(&bytes[nglm.end..]);
-    reseal(&mut corrupted).expect("spliced file reseals");
-    let err = assert_typed_error(&corrupted, "NGLM without prefix closure");
-    assert!(
-        matches!(&err, SnapError::Decode(tag, msg) if tag == "NGLM" && msg.contains("no entry")),
-        "expected an NGLM decode error, got {err:?}"
-    );
-    let outcome = std::panic::catch_unwind(|| {
-        ExpansionEngine::from_snapshot_bytes(&corrupted, SnapshotRuntime::default()).map(|_| ())
-    });
-    assert!(
-        matches!(outcome, Ok(Err(ServeError::Snapshot(_)))),
-        "a snapshot with a broken NGLM section must fail to load"
-    );
+        .find(|s| &s.tag == b"EMBD")
+        .expect("fixture has EMBD");
+    let payload = &bytes[embd.payload_start..embd.payload_end];
+    let cols = u32::from_le_bytes(payload[4..8].try_into().expect("4 bytes")) as usize;
+    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let mut poisoned = payload.to_vec();
+        let at = 8 + 4 * (cols + 3);
+        poisoned[at..at + 4].copy_from_slice(&bad.to_le_bytes());
+        let corrupted = with_section(bytes, b"EMBD", &poisoned);
+        assert_never_served(&corrupted, "EMBD", "row 1 column 3");
+    }
 }
 
 #[test]
